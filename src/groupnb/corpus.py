@@ -15,6 +15,7 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Iterable, Mapping
 
 from .errors import IntegrityError, InvalidConfigError, ParseError, SizeRangeError
@@ -33,30 +34,66 @@ class OpcodeHistogram:
     """Opcode mnemonic -> occurrence count.
 
     Canonical form: keys are non-empty lowercase tokens, counts are
-    positive (zero-count entries are absent).
+    positive integers that convert to float (zero-count entries are
+    absent).
     """
 
     entries: dict[str, int]
 
     @classmethod
     def from_counts(cls, counts: Mapping[str, int]) -> "OpcodeHistogram":
-        """Build a canonical histogram, case-folding mnemonics and dropping zeros."""
-        entries: dict[str, int] = {}
-        for mnemonic, count in counts.items():
-            if not isinstance(mnemonic, str) or not mnemonic:
-                raise ValueError(f"opcode mnemonic must be a non-empty string, got {mnemonic!r}")
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                raise ValueError(f"count for {mnemonic!r} must be a non-negative integer, got {count!r}")
-            if count:
-                key = mnemonic.lower()
-                entries[key] = entries.get(key, 0) + count
-        return cls(entries)
+        """Build a canonical histogram, case-folding mnemonics and dropping zeros.
+
+        Raises ValueError naming the first malformed entry, or the first
+        (merged) count too large to convert to float.
+        """
+        # Common case in a few C-level passes: exact str keys, none empty,
+        # already lowercase; exact int counts (bool excluded), none
+        # negative, their sum convertible to float.
+        values = counts.values()
+        if (
+            set(map(type, counts)) == {str}
+            and set(map(type, values)) == {int}
+            and "" not in counts
+            and (lowest := min(values)) >= 0
+        ):
+            joined = "\0".join(counts)
+            if joined.lower() == joined and _fits_float(sum(values)):
+                if lowest:
+                    return cls(dict(counts))
+                return cls(dict(compress(counts.items(), values)))
+        return cls(_fold_counts(counts))
 
     def total(self) -> int:
         return sum(self.entries.values())
 
     def get(self, mnemonic: str, default: int = 0) -> int:
         return self.entries.get(mnemonic, default)
+
+
+def _fits_float(n: int) -> bool:
+    try:
+        float(n)
+    except OverflowError:
+        return False
+    return True
+
+
+def _fold_counts(counts: Mapping[str, int]) -> dict[str, int]:
+    """Per-entry validation and case folding; names the first bad entry."""
+    entries: dict[str, int] = {}
+    for mnemonic, count in counts.items():
+        if not isinstance(mnemonic, str) or not mnemonic:
+            raise ValueError(f"opcode mnemonic must be a non-empty string, got {mnemonic!r}")
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise ValueError(f"count for {mnemonic!r} must be a non-negative integer, got {count!r}")
+        if count:
+            key = mnemonic.lower()
+            entries[key] = entries.get(key, 0) + count
+    for key, count in entries.items():
+        if not _fits_float(count):
+            raise ValueError(f"count for {key!r} is too large to convert to float")
+    return entries
 
 
 @dataclass(frozen=True)
@@ -150,6 +187,8 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(line_no, f"invalid JSON: {exc.msg}") from None
+        except ValueError as exc:  # an integer past the int-to-str digit limit
+            raise ParseError(line_no, f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise ParseError(line_no, "record must be a JSON object")
 

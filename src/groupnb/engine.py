@@ -1,12 +1,21 @@
 """Model bundles, fallback routing, and the batch classification engine.
 
-A ModelBundle holds one trained model per trainable group plus a routing
-table that sends files from untrained groups to the nearest trained one
-(upward first). Batches are classified either by a single-threaded
-baseline loop or by a pool of worker-process lanes; both paths run the
-same pure per-sample kernel in the same order, so their predictions are
-bit-identical. Elapsed time covers only the classification kernel, not
-parsing or serialization.
+A ModelBundle holds one trained model per trainable group; routing sends
+files from untrained groups to the nearest trained one (upward first).
+Batches are classified either by a single-threaded baseline or by a pool
+of worker-process lanes; both run the same array kernel over contiguous
+slices, so their predictions are bit-identical. Elapsed time covers only
+the classification kernel, not parsing or serialization.
+
+The kernel scores a block of samples at once and reproduces
+classifier.log_posterior bit for bit. Each bundle gets one score table
+per class, one row per model: the log prior, then the feature
+log-likelihoods in feature order. A sample's row of products is its
+routed model's row times the sample's counts of those features (1 for
+the prior), each product rounded exactly as the scalar ``n * ll`` is.
+Absent features contribute -0.0, the exact additive identity, so even a
+signed zero survives; np.add.accumulate then adds the products left to
+right, the order of the scalar loop.
 """
 
 from __future__ import annotations
@@ -16,12 +25,16 @@ import math
 import multiprocessing
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Sequence, TextIO
 
+import numpy as np
+
 from .corpus import GroupedCorpus, GroupingConfig, Label, SampleRecord
-from .classifier import CLASSES, GroupModel, Prediction, predict, train_group
+from .classifier import CLASSES, GroupModel, Prediction, train_group
 from .errors import (
     BundleValidationError,
     EmptyBundleError,
@@ -50,13 +63,10 @@ class ModelBundle:
     models: dict[int, GroupModel]
     trained_ids: tuple[int, ...]
     meta: BundleMeta
-    # route() precomputed for every possible group id.
-    _route_table: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        ids = self.trained_ids
-        table = tuple(_route_ids(ids, g) for g in range(self.config.group_count)) if ids else ()
-        object.__setattr__(self, "_route_table", table)
+    @cached_property
+    def _tables(self) -> "_ScoreTables":
+        return _ScoreTables.build(self)
 
 
 @dataclass(frozen=True)
@@ -84,11 +94,9 @@ class TimedRun:
     elapsed_ns: int
 
 
-def _route_ids(ids: Sequence[int], group: int) -> int:
-    i = bisect_left(ids, group)
-    if i < len(ids):
-        return ids[i]
-    return ids[-1]
+def _route_row(ids: Sequence[int], group: int) -> int:
+    """Index in the sorted, non-empty ``ids`` of the effective group (see route)."""
+    return min(bisect_left(ids, group), len(ids) - 1)
 
 
 def route(bundle: ModelBundle, group: int) -> int:
@@ -100,7 +108,16 @@ def route(bundle: ModelBundle, group: int) -> int:
     """
     if not bundle.trained_ids:
         raise EmptyBundleError("bundle has no trained models")
-    return _route_ids(bundle.trained_ids, group)
+    ids = bundle.trained_ids
+    return ids[_route_row(ids, group)]
+
+
+def _exp_sum(log_values: list[float]) -> float:
+    """Sum of exp(v) left to right; inf when a term overflows."""
+    try:
+        return sum(map(math.exp, log_values))
+    except OverflowError:
+        return math.inf
 
 
 def _validate_model(model: GroupModel, config: GroupingConfig, meta: BundleMeta) -> None:
@@ -116,19 +133,20 @@ def _validate_model(model: GroupModel, config: GroupingConfig, meta: BundleMeta)
         raise BundleValidationError(f"{where}: duplicate features")
     if model.alpha <= 0 or not math.isfinite(model.alpha):
         raise BundleValidationError(f"{where}: alpha must be positive and finite")
-    prior_sum = sum(math.exp(model.log_prior[c]) for c in CLASSES)
+    priors = [model.log_prior[c] for c in CLASSES]
+    if not all(map(math.isfinite, priors)):
+        raise BundleValidationError(f"{where}: non-finite log prior")
+    prior_sum = _exp_sum(priors)
     if abs(prior_sum - 1.0) > _SUM_TOLERANCE:
         raise BundleValidationError(f"{where}: priors sum to {prior_sum!r}, not 1")
     for c in CLASSES:
         if model.train_counts.get(c, 0) < 1:
             raise BundleValidationError(f"{where}: no {c.value} training samples recorded")
         row = model.log_likelihood[c]
-        total = 0.0
         for op in model.features.opcodes:
-            value = row[op]
-            if not math.isfinite(value):
+            if not math.isfinite(row[op]):
                 raise BundleValidationError(f"{where}: non-finite likelihood for {op!r}")
-            total += math.exp(value)
+        total = _exp_sum([row[op] for op in model.features.opcodes])
         if abs(total - 1.0) > _SUM_TOLERANCE:
             raise BundleValidationError(
                 f"{where}: {c.value} likelihoods sum to {total!r}, not 1"
@@ -179,6 +197,62 @@ def train_bundle(
 
 # --- batch classification --------------------------------------------------
 
+# Samples scored per kernel step; bounds the temporary arrays to a few MB.
+_BLOCK = 512
+
+
+@dataclass(frozen=True)
+class _ScoreTables:
+    """A bundle's models as arrays, one row per model in trained_ids order.
+
+    table[row, c] is [log_prior(c), ll(c, f_1), ..., ll(c, f_n)]
+    zero-padded to the widest model; keys[row] is (f_1, ..., f_n) padded
+    with None, which no histogram holds.
+    """
+
+    keys: tuple[tuple[str | None, ...], ...]
+    table: np.ndarray
+
+    @classmethod
+    def build(cls, bundle: ModelBundle) -> "_ScoreTables":
+        ids = bundle.trained_ids
+        models = [bundle.models[g] for g in ids]
+        width = max((len(m.features.opcodes) for m in models), default=0)
+        table = np.zeros((len(models), len(CLASSES), width + 1))
+        keys = []
+        for row, model in enumerate(models):
+            features = model.features.opcodes
+            for c, label in enumerate(CLASSES):
+                ll = model.log_likelihood[label]
+                table[row, c, 0] = model.log_prior[label]
+                table[row, c, 1 : len(features) + 1] = [ll[op] for op in features]
+            keys.append(features + (None,) * (width - len(features)))
+        return cls(tuple(keys), table)
+
+
+def _log_scores(
+    tables: _ScoreTables, histograms: Sequence[dict[str, int]], rows: Sequence[int]
+) -> np.ndarray:
+    """(n, 2) log-scores, bit-identical to classifier.log_posterior.
+
+    histograms[i] is scored by the model in table row rows[i].
+    """
+    keys, table = tables.keys, tables.table
+    out = np.empty((len(rows), len(CLASSES)))
+    absent = repeat(0)
+    for lo in range(0, len(rows), _BLOCK):
+        block = rows[lo : lo + _BLOCK]
+        counts: list[int] = []
+        for entries, row in zip(histograms[lo : lo + _BLOCK], block):
+            counts.extend(map(entries.get, keys[row], absent))
+        # Column 0 multiplies the prior by 1. numpy converts each int
+        # exactly as float() does, so every product rounds as n * ll does.
+        x = np.ones((len(block), 1, table.shape[2]))
+        x[:, 0, 1:] = np.array(counts, dtype=np.float64).reshape(len(block), -1)
+        products = np.where(x == 0, -0.0, x * table[block])
+        out[lo : lo + _BLOCK] = np.add.accumulate(products, axis=2)[:, :, -1]
+    return out
+
 
 def _oversize_message(size_bytes: int, limit: int) -> str:
     return f"size_bytes {size_bytes} outside [0, {limit})"
@@ -186,24 +260,52 @@ def _oversize_message(size_bytes: int, limit: int) -> str:
 
 def _classify_slice(
     bundle: ModelBundle, samples: Sequence[SampleRecord], start: int, end: int
-) -> tuple[list[Prediction | None], list[tuple[int, str]]]:
-    """Classify samples[start:end]; error indices are absolute."""
-    table = bundle._route_table
-    models = bundle.models
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
+    """Classify samples[start:end] into arrays.
+
+    Returns the effective group per sample (-1 where it failed), the
+    (malware, benign) log-scores per sample, and the failures as
+    (absolute index, message) pairs.
+    """
+    ids = bundle.trained_ids
     width = bundle.config.group_size_bytes
     limit = bundle.config.max_size_bytes
-    predictions: list[Prediction | None] = []
+    admitted: list[int] = []
+    rows: list[int] = []
+    histograms: list[dict[str, int]] = []
     errors: list[tuple[int, str]] = []
-    append = predictions.append
     for i in range(start, end):
         sample = samples[i]
         size = sample.size_bytes
         if 0 <= size < limit:
-            append(predict(models[table[size // width]], sample.histogram))
+            admitted.append(i - start)
+            rows.append(_route_row(ids, size // width))
+            histograms.append(sample.histogram.entries)
         else:
-            append(None)
             errors.append((i, _oversize_message(size, limit)))
-    return predictions, errors
+    groups = np.full(end - start, -1, dtype=np.int64)
+    scores = np.zeros((end - start, len(CLASSES)))
+    groups[admitted] = np.array(ids, dtype=np.int64)[rows]
+    scores[admitted] = _log_scores(bundle._tables, histograms, rows)
+    return groups, scores, errors
+
+
+def _timed_run(
+    parts: Iterable[tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]], elapsed_ns: int
+) -> TimedRun:
+    """Assemble predictions, in input order, from consecutive slice results."""
+    predictions: list[Prediction | None] = []
+    errors: list[tuple[int, str]] = []
+    append = predictions.append
+    for groups, scores, slice_errors in parts:
+        for group, (score_m, score_b) in zip(groups.tolist(), scores.tolist()):
+            if group < 0:
+                append(None)
+                continue
+            label = Label.MALWARE if score_m > score_b else Label.BENIGN
+            append(Prediction(label, {Label.MALWARE: score_m, Label.BENIGN: score_b}, group))
+        errors.extend(slice_errors)
+    return TimedRun(tuple(predictions), tuple(errors), elapsed_ns)
 
 
 def classify_sequential(
@@ -221,9 +323,9 @@ def classify_sequential(
     if warmup:
         _classify_slice(bundle, samples, 0, n)
     t0 = time.perf_counter_ns()
-    predictions, errors = _classify_slice(bundle, samples, 0, n)
+    part = _classify_slice(bundle, samples, 0, n)
     elapsed = time.perf_counter_ns() - t0
-    return TimedRun(tuple(predictions), tuple(errors), elapsed)
+    return _timed_run([part], elapsed)
 
 
 # Read-only state inherited by fork()ed workers; set just before the pool
@@ -242,7 +344,7 @@ def _noop(_: int) -> None:
 
 def _classify_chunk(
     bounds: tuple[int, int],
-) -> tuple[list[Prediction | None], list[tuple[int, str]]]:
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
     bundle, samples = _SHARED
     return _classify_slice(bundle, samples, bounds[0], bounds[1])
 
@@ -254,10 +356,11 @@ def classify_parallel(
 
     The batch is cut into contiguous chunks of ceil(N / lanes) samples,
     one per lane, each classified against the shared read-only bundle.
-    Output order is the input order and every prediction (label and
-    log-scores) is bit-identical to classify_sequential on the same
-    workload. elapsed_ns is the wall time of the parallel region only;
-    pool startup and the optional warmup pass are excluded.
+    Lanes return arrays, and the predictions built from them are in
+    input order and bit-identical (label and log-scores) to
+    classify_sequential on the same workload. elapsed_ns is the wall
+    time of the parallel region only; pool startup and the optional
+    warmup pass are excluded.
     """
     if not bundle.trained_ids:
         raise EmptyBundleError("bundle has no trained models")
@@ -266,6 +369,7 @@ def classify_parallel(
     n = len(samples)
     chunk = -(-n // lanes) if n else 1
     bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    bundle._tables  # build once here, so forked lanes inherit them
 
     global _SHARED
     _SHARED = (bundle, samples)
@@ -287,13 +391,7 @@ def classify_parallel(
             elapsed = time.perf_counter_ns() - t0
     finally:
         _SHARED = None
-
-    predictions: list[Prediction | None] = []
-    errors: list[tuple[int, str]] = []
-    for chunk_predictions, chunk_errors in parts:
-        predictions.extend(chunk_predictions)
-        errors.extend(chunk_errors)
-    return TimedRun(tuple(predictions), tuple(errors), elapsed)
+    return _timed_run(parts, elapsed)
 
 
 def speedup(tc_ns: int, tp_ns: int) -> float:
@@ -373,18 +471,43 @@ def _require(condition: bool, message: str) -> None:
         raise BundleValidationError(message)
 
 
+def _integer(value, where: str) -> int:
+    _require(
+        isinstance(value, int) and not isinstance(value, bool),
+        f"{where} must be an integer, got {type(value).__name__}",
+    )
+    return value
+
+
+def _numbers(values: list, where: str) -> list[float]:
+    """JSON numbers as floats; anything else (bool and str included) is rejected."""
+    _require(set(map(type, values)) <= {int, float}, f"{where} must hold only numbers")
+    try:
+        return list(map(float, values))
+    except OverflowError:
+        raise BundleValidationError(f"{where} holds an integer too large for a float") from None
+
+
+def _object(value, where: str) -> dict:
+    _require(isinstance(value, dict), f"{where} must be an object")
+    return value
+
+
 def bundle_from_json(text: str) -> ModelBundle:
-    """Parse and re-validate a bundle document."""
+    """Parse and re-validate a bundle document.
+
+    Any malformed document raises BundleValidationError.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise BundleValidationError(f"invalid bundle JSON: {exc.msg}") from None
-    _require(isinstance(doc, dict), "bundle must be a JSON object")
-    raw_config = doc.get("config")
-    raw_meta = doc.get("meta")
+    except ValueError as exc:  # an integer past the int-to-str digit limit
+        raise BundleValidationError(f"invalid bundle JSON: {exc}") from None
+    doc = _object(doc, "bundle")
+    raw_config = _object(doc.get("config"), "bundle 'config'")
+    raw_meta = _object(doc.get("meta"), "bundle 'meta'")
     raw_models = doc.get("models")
-    _require(isinstance(raw_config, dict), "bundle 'config' must be an object")
-    _require(isinstance(raw_meta, dict), "bundle 'meta' must be an object")
     _require(isinstance(raw_models, list), "bundle 'models' must be an array")
 
     try:
@@ -394,28 +517,30 @@ def bundle_from_json(text: str) -> ModelBundle:
             min_per_class=raw_config["min_per_class"],
         )
         meta = BundleMeta(
-            k=raw_meta["k"],
-            alpha=float(raw_meta["alpha"]),
-            seed=raw_meta["seed"],
+            k=_integer(raw_meta["k"], "meta.k"),
+            alpha=_numbers([raw_meta["alpha"]], "meta.alpha")[0],
+            seed=_integer(raw_meta["seed"], "meta.seed"),
             created_at=raw_meta["created_at"],
         )
-    except (KeyError, TypeError, ValueError, InvalidConfigError) as exc:
+    except (KeyError, InvalidConfigError) as exc:
         raise BundleValidationError(f"bad bundle config/meta: {exc}") from None
+    _require(meta.k >= 1, "meta.k must be positive")
+    _require(meta.alpha > 0 and math.isfinite(meta.alpha), "meta.alpha must be positive and finite")
+    _require(isinstance(meta.created_at, str), "meta.created_at must be a string")
 
     models = []
     for position, raw in enumerate(raw_models):
         where = f"models[{position}]"
-        _require(isinstance(raw, dict), f"{where} must be an object")
+        raw = _object(raw, where)
         try:
-            group = raw["group"]
+            group = _integer(raw["group"], f"{where}.group")
             feature_list = raw["features"]
-            raw_prior = raw["log_prior"]
-            raw_ll = raw["log_likelihood"]
-            alpha = float(raw["alpha"])
-            raw_counts = raw["train_counts"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BundleValidationError(f"{where}: {exc}") from None
-        _require(isinstance(group, int) and not isinstance(group, bool), f"{where}: bad group id")
+            raw_prior = _object(raw["log_prior"], f"{where}.log_prior")
+            raw_ll = _object(raw["log_likelihood"], f"{where}.log_likelihood")
+            alpha = _numbers([raw["alpha"]], f"{where}.alpha")[0]
+            raw_counts = _object(raw["train_counts"], f"{where}.train_counts")
+        except KeyError as exc:
+            raise BundleValidationError(f"{where}: missing {exc}") from None
         _require(
             isinstance(feature_list, list) and all(isinstance(op, str) for op in feature_list),
             f"{where}: 'features' must be an array of strings",
@@ -425,26 +550,18 @@ def bundle_from_json(text: str) -> ModelBundle:
         log_likelihood: dict[Label, dict[str, float]] = {}
         train_counts: dict[Label, int] = {}
         for c in CLASSES:
-            _require(
-                isinstance(raw_prior, dict) and c.value in raw_prior,
-                f"{where}: log_prior missing {c.value!r}",
-            )
-            log_prior[c] = float(raw_prior[c.value])
-            _require(
-                isinstance(raw_ll, dict) and isinstance(raw_ll.get(c.value), dict),
-                f"{where}: log_likelihood missing {c.value!r}",
-            )
-            row = raw_ll[c.value]
+            _require(c.value in raw_prior, f"{where}: log_prior missing {c.value!r}")
+            log_prior[c] = _numbers([raw_prior[c.value]], f"{where}.log_prior")[0]
+            row = raw_ll.get(c.value)
+            _require(isinstance(row, dict), f"{where}: log_likelihood missing {c.value!r}")
             _require(
                 set(row) == set(feature_list),
                 f"{where}: {c.value} likelihood keys do not match the feature list",
             )
-            log_likelihood[c] = {op: float(row[op]) for op in feature_list}
-            _require(
-                isinstance(raw_counts, dict) and c.value in raw_counts,
-                f"{where}: train_counts missing {c.value!r}",
-            )
-            train_counts[c] = raw_counts[c.value]
+            values = _numbers([row[op] for op in feature_list], f"{where}.log_likelihood")
+            log_likelihood[c] = dict(zip(feature_list, values))
+            _require(c.value in raw_counts, f"{where}: train_counts missing {c.value!r}")
+            train_counts[c] = _integer(raw_counts[c.value], f"{where}.train_counts")
         models.append(
             GroupModel(
                 group=group,

@@ -210,6 +210,25 @@ class TestExitCodes:
             == 2
         )
 
+    def test_classify_data_errors_exit_two(self, pipeline_files, capsys):
+        paths = pipeline_files
+        assert _run("train", "--in", str(paths["train"]), "--k", "8",
+                    "--out", str(paths["bundle"])) == 0
+        classify = ("classify", "--bundle", str(paths["bundle"]), "--in", str(paths["test"]),
+                    "--out", str(paths["preds"]))
+        good = paths["test"].read_text()
+
+        huge = '{"id":"huge","size_bytes":10,"opcodes":{"mov":%d}}\n' % 2**1024
+        paths["test"].write_text(good + huge)
+        assert _run(*classify) == 2
+        assert "line %d" % (len(paths_lines(paths["test"]))) in capsys.readouterr().err
+
+        paths["test"].write_text(good)
+        doc = json.loads(paths["bundle"].read_text())
+        doc["models"][0]["log_prior"]["malware"] = [-0.5]
+        paths["bundle"].write_text(json.dumps(doc))
+        assert _run(*classify) == 2
+
     def test_io_errors_exit_three(self, tmp_path):
         missing = tmp_path / "does-not-exist.jsonl"
         assert (

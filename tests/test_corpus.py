@@ -9,6 +9,7 @@ from groupnb.corpus import (
     GroupingConfig,
     Label,
     OpcodeHistogram,
+    _fold_counts,
     assign_group,
     parse_corpus,
     partition_by_group,
@@ -34,6 +35,69 @@ class TestOpcodeHistogram:
     def test_rejects_malformed_entries(self, bad):
         with pytest.raises(ValueError):
             OpcodeHistogram.from_counts(bad)
+
+    @staticmethod
+    def _outcome(build, counts):
+        try:
+            entries = build(counts)
+        except ValueError as exc:
+            return "error", str(exc)
+        return "ok", list(entries.items())
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {},
+            {"mov": 3, "jmp": 1},
+            {"MOV": 2, "mov": 1},
+            {"mov": 1, "Jmp": 2, "jmp": 0},
+            {"mov": 0, "jmp": 0},
+            {"mov": 1, "jmp": True},
+            {"mov": False},
+            {"mov": 1, "jmp": 2.0},
+            {"mov": 1, "jmp": -3},
+            {"mov": 1, "": 2},
+            {"mov": 1, 7: 2},
+            {"mov": 1, None: 2},
+            {"mov": None},
+            {"mov": "3"},
+            {"İ": 1},
+            {"i̇": 1, "İ": 2},
+            {"Σ": 1, "σ": 1},
+            {"aΣ": 1, "aς": 2},
+            {"σ": 1, "ς": 2},
+            {"mov": 2**1024},
+            {"mov": 2**1023, "MOV": 2**1023},
+            {"mov": 2**1023, "jmp": 2**1023},
+            {"mov": 2**1024, "jmp": -1},
+            {"mo\0v": 1, "M\0OV": 2},
+        ],
+    )
+    def test_bulk_path_matches_the_loop(self, counts):
+        """Identical entries (order included) or identical exception text."""
+        build = lambda c: OpcodeHistogram.from_counts(c).entries  # noqa: E731
+        assert self._outcome(build, counts) == self._outcome(_fold_counts, counts)
+
+    def test_bulk_path_matches_the_loop_on_random_mutations(self):
+        rng = np.random.default_rng(5)
+        pool = ["mov", "MOV", "jmp", "Jmp", "add", "xor", "İ", "Σ", "ς", "", 3]
+        odd_counts = [0, -1, True, False, 1.0, 2**1023, 2**1024, None]
+        for _ in range(400):
+            counts = {}
+            for _ in range(int(rng.integers(0, 6))):
+                key = pool[int(rng.integers(len(pool)))]
+                if rng.random() < 0.2:
+                    value = odd_counts[int(rng.integers(len(odd_counts)))]
+                else:
+                    value = int(rng.integers(1, 2**40))
+                counts[key] = value
+            build = lambda c: OpcodeHistogram.from_counts(c).entries  # noqa: E731
+            assert self._outcome(build, counts) == self._outcome(_fold_counts, counts), counts
+
+    def test_count_too_large_for_a_float_is_rejected(self):
+        with pytest.raises(ValueError, match="'mov' is too large"):
+            OpcodeHistogram.from_counts({"MOV": 2**1023, "mov": 2**1023})
+        assert OpcodeHistogram.from_counts({"mov": 2**1023}).entries == {"mov": 2**1023}
 
 
 class TestParseCorpus:
@@ -88,6 +152,19 @@ class TestParseCorpus:
     def test_rejects_malformed_records(self, line):
         with pytest.raises(ParseError):
             parse_corpus(line)
+
+    @pytest.mark.parametrize(
+        "opcodes",
+        ['{"mov": %d}' % 2**1024, '{"mov": 1%s}' % ("0" * 400), '{"mov": %s}' % ("9" * 5000)],
+    )
+    def test_count_beyond_float_range_is_a_parse_error(self, opcodes):
+        lines = [
+            '{"id":"a","size_bytes":7,"opcodes":{"mov":1}}',
+            '{"id":"b","size_bytes":7,"opcodes":%s}' % opcodes,
+        ]
+        with pytest.raises(ParseError) as err:
+            parse_corpus(lines, allow_unlabeled=True)
+        assert err.value.line_no == 2
 
     def test_unlabeled_records_gated_by_flag(self):
         line = '{"id":"a","size_bytes":7,"opcodes":{"mov":1}}'

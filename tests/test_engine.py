@@ -1,5 +1,6 @@
 """Bundle assembly, routing, and the two classification paths."""
 
+import copy
 import dataclasses
 import io
 import json
@@ -29,12 +30,15 @@ from groupnb.engine import (
 from groupnb.errors import (
     BundleValidationError,
     EmptyBundleError,
+    GroupNBError,
     IntegrityError,
     InvalidConfigError,
     MeasurementError,
 )
-from groupnb.classifier import train_group
+from groupnb.classifier import GroupModel, predict, train_group
 from groupnb.features import FeatureSet
+
+from groupnb.synth import SyntheticSpec, generate_synthetic
 
 from helpers import grouped, make_sample, two_class_group
 
@@ -222,6 +226,132 @@ class TestClassifyParallel:
         assert run.errors == ()
 
 
+def _exact(prediction):
+    """A prediction with its scores as float.hex, so -0.0 and 0.0 differ."""
+    if prediction is None:
+        return None
+    scores = prediction.log_posterior
+    return (
+        prediction.label,
+        prediction.effective_group,
+        scores[Label.MALWARE].hex(),
+        scores[Label.BENIGN].hex(),
+    )
+
+
+def _oracle(bundle, samples):
+    """Per-sample route + classifier.predict, the scalar reference."""
+    width = bundle.config.group_size_bytes
+    limit = bundle.config.max_size_bytes
+    return [
+        _exact(predict(bundle.models[route(bundle, s.size_bytes // width)], s.histogram))
+        if 0 <= s.size_bytes < limit
+        else None
+        for s in samples
+    ]
+
+
+def _assert_kernel_matches_oracle(bundle, samples):
+    expected = _oracle(bundle, samples)
+    for lanes in (None, 1, 2, 4):
+        workload = Workload(samples=tuple(samples), lanes=lanes or 1)
+        if lanes is None:
+            run = classify_sequential(bundle, workload, warmup=False)
+        else:
+            run = classify_parallel(bundle, workload, warmup=False)
+        assert [_exact(p) for p in run.predictions] == expected, lanes
+        assert [i for i, _ in run.errors] == [i for i, e in enumerate(expected) if e is None]
+
+
+class TestArrayKernel:
+    """The batch kernel against per-sample log_posterior, bit for bit."""
+
+    # Counts where an int-to-float conversion could round differently.
+    _BIG = (2**53 + 1, 2**60 + 1, 2**63 + 1, 2**70 + 3, 10**300)
+
+    def _bundle(self):
+        """Models of different widths in groups 3, 40 and 41 only."""
+        config = GroupingConfig()
+        meta = BundleMeta(k=5, alpha=1.0, seed=0, created_at="t")
+        models = []
+        widths = {3: ("evil",), 40: ("mov", "add", "evil", "jmp"), 41: ("add", "mov")}
+        for g, features in widths.items():
+            samples = two_class_group(g)
+            samples.append(make_sample(f"j{g}", Label.BENIGN, g * 5120, {"jmp": 2 + g}))
+            models.append(train_group(samples, FeatureSet(features, 5), 0.5, group=g))
+        return build_bundle(models, config, meta)
+
+    def _samples(self, n, seed):
+        """Sparse histograms over every group, with absent features and oversize files."""
+        rng = np.random.default_rng(seed)
+        pool = ["evil", "mov", "add", "jmp", "xor"]
+        samples = []
+        for i in range(n):
+            if rng.random() < 0.05:
+                size = 512000 + int(rng.integers(0, 10**6))
+            else:
+                size = int(rng.integers(0, 512000))
+            ops = {}
+            for op in pool:
+                if rng.random() < 0.5:
+                    continue
+                draw = rng.random()
+                if draw < 0.1:
+                    ops[op] = self._BIG[int(rng.integers(len(self._BIG)))]
+                elif draw < 0.3:
+                    ops[op] = int(rng.integers(1, 2**60 + 2))
+                else:
+                    ops[op] = int(rng.integers(1, 50))
+            samples.append(make_sample(f"r{i}", Label.UNKNOWN, size, ops))
+        return samples
+
+    @pytest.mark.parametrize("n", [0, 1, 64, 4000])
+    def test_random_sparse_batches(self, n):
+        bundle = self._bundle()
+        samples = self._samples(n, seed=n)
+        if n >= 64:
+            groups = {route(bundle, s.size_bytes // 5120) for s in samples if s.size_bytes < 512000}
+            assert groups == {3, 40, 41}  # fallback both upward and downward
+        _assert_kernel_matches_oracle(bundle, samples)
+
+    def test_trained_bundle_with_gaps(self):
+        spec = SyntheticSpec(
+            group_count=12,
+            samples_per_group_per_class=8,
+            vocabulary_size=48,
+            divergence=0.4,
+            seed=3,
+        )
+        corpus = generate_synthetic(spec)
+        full = train_bundle(grouped(corpus), k=30, created_at="t")
+        kept = [full.models[g] for g in full.trained_ids if g % 3 == 1]
+        bundle = build_bundle(kept, full.config, full.meta)
+        rng = np.random.default_rng(8)
+        samples = [corpus[int(i)] for i in rng.integers(0, len(corpus), size=300)]
+        samples[7] = make_sample("big", Label.UNKNOWN, 700000, {"op001": 1})
+        _assert_kernel_matches_oracle(bundle, samples)
+
+    def test_signed_zero_survives(self):
+        """A -0.0 prior plus absent features stays -0.0; a 0.0 likelihood term makes +0.0."""
+        model = GroupModel(
+            group=0,
+            features=FeatureSet(("a", "b"), 3),
+            log_prior={Label.MALWARE: -0.0, Label.BENIGN: -800.0},
+            log_likelihood={
+                Label.MALWARE: {"a": 0.0, "b": -800.0},
+                Label.BENIGN: {"a": -800.0, "b": 0.0},
+            },
+            alpha=1.0,
+            train_counts={Label.MALWARE: 1, Label.BENIGN: 1},
+        )
+        bundle = build_bundle([model], GroupingConfig(), _META)
+        cases = [{}, {"a": 1}, {"b": 2}, {"a": 3, "b": 1}, {"zzz": 4}]
+        samples = [make_sample(f"z{i}", Label.UNKNOWN, 100, ops) for i, ops in enumerate(cases)]
+        expected = _oracle(bundle, samples)
+        assert expected[0][2] == "-0x0.0p+0" and expected[1][2] == "0x0.0p+0"
+        _assert_kernel_matches_oracle(bundle, samples)
+
+
 class TestSpeedup:
     def test_ratio_values(self):
         assert speedup(200, 1) == 200.0
@@ -297,6 +427,64 @@ class TestBundleSerialization:
         mutate(doc)
         with pytest.raises(BundleValidationError):
             bundle_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["models"][0]["log_prior"].__setitem__("malware", [-0.5]),
+            lambda doc: doc["models"][0]["log_likelihood"]["benign"].__setitem__("mov", "abc"),
+            lambda doc: doc["models"][0]["log_likelihood"]["benign"].update(
+                mov=repr(doc["models"][0]["log_likelihood"]["benign"]["mov"])
+            ),
+            lambda doc: doc["models"][0]["train_counts"].__setitem__("benign", "6"),
+            lambda doc: doc["models"][0].__setitem__("train_counts", "malware benign"),
+            lambda doc: doc["meta"].__setitem__("k", "3"),
+            lambda doc: doc["meta"].__setitem__("created_at", 20260101),
+            lambda doc: doc["models"][0]["log_prior"].__setitem__("malware", 10**400),
+            lambda doc: doc["models"][0]["log_prior"].__setitem__("malware", 800.0),
+            lambda doc: doc["models"][0]["log_prior"].__setitem__("malware", float("nan")),
+        ],
+    )
+    def test_loader_types_every_field(self, mutate):
+        doc = json.loads(bundle_to_json(_bundle(groups=(0,))))
+        mutate(doc)
+        with pytest.raises(BundleValidationError):
+            bundle_from_json(json.dumps(doc))
+
+    def test_only_package_errors_escape_the_loader(self):
+        """Every field replaced by values of every JSON type, or deleted."""
+        doc = json.loads(bundle_to_json(_bundle(groups=(0, 2))))
+        replacements = [None, True, "x", "1.5", [], [1], {}, {"malware": 1}, 1.5, -1, 0,
+                        2**64, 10**400, 1e308, float("nan"), float("inf")]
+
+        def paths(node, prefix=()):
+            if isinstance(node, dict):
+                items = node.items()
+            elif isinstance(node, list):
+                items = enumerate(node)
+            else:
+                return
+            for key, child in items:
+                yield prefix + (key,)
+                yield from paths(child, prefix + (key,))
+
+        texts = ["", "[]", "1e999", "9" * 5000, '{"config": 1' + "9" * 5000 + "}"]
+        for path in paths(doc):
+            for value in replacements + [KeyError]:
+                mutated = copy.deepcopy(doc)
+                parent = mutated
+                for key in path[:-1]:
+                    parent = parent[key]
+                if value is KeyError:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+                texts.append(json.dumps(mutated))
+        for text in texts:
+            try:
+                bundle_from_json(text)
+            except GroupNBError:
+                pass
 
     def test_loader_rejects_garbage(self):
         with pytest.raises(BundleValidationError):
