@@ -7,7 +7,8 @@ timing sweep to CSV), and score (accuracy plus per-class
 precision/recall from a prediction file).
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data or
-integrity error, 3 I/O error.
+integrity error, 3 I/O error or a worker lane of classify --parallel
+that died before returning its chunk.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
     InsufficientClassError,
     IntegrityError,
     InvalidConfigError,
+    LaneError,
     MeasurementError,
     ParseError,
     SizeRangeError,
@@ -271,8 +273,10 @@ def _cmd_score(args) -> int:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(line_no, f"invalid prediction JSON: {exc.msg}") from None
-            if not isinstance(doc, dict) or "id" not in doc:
-                raise ParseError(line_no, "prediction must be an object with an 'id'")
+            except ValueError as exc:  # an integer past the int-to-str digit limit
+                raise ParseError(line_no, f"invalid prediction JSON: {exc}") from None
+            if not isinstance(doc, dict) or not isinstance(doc.get("id"), str):
+                raise ParseError(line_no, "prediction must be an object with a string 'id'")
             if "error" in doc:
                 errors += 1
                 continue
@@ -321,6 +325,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"groupnb: i/o error: {exc}", file=sys.stderr)
+        return 3
+    except LaneError as exc:
+        print(f"groupnb: lane error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -2,10 +2,14 @@
 
 A ModelBundle holds one trained model per trainable group; routing sends
 files from untrained groups to the nearest trained one (upward first).
-Batches are classified either by a single-threaded baseline or by a pool
-of worker-process lanes; both run the same array kernel over contiguous
-slices, so their predictions are bit-identical. Elapsed time covers only
-the classification kernel, not parsing or serialization.
+Batches are classified either by a single-threaded baseline or over
+lanes: the caller runs lane 0 and each further lane is one worker
+process with its own pipe, forked where the platform allows and spawned
+elsewhere, through the same code. Both paths run the same array kernel
+over contiguous slices, so their predictions are bit-identical. Elapsed
+time covers only the classification kernel, not parsing or
+serialization; for lanes it starts after a ready/go barrier, so process
+start-up and warm-up are excluded.
 
 The kernel scores a block of samples at once and reproduces
 classifier.log_posterior bit for bit. Each bundle gets one score table
@@ -40,6 +44,7 @@ from .errors import (
     EmptyBundleError,
     IntegrityError,
     InvalidConfigError,
+    LaneError,
     MeasurementError,
 )
 from .features import FeatureSet, score_opcodes, select_top_k
@@ -328,69 +333,94 @@ def classify_sequential(
     return _timed_run([part], elapsed)
 
 
-# Read-only state inherited by fork()ed workers; set just before the pool
-# starts and cleared afterwards. Avoids pickling the bundle and batch.
-_SHARED: tuple[ModelBundle, Sequence[SampleRecord]] | None = None
+def _lane(conn, caller_ends, bundle: ModelBundle, samples: Sequence[SampleRecord], start: int,
+          end: int, warmup: bool) -> None:
+    """Worker-lane body: classify samples[start:end] between the caller's go and its receive.
+
+    Sends "ready" after the optional warm-up pass, waits for "go", then
+    sends its chunk's arrays. If the caller has closed the pipe, the lane
+    exits quietly.
+    """
+    # A forked lane inherits the caller's pipe ends; while it holds them,
+    # it would never see the caller close its own.
+    for caller_end in caller_ends:
+        caller_end.close()
+    try:
+        if warmup:
+            _classify_slice(bundle, samples, start, end)
+        conn.send("ready")
+        conn.recv()
+        conn.send(_classify_slice(bundle, samples, start, end))
+    except (EOFError, ConnectionError):
+        pass
+    finally:
+        conn.close()
 
 
-def _set_shared(bundle: ModelBundle, samples: Sequence[SampleRecord]) -> None:
-    global _SHARED
-    _SHARED = (bundle, samples)
-
-
-def _noop(_: int) -> None:
-    return None
-
-
-def _classify_chunk(
-    bounds: tuple[int, int],
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
-    bundle, samples = _SHARED
-    return _classify_slice(bundle, samples, bounds[0], bounds[1])
+def _receive(lane: int, proc, conn):
+    try:
+        return conn.recv()
+    except EOFError:
+        proc.join()
+        raise LaneError(f"lane {lane} exited with code {proc.exitcode} "
+                        "before returning its chunk") from None
 
 
 def classify_parallel(
     bundle: ModelBundle, workload: Workload, *, warmup: bool = True
 ) -> TimedRun:
-    """Classify with ``workload.lanes`` worker processes; this is the Tp side.
+    """Classify over ``workload.lanes`` lanes: ``lanes - 1`` forked workers plus the caller.
 
-    The batch is cut into contiguous chunks of ceil(N / lanes) samples,
-    one per lane, each classified against the shared read-only bundle.
-    Lanes return arrays, and the predictions built from them are in
-    input order and bit-identical (label and log-scores) to
-    classify_sequential on the same workload. elapsed_ns is the wall
-    time of the parallel region only; pool startup and the optional
-    warmup pass are excluded.
+    The batch is cut into contiguous chunks of ceil(N / lanes) samples.
+    The caller classifies chunk 0 itself; every other chunk gets one
+    worker process and one pipe. Workers are forked where the platform
+    can, so they inherit the bundle and the batch; elsewhere they are
+    spawned and the same arguments are pickled. Lanes return arrays, and
+    the predictions built from them are in input order and bit-identical
+    (label and log-scores) to classify_sequential on the same workload.
+    elapsed_ns is the wall time of the parallel region only: it starts
+    once every lane has finished its optional warm-up pass and reported
+    ready. A worker that dies before returning its chunk raises
+    LaneError; every worker is joined before this returns or raises.
     """
     if not bundle.trained_ids:
         raise EmptyBundleError("bundle has no trained models")
     samples = workload.samples
-    lanes = workload.lanes
     n = len(samples)
-    chunk = -(-n // lanes) if n else 1
-    bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    chunk = -(-n // workload.lanes) if n else 1
+    bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)] or [(0, 0)]
     bundle._tables  # build once here, so forked lanes inherit them
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    ctx = multiprocessing.get_context(method)
 
-    global _SHARED
-    _SHARED = (bundle, samples)
+    procs = []
+    conns = []
     try:
-        if "fork" in multiprocessing.get_all_start_methods():
-            ctx = multiprocessing.get_context("fork")
-            pool = ctx.Pool(processes=lanes)
-        else:
-            # No fork: ship the shared state once per worker instead.
-            ctx = multiprocessing.get_context("spawn")
-            pool = ctx.Pool(processes=lanes, initializer=_set_shared, initargs=(bundle, samples))
-        with pool:
-            # Make sure every worker is up before the clock starts.
-            pool.map(_noop, range(lanes))
-            if warmup and bounds:
-                pool.map(_classify_chunk, bounds, chunksize=1)
-            t0 = time.perf_counter_ns()
-            parts = pool.map(_classify_chunk, bounds, chunksize=1)
-            elapsed = time.perf_counter_ns() - t0
+        for lo, hi in bounds[1:]:
+            conn, lane_conn = ctx.Pipe()
+            conns.append(conn)
+            with lane_conn:  # the worker's copy must be the only one left open
+                args = (lane_conn, tuple(conns), bundle, samples, lo, hi, warmup)
+                proc = ctx.Process(target=_lane, args=args, daemon=True)
+                proc.start()
+            procs.append(proc)
+        lo, hi = bounds[0]
+        if warmup:
+            _classify_slice(bundle, samples, lo, hi)
+        for lane, (proc, conn) in enumerate(zip(procs, conns), start=1):
+            _receive(lane, proc, conn)
+        t0 = time.perf_counter_ns()
+        for conn in conns:
+            conn.send("go")
+        parts = [_classify_slice(bundle, samples, lo, hi)]
+        parts += [_receive(lane, proc, conn)
+                  for lane, (proc, conn) in enumerate(zip(procs, conns), start=1)]
+        elapsed = time.perf_counter_ns() - t0
     finally:
-        _SHARED = None
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.join()
     return _timed_run(parts, elapsed)
 
 

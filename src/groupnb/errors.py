@@ -37,5 +37,9 @@ class EmptyBundleError(GroupNBError):
     """The operation needs at least one trained model."""
 
 
+class LaneError(GroupNBError):
+    """A worker lane exited before returning its chunk."""
+
+
 class MeasurementError(GroupNBError):
     """A timing measurement cannot be interpreted."""

@@ -1,5 +1,12 @@
 """Small builders shared across the test suite."""
 
+import contextlib
+import os
+import signal
+
+import pytest
+
+from groupnb import engine
 from groupnb.corpus import (
     GroupedCorpus,
     GroupingConfig,
@@ -53,3 +60,34 @@ def two_class_group(
             )
         )
     return samples
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail the test if the block runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        # Not an OSError: multiprocessing's join swallows those.
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def kill_worker_lanes(monkeypatch, code: int = 9, start: int | None = None) -> None:
+    """Make every worker lane (or only the one whose chunk begins at ``start``)
+    exit with ``code`` when it starts classifying; the calling process is spared."""
+    test_pid = os.getpid()
+    real = engine._classify_slice
+
+    def slice_or_exit(bundle, samples, lo, hi):
+        if os.getpid() != test_pid and start in (None, lo):
+            os._exit(code)
+        return real(bundle, samples, lo, hi)
+
+    monkeypatch.setattr(engine, "_classify_slice", slice_or_exit)

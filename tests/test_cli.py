@@ -1,11 +1,14 @@
 """End-to-end runs of the command-line interface."""
 
 import json
+import multiprocessing
 
 import pytest
 
 from groupnb.bench import parse_csv
 from groupnb.cli import main
+
+from helpers import deadline, kill_worker_lanes
 
 
 def _run(*argv):
@@ -228,6 +231,32 @@ class TestExitCodes:
         doc["models"][0]["log_prior"]["malware"] = [-0.5]
         paths["bundle"].write_text(json.dumps(doc))
         assert _run(*classify) == 2
+
+    @pytest.mark.parametrize("line", [
+        '{"id": "x", "label": "malware", "n": %s}' % ("9" * 5000),
+        '{"id": [1], "label": "malware"}',
+    ], ids=["huge_integer", "list_id"])
+    def test_score_rejects_malformed_predictions(self, pipeline_files, capsys, line):
+        paths = pipeline_files
+        paths["preds"].write_text('{"id": "a", "error": "e"}\n' + line + "\n")
+        assert _run("score", "--preds", str(paths["preds"]), "--truth", str(paths["test"])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("groupnb: data error: line 2: ")
+        assert len(err.splitlines()) == 1
+
+    def test_dead_lane_exits_three(self, pipeline_files, capsys, monkeypatch):
+        paths = pipeline_files
+        assert _run("train", "--in", str(paths["train"]), "--k", "8",
+                    "--out", str(paths["bundle"])) == 0
+        capsys.readouterr()
+        kill_worker_lanes(monkeypatch)
+        with deadline(30):
+            code = _run("classify", "--bundle", str(paths["bundle"]), "--in", str(paths["test"]),
+                        "--parallel", "--lanes", "2", "--out", str(paths["preds"]))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "groupnb: lane error: lane 1 exited with code 9 before returning its chunk\n"
+        assert multiprocessing.active_children() == []
 
     def test_io_errors_exit_three(self, tmp_path):
         missing = tmp_path / "does-not-exist.jsonl"

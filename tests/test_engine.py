@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
 import statistics
 
 import numpy as np
@@ -33,6 +34,7 @@ from groupnb.errors import (
     GroupNBError,
     IntegrityError,
     InvalidConfigError,
+    LaneError,
     MeasurementError,
 )
 from groupnb.classifier import GroupModel, predict, train_group
@@ -40,7 +42,7 @@ from groupnb.features import FeatureSet
 
 from groupnb.synth import SyntheticSpec, generate_synthetic
 
-from helpers import grouped, make_sample, two_class_group
+from helpers import deadline, grouped, kill_worker_lanes, make_sample, two_class_group
 
 _META = BundleMeta(k=3, alpha=1.0, seed=0, created_at="2026-01-01T00:00:00+00:00")
 
@@ -201,6 +203,38 @@ class TestClassifyParallel:
         par = classify_parallel(bundle, workload)
         assert par.predictions == seq.predictions
         assert par.errors == seq.errors
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_bit_identical_under_spawn(self, lanes, monkeypatch):
+        methods = [m for m in multiprocessing.get_all_start_methods() if m != "fork"]
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        bundle = _bundle()
+        good = list(_workload(bundle, 12, lanes=lanes, seed=lanes).samples)
+        good[7] = make_sample("big", Label.UNKNOWN, 600000, {"mov": 1})
+        workload = Workload(samples=tuple(good), lanes=lanes)
+        seq = classify_sequential(bundle, workload, warmup=False)
+        with deadline(60):
+            par = classify_parallel(bundle, workload, warmup=False)
+        assert [_exact(p) for p in par.predictions] == [_exact(p) for p in seq.predictions]
+        assert par.errors == seq.errors
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("warmup", [True, False])
+    def test_dead_lane_raises_lane_error(self, warmup, monkeypatch):
+        kill_worker_lanes(monkeypatch)
+        bundle = _bundle()
+        with deadline(30), pytest.raises(LaneError, match="lane 1 exited with code 9"):
+            classify_parallel(bundle, _workload(bundle, 30, lanes=3), warmup=warmup)
+        assert multiprocessing.active_children() == []
+
+    def test_lane_left_by_the_caller_exits_quietly(self, monkeypatch, capfd):
+        kill_worker_lanes(monkeypatch, start=20)
+        bundle = _bundle()
+        with deadline(30), pytest.raises(LaneError, match="lane 1 exited with code 9"):
+            classify_parallel(bundle, _workload(bundle, 60, lanes=3))
+        assert multiprocessing.active_children() == []
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_error_entries_survive_parallelism(self):
         bundle = _bundle()
