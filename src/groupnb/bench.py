@@ -15,11 +15,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, TextIO
 
 from . import engine
-from .classifier import train_group
-from .corpus import GroupedCorpus, SampleRecord, trainable_groups
-from .engine import BundleMeta, ModelBundle, Workload, build_bundle
+from .corpus import SampleRecord
+from .engine import ModelBundle, Workload
 from .errors import InvalidConfigError, ParseError
-from .features import score_opcodes, select_top_k
 
 CSV_HEADER = "k,batch_size,mode,lanes,elapsed_ns_median,elapsed_ns_min,speedup"
 
@@ -86,29 +84,6 @@ def make_batches(
     n = len(test_samples)
     samples = tuple(test_samples[i % n] for i in range(total))
     return Workload(samples=samples, lanes=lanes)
-
-
-def train_bundles(
-    train: GroupedCorpus,
-    k_values: Sequence[int],
-    alpha: float = 1.0,
-    *,
-    seed: int = 0,
-    created_at: str = "",
-) -> dict[int, ModelBundle]:
-    """One bundle per k, sharing the per-group score tables across all k."""
-    config = train.config
-    groups = sorted(trainable_groups(train, config))
-    tables = {g: score_opcodes(train.groups[g], group=g) for g in groups}
-    bundles: dict[int, ModelBundle] = {}
-    for k in k_values:
-        models = [
-            train_group(train.groups[g], select_top_k(tables[g], k), alpha, group=g)
-            for g in groups
-        ]
-        meta = BundleMeta(k=k, alpha=float(alpha), seed=seed, created_at=created_at)
-        bundles[k] = build_bundle(models, config, meta)
-    return bundles
 
 
 def run_bench(

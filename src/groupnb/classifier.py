@@ -8,7 +8,7 @@ set are ignored at both train and predict time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .corpus import Label, OpcodeHistogram, SampleRecord
@@ -33,23 +33,15 @@ class GroupModel:
     log_likelihood: dict[Label, dict[str, float]]
     alpha: float
     train_counts: dict[Label, int]
-    # (opcode, ln theta_malware, ln theta_benign) rows in feature order;
-    # fixes the summation order so every scoring path is bit-identical.
-    _packed: tuple[tuple[str, float, float], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         ll_m = self.log_likelihood.get(Label.MALWARE, {})
         ll_b = self.log_likelihood.get(Label.BENIGN, {})
-        packed = []
         for op in self.features.opcodes:
             if op not in ll_m or op not in ll_b:
                 raise IntegrityError(
                     f"group {self.group}: log_likelihood missing feature {op!r}"
                 )
-            packed.append((op, ll_m[op], ll_b[op]))
-        object.__setattr__(self, "_packed", tuple(packed))
 
 
 @dataclass(frozen=True)
@@ -135,16 +127,20 @@ def log_posterior(model: GroupModel, histogram: OpcodeHistogram) -> dict[Label, 
     score(c) = log_prior(c) + sum over features of count(o) * ln theta(c, o).
     The evidence term is class-constant and intentionally omitted; use
     normalized_posterior for actual probabilities. Opcodes outside the
-    feature set contribute nothing.
+    feature set contribute nothing. Terms are added in feature order,
+    straight from the log_likelihood rows; the batch kernel in engine
+    reproduces this sum bit for bit, and this scalar form is its oracle.
     """
     score_m = model.log_prior[Label.MALWARE]
     score_b = model.log_prior[Label.BENIGN]
+    ll_m = model.log_likelihood[Label.MALWARE]
+    ll_b = model.log_likelihood[Label.BENIGN]
     get = histogram.entries.get
-    for op, ll_m, ll_b in model._packed:
+    for op in model.features.opcodes:
         n = get(op)
         if n is not None:
-            score_m += n * ll_m
-            score_b += n * ll_b
+            score_m += n * ll_m[op]
+            score_b += n * ll_b[op]
     return {Label.MALWARE: score_m, Label.BENIGN: score_b}
 
 

@@ -145,8 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("score", help="accuracy and per-class precision/recall")
-    p.add_argument("--preds", "--bundle", dest="preds", required=True,
-                   help="prediction JSONL path")
+    p.add_argument("--preds", required=True, help="prediction JSONL path")
     p.add_argument("--truth", required=True, help="labeled JSONL path")
     p.set_defaults(func=_cmd_score)
 
@@ -239,7 +238,7 @@ def _cmd_bench(args) -> int:
     if rejected:
         print(f"warning: skipped {len(rejected)} train samples outside the size range",
               file=sys.stderr)
-    bundles = bench_mod.train_bundles(grouped, config.k_values)
+    bundles = engine.train_bundles(grouped, config.k_values)
     report = bench_mod.run_bench(bundles, test_samples, config)
     with open(args.out, "w", encoding="utf-8") as fp:
         bench_mod.emit_csv(report, fp)
@@ -264,6 +263,7 @@ def _division(numerator: int, denominator: int) -> float | None:
 def _cmd_score(args) -> int:
     truth = {s.id: s.label for s in _read_corpus(args.truth)}
     predicted: dict[str, Label] = {}
+    seen: set[str] = set()
     errors = 0
     with open(args.preds, "r", encoding="utf-8") as fp:
         for line_no, line in enumerate(fp, start=1):
@@ -277,6 +277,9 @@ def _cmd_score(args) -> int:
                 raise ParseError(line_no, f"invalid prediction JSON: {exc}") from None
             if not isinstance(doc, dict) or not isinstance(doc.get("id"), str):
                 raise ParseError(line_no, "prediction must be an object with a string 'id'")
+            if doc["id"] in seen:
+                raise IntegrityError(f"duplicate prediction id {doc['id']!r} at line {line_no}")
+            seen.add(doc["id"])
             if "error" in doc:
                 errors += 1
                 continue

@@ -1,15 +1,20 @@
-"""Model bundles, fallback routing, and the batch classification engine.
+"""Model bundles, training, fallback routing, and the batch classification engine.
 
-A ModelBundle holds one trained model per trainable group; routing sends
-files from untrained groups to the nearest trained one (upward first).
-Batches are classified either by a single-threaded baseline or over
-lanes: the caller runs lane 0 and each further lane is one worker
-process with its own pipe, forked where the platform allows and spawned
-elsewhere, through the same code. Both paths run the same array kernel
-over contiguous slices, so their predictions are bit-identical. Elapsed
-time covers only the classification kernel, not parsing or
-serialization; for lanes it starts after a ready/go barrier, so process
-start-up and warm-up are excluded.
+A ModelBundle holds one trained model per trainable group; train_bundles
+trains one bundle per feature budget k, scoring each group's opcodes
+once for all of them. Routing sends files from untrained groups to the
+nearest trained one (upward first). Bundles are saved as JSON, format 2
+(see bundle_to_json); format 1 files still load.
+
+Batches are classified over lanes by one runtime: the caller runs lane 0
+and each further lane is one worker process with its own pipe, forked
+where the platform allows and spawned elsewhere, through the same code.
+The sequential baseline is its one-lane case and starts no process.
+Every lane runs the same array kernel over a contiguous slice, so
+predictions are bit-identical at any lane count. Elapsed time covers
+only the classification kernel, not parsing, score-table building or
+serialization; it starts after a ready/go barrier, so process start-up
+and warm-up are excluded.
 
 The kernel scores a block of samples at once and reproduces
 classifier.log_posterior bit for bit. Each bundle gets one score table
@@ -29,15 +34,15 @@ import math
 import multiprocessing
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .corpus import GroupedCorpus, GroupingConfig, Label, SampleRecord
+from .corpus import GroupedCorpus, GroupingConfig, Label, SampleRecord, trainable_groups
 from .classifier import CLASSES, GroupModel, Prediction, train_group
 from .errors import (
     BundleValidationError,
@@ -177,6 +182,33 @@ def build_bundle(
     )
 
 
+def train_bundles(
+    train: GroupedCorpus,
+    k_values: Iterable[int],
+    alpha: float = 1.0,
+    *,
+    seed: int = 0,
+    created_at: str | None = None,
+) -> dict[int, ModelBundle]:
+    """One bundle per k: select features and train a model for every trainable group.
+
+    Each group's opcode scores are computed once and shared by every k.
+    """
+    config = train.config
+    models: dict[int, list[GroupModel]] = {k: [] for k in k_values}
+    for g in sorted(trainable_groups(train, config)):
+        table = score_opcodes(train.groups[g], group=g)
+        for k, group_models in models.items():
+            features = select_top_k(table, k)
+            group_models.append(train_group(train.groups[g], features, alpha, group=g))
+    if created_at is None:
+        created_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return {
+        k: build_bundle(group_models, config, BundleMeta(k, float(alpha), seed, created_at))
+        for k, group_models in models.items()
+    }
+
+
 def train_bundle(
     train: GroupedCorpus,
     k: int,
@@ -185,19 +217,8 @@ def train_bundle(
     seed: int = 0,
     created_at: str | None = None,
 ) -> ModelBundle:
-    """Select features and train a model for every trainable group."""
-    from .corpus import trainable_groups
-
-    config = train.config
-    models = []
-    for g in sorted(trainable_groups(train, config)):
-        table = score_opcodes(train.groups[g], group=g)
-        features = select_top_k(table, k)
-        models.append(train_group(train.groups[g], features, alpha, group=g))
-    if created_at is None:
-        created_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    meta = BundleMeta(k=k, alpha=float(alpha), seed=seed, created_at=created_at)
-    return build_bundle(models, config, meta)
+    """train_bundles for a single k."""
+    return train_bundles(train, (k,), alpha, seed=seed, created_at=created_at)[k]
 
 
 # --- batch classification --------------------------------------------------
@@ -313,26 +334,6 @@ def _timed_run(
     return TimedRun(tuple(predictions), tuple(errors), elapsed_ns)
 
 
-def classify_sequential(
-    bundle: ModelBundle, workload: Workload, *, warmup: bool = True
-) -> TimedRun:
-    """Single-threaded baseline; this is the Tc side of the speedup ratio.
-
-    Never parallelized internally. With warmup (the default) one full
-    unmeasured pass runs first; only the second pass is timed.
-    """
-    if not bundle.trained_ids:
-        raise EmptyBundleError("bundle has no trained models")
-    samples = workload.samples
-    n = len(samples)
-    if warmup:
-        _classify_slice(bundle, samples, 0, n)
-    t0 = time.perf_counter_ns()
-    part = _classify_slice(bundle, samples, 0, n)
-    elapsed = time.perf_counter_ns() - t0
-    return _timed_run([part], elapsed)
-
-
 def _lane(conn, caller_ends, bundle: ModelBundle, samples: Sequence[SampleRecord], start: int,
           end: int, warmup: bool) -> None:
     """Worker-lane body: classify samples[start:end] between the caller's go and its receive.
@@ -366,6 +367,19 @@ def _receive(lane: int, proc, conn):
                         "before returning its chunk") from None
 
 
+def classify_sequential(
+    bundle: ModelBundle, workload: Workload, *, warmup: bool = True
+) -> TimedRun:
+    """Single-threaded baseline; this is the Tc side of the speedup ratio.
+
+    The one-lane case of classify_parallel, whatever workload.lanes says:
+    the caller classifies the whole batch and no process is started. With
+    warmup (the default) one full unmeasured pass runs first; only the
+    second pass is timed.
+    """
+    return _classify(bundle, workload.samples, 1, warmup)
+
+
 def classify_parallel(
     bundle: ModelBundle, workload: Workload, *, warmup: bool = True
 ) -> TimedRun:
@@ -383,11 +397,17 @@ def classify_parallel(
     ready. A worker that dies before returning its chunk raises
     LaneError; every worker is joined before this returns or raises.
     """
+    return _classify(bundle, workload.samples, workload.lanes, warmup)
+
+
+def _classify(
+    bundle: ModelBundle, samples: Sequence[SampleRecord], lanes: int, warmup: bool
+) -> TimedRun:
+    """The lane runtime behind classify_sequential and classify_parallel."""
     if not bundle.trained_ids:
         raise EmptyBundleError("bundle has no trained models")
-    samples = workload.samples
     n = len(samples)
-    chunk = -(-n // workload.lanes) if n else 1
+    chunk = -(-n // lanes) if n else 1
     bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)] or [(0, 0)]
     bundle._tables  # build once here, so forked lanes inherit them
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
@@ -435,60 +455,38 @@ def speedup(tc_ns: int, tp_ns: int) -> float:
 
 # --- bundle serialization --------------------------------------------------
 #
-# Doubles are printed with 17 significant digits, which round-trips IEEE-754
-# binary64 exactly; key order is fixed, so serialize -> load -> serialize is
-# byte-identical.
+# Bundle format 2: json.dumps writes every float as its shortest round-trip
+# repr (so -0.0 keeps its sign) and keys in a fixed order, one model per
+# line, so serialize -> load -> serialize is byte-identical. Format 1, with
+# 17-digit floats and no "format" key, is still read.
+
+BUNDLE_FORMAT = 2
 
 
-def _fmt_float(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def _fmt_float_map(items: Iterable[tuple[str, float]]) -> str:
-    body = ", ".join(f"{json.dumps(key)}: {_fmt_float(value)}" for key, value in items)
-    return "{" + body + "}"
+def _model_doc(model: GroupModel) -> dict:
+    features = model.features.opcodes
+    return {
+        "group": model.group,
+        "features": list(features),
+        "log_prior": {c.value: model.log_prior[c] for c in CLASSES},
+        "log_likelihood": {
+            c.value: {op: model.log_likelihood[c][op] for op in features} for c in CLASSES
+        },
+        "alpha": model.alpha,
+        "train_counts": {c.value: model.train_counts[c] for c in CLASSES},
+    }
 
 
 def bundle_to_json(bundle: ModelBundle) -> str:
     """Canonical single-document JSON text for a bundle."""
-    config = bundle.config
-    meta = bundle.meta
-    config_json = (
-        f'{{"group_size_bytes": {config.group_size_bytes}, '
-        f'"max_size_bytes": {config.max_size_bytes}, '
-        f'"min_per_class": {config.min_per_class}}}'
-    )
-    meta_json = (
-        f'{{"k": {meta.k}, "alpha": {_fmt_float(meta.alpha)}, '
-        f'"seed": {meta.seed}, "created_at": {json.dumps(meta.created_at)}}}'
-    )
-    model_docs = []
-    for g in bundle.trained_ids:
-        model = bundle.models[g]
-        features = model.features.opcodes
-        features_json = "[" + ", ".join(json.dumps(op) for op in features) + "]"
-        prior_json = _fmt_float_map((c.value, model.log_prior[c]) for c in CLASSES)
-        ll_json = (
-            "{"
-            + ", ".join(
-                f"{json.dumps(c.value)}: "
-                + _fmt_float_map((op, model.log_likelihood[c][op]) for op in features)
-                for c in CLASSES
-            )
-            + "}"
-        )
-        counts_json = (
-            "{"
-            + ", ".join(f"{json.dumps(c.value)}: {model.train_counts[c]}" for c in CLASSES)
-            + "}"
-        )
-        model_docs.append(
-            f'{{"group": {model.group}, "features": {features_json}, '
-            f'"log_prior": {prior_json}, "log_likelihood": {ll_json}, '
-            f'"alpha": {_fmt_float(model.alpha)}, "train_counts": {counts_json}}}'
-        )
+    dumps = partial(json.dumps, allow_nan=False)
+    # Field order is key order: config and meta keys come out as format 1 wrote them.
+    config_json = dumps(asdict(bundle.config))
+    meta_json = dumps(asdict(bundle.meta))
+    model_docs = [dumps(_model_doc(bundle.models[g])) for g in bundle.trained_ids]
     models_json = "[\n" + ",\n".join(model_docs) + "\n]" if model_docs else "[]"
-    return f'{{"config": {config_json}, "meta": {meta_json}, "models": {models_json}}}\n'
+    return (f'{{"format": {BUNDLE_FORMAT}, "config": {config_json}, "meta": {meta_json}, '
+            f'"models": {models_json}}}\n')
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
@@ -524,7 +522,7 @@ def _object(value, where: str) -> dict:
 
 
 def bundle_from_json(text: str) -> ModelBundle:
-    """Parse and re-validate a bundle document.
+    """Parse and re-validate a bundle document of format 1 or 2.
 
     Any malformed document raises BundleValidationError.
     """
@@ -535,6 +533,10 @@ def bundle_from_json(text: str) -> ModelBundle:
     except ValueError as exc:  # an integer past the int-to-str digit limit
         raise BundleValidationError(f"invalid bundle JSON: {exc}") from None
     doc = _object(doc, "bundle")
+    if "format" in doc:  # format 1 files carry no "format" key
+        version = doc["format"]
+        _require(type(version) is int and version == BUNDLE_FORMAT,
+                 f"unsupported bundle format {version!r}")
     raw_config = _object(doc.get("config"), "bundle 'config'")
     raw_meta = _object(doc.get("meta"), "bundle 'meta'")
     raw_models = doc.get("models")
@@ -608,6 +610,11 @@ def bundle_from_json(text: str) -> ModelBundle:
 def load_bundle(path) -> ModelBundle:
     with open(path, "r", encoding="utf-8") as fp:
         return bundle_from_json(fp.read())
+
+
+def _fmt_float(value: float) -> str:
+    """17 significant digits, which round-trip IEEE-754 binary64 exactly."""
+    return format(float(value), ".17g")
 
 
 def write_predictions(run: TimedRun, samples: Sequence[SampleRecord], sink: TextIO) -> None:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from groupnb.bench import BenchConfig, make_batches, run_bench, train_bundles
+from groupnb.bench import BenchConfig, make_batches, run_bench
 from groupnb.classifier import log_posterior, normalized_posterior, train_group
 from groupnb.corpus import (
     GroupingConfig,
@@ -33,6 +33,7 @@ from groupnb.engine import (
     route,
     speedup,
     train_bundle,
+    train_bundles,
 )
 from groupnb.errors import SizeRangeError
 from groupnb.features import FeatureSet, score_opcodes, select_top_k

@@ -14,10 +14,9 @@ from groupnb.bench import (
     make_batches,
     parse_csv,
     run_bench,
-    train_bundles,
 )
 from groupnb.corpus import Label
-from groupnb.engine import train_bundle
+from groupnb.engine import train_bundle, train_bundles
 from groupnb.errors import InvalidConfigError, ParseError
 
 from helpers import grouped, make_sample, two_class_group

@@ -119,7 +119,7 @@ class TestPipeline:
         )
         assert seq_out.read_text() == par_out.read_text()
 
-    def test_score_accepts_bundle_alias(self, pipeline_files, capsys):
+    def test_score_rejects_bundle_alias(self, pipeline_files, capsys):
         paths = pipeline_files
         _run("train", "--in", str(paths["train"]), "--k", "10", "--out", str(paths["bundle"]))
         _run(
@@ -130,7 +130,9 @@ class TestPipeline:
             "--out", str(paths["preds"]),
         )
         capsys.readouterr()
-        assert _run("score", "--bundle", str(paths["preds"]), "--truth", str(paths["test"])) == 0
+        assert _run("score", "--bundle", str(paths["preds"]), "--truth", str(paths["test"])) == 1
+        assert "usage: groupnb score" in capsys.readouterr().err
+        assert _run("score", "--preds", str(paths["preds"]), "--truth", str(paths["test"])) == 0
         assert json.loads(capsys.readouterr().out.strip())["accuracy"] == 1.0
 
     def test_gen_is_deterministic(self, tmp_path):
@@ -243,6 +245,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("groupnb: data error: line 2: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("first", [
+        '{"id": "a", "label": "benign"}',
+        '{"id": "a", "error": "size_bytes 600000 outside [0, 512000)"}',
+    ], ids=["labeled", "error"])
+    def test_score_rejects_duplicate_prediction_ids(self, tmp_path, capsys, first):
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text('{"id": "a", "label": "malware", "size_bytes": 7, "opcodes": {}}\n')
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(first + '\n{"id": "a", "label": "malware"}\n')
+        assert _run("score", "--preds", str(preds), "--truth", str(truth)) == 2
+        err = capsys.readouterr().err
+        assert err == "groupnb: data error: duplicate prediction id 'a' at line 2\n"
+
+    def test_score_mutations_exit_two_without_a_traceback(self, tmp_path, capsys):
+        """Every field score reads, replaced by values of every JSON type or deleted."""
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text('{"id": "a", "label": "malware", "size_bytes": 7, "opcodes": {}}\n')
+        labeled = {"id": "a", "label": "malware",
+                   "log_posterior": {"malware": -1.5, "benign": -2.0}, "effective_group": 0}
+        failed = {"id": "a", "error": "size_bytes 600000 outside [0, 512000)"}
+        replacements = [None, True, False, "", "b", "MALWARE", [], ["a"], [[1]], {}, {"id": "a"},
+                        1.5, -1, 0, 2**64, 10**400]
+        huge = "9" * 5000  # past the int-to-str digit limit
+        lines = ['"a"', "[]", "[[1]]", "null", "true", "1e999", huge,
+                 '{"id": "a", "label": %s}' % huge, '{"id": %s, "label": "malware"}' % huge,
+                 '{"id": %s, "error": "e"}' % huge]
+        # An error line's id is not looked up in the truth file, so any string passes.
+        cases = [(labeled, "id", replacements), (labeled, "label", replacements),
+                 (failed, "id", [v for v in replacements if not isinstance(v, str)])]
+        for doc, key, values in cases:
+            lines.append(json.dumps({k: v for k, v in doc.items() if k != key}))
+            lines += [json.dumps({**doc, key: value}) for value in values]
+        preds = tmp_path / "preds.jsonl"
+        for line in lines:
+            preds.write_text(line + "\n")
+            assert _run("score", "--preds", str(preds), "--truth", str(truth)) == 2, line
+            err = capsys.readouterr().err
+            assert err.startswith("groupnb: data error: ") and err.count("\n") == 1, line
 
     def test_dead_lane_exits_three(self, pipeline_files, capsys, monkeypatch):
         paths = pipeline_files

@@ -1,5 +1,6 @@
 """Corpus ingestion, grouping, and the stratified split."""
 
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,13 @@ from groupnb.corpus import (
     tokenize_disassembly,
     trainable_groups,
 )
-from groupnb.errors import IntegrityError, InvalidConfigError, ParseError, SizeRangeError
+from groupnb.errors import (
+    GroupNBError,
+    IntegrityError,
+    InvalidConfigError,
+    ParseError,
+    SizeRangeError,
+)
 
 from helpers import grouped, make_sample
 
@@ -165,6 +172,32 @@ class TestParseCorpus:
         with pytest.raises(ParseError) as err:
             parse_corpus(lines, allow_unlabeled=True)
         assert err.value.line_no == 2
+
+    def test_only_package_errors_escape(self):
+        """Every field and count replaced by values of every JSON type, or deleted."""
+        doc = {"id": "a", "label": "malware", "size_bytes": 4000, "opcodes": {"mov": 3, "add": 1}}
+        replacements = [None, True, False, "", "x", "MOV", [], [1], [[1]], {}, {"mov": 1},
+                        {"mov": [1]}, {"": 1}, {"MOV": True}, 1.5, -1, 0, 2**64, 10**400, 1e308,
+                        float("nan"), float("inf")]
+        huge = "9" * 5000  # past the int-to-str digit limit
+        lines = ["[]", "[[1]]", "null", '"a"', "1e999", huge,
+                 '{"id": "a", "label": "benign", "size_bytes": %s, "opcodes": {}}' % huge]
+        paths = [(key,) for key in doc] + [("opcodes", op) for op in doc["opcodes"]]
+        for path in paths:
+            for value in replacements + [KeyError]:
+                mutated = json.loads(json.dumps(doc))
+                parent = mutated if len(path) == 1 else mutated["opcodes"]
+                if value is KeyError:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+                lines.append(json.dumps(mutated))
+        for line in lines:
+            for allow_unlabeled in (False, True):
+                try:
+                    parse_corpus(line, allow_unlabeled=allow_unlabeled)
+                except GroupNBError:
+                    pass
 
     def test_unlabeled_records_gated_by_flag(self):
         line = '{"id":"a","size_bytes":7,"opcodes":{"mov":1}}'

@@ -37,7 +37,7 @@ from groupnb.errors import (
     LaneError,
     MeasurementError,
 )
-from groupnb.classifier import GroupModel, predict, train_group
+from groupnb.classifier import CLASSES, GroupModel, predict, train_group
 from groupnb.features import FeatureSet
 
 from groupnb.synth import SyntheticSpec, generate_synthetic
@@ -55,6 +55,48 @@ def _model(group, features=("add", "evil", "mov")):
 def _bundle(groups=(0, 1, 2)):
     config = GroupingConfig()
     return build_bundle([_model(g) for g in groups], config, _META)
+
+
+def _signed_zero_model():
+    """A valid model whose malware prior is -0.0 and whose likelihoods include 0.0."""
+    return GroupModel(
+        group=0,
+        features=FeatureSet(("a", "b"), 3),
+        log_prior={Label.MALWARE: -0.0, Label.BENIGN: -800.0},
+        log_likelihood={
+            Label.MALWARE: {"a": 0.0, "b": -800.0},
+            Label.BENIGN: {"a": -800.0, "b": 0.0},
+        },
+        alpha=1.0,
+        train_counts={Label.MALWARE: 1, Label.BENIGN: 1},
+    )
+
+
+def _hex_parameters(bundle):
+    """Every float of every model, as float.hex, so -0.0 and 0.0 differ."""
+    return {
+        g: (
+            [model.log_prior[c].hex() for c in CLASSES],
+            [model.log_likelihood[c][op].hex() for c in CLASSES for op in model.features.opcodes],
+            model.alpha.hex(),
+        )
+        for g, model in bundle.models.items()
+    }
+
+
+# A bundle as format 1 wrote it: 17-digit floats, integral floats as ints, no "format" key.
+_FORMAT_1 = (
+    '{"config": {"group_size_bytes": 5120, "max_size_bytes": 512000, "min_per_class": 6}, '
+    '"meta": {"k": 3, "alpha": 1, "seed": 0, "created_at": "2026-01-01T00:00:00+00:00"}, '
+    '"models": [\n'
+    '{"group": 0, "features": ["add", "evil", "mov"], '
+    '"log_prior": {"malware": -0.69314718055994529, "benign": -0.69314718055994529}, '
+    '"log_likelihood": {"malware": {"add": -3.4011973816621555, "evil": -0.31015492830383962, '
+    '"mov": -1.455287232606842}, "benign": {"add": -1.0986122886681098, '
+    '"evil": -3.4011973816621555, "mov": -0.45675840249571498}}, '
+    '"alpha": 1, "train_counts": {"malware": 6, "benign": 6}}\n'
+    ']}\n'
+)
 
 
 def _workload(bundle, n, lanes, seed=0):
@@ -367,17 +409,7 @@ class TestArrayKernel:
 
     def test_signed_zero_survives(self):
         """A -0.0 prior plus absent features stays -0.0; a 0.0 likelihood term makes +0.0."""
-        model = GroupModel(
-            group=0,
-            features=FeatureSet(("a", "b"), 3),
-            log_prior={Label.MALWARE: -0.0, Label.BENIGN: -800.0},
-            log_likelihood={
-                Label.MALWARE: {"a": 0.0, "b": -800.0},
-                Label.BENIGN: {"a": -800.0, "b": 0.0},
-            },
-            alpha=1.0,
-            train_counts={Label.MALWARE: 1, Label.BENIGN: 1},
-        )
+        model = _signed_zero_model()
         bundle = build_bundle([model], GroupingConfig(), _META)
         cases = [{}, {"a": 1}, {"b": 2}, {"a": 3, "b": 1}, {"zzz": 4}]
         samples = [make_sample(f"z{i}", Label.UNKNOWN, 100, ops) for i, ops in enumerate(cases)]
@@ -418,9 +450,37 @@ class TestTiming:
 
 class TestBundleSerialization:
     def test_round_trip_is_byte_identical(self):
-        bundle = _bundle()
-        text = bundle_to_json(bundle)
-        assert bundle_to_json(bundle_from_json(text)) == text
+        signed_zero = build_bundle([_signed_zero_model()], GroupingConfig(), _META)
+        for bundle in (_bundle(), signed_zero):
+            text = bundle_to_json(bundle)
+            assert text.startswith('{"format": 2, "config": ')
+            assert len(text.splitlines()) == len(bundle.trained_ids) + 2  # one model per line
+            assert bundle_to_json(bundle_from_json(text)) == text
+
+    def test_negative_zero_survives_save_and_load(self, tmp_path):
+        bundle = build_bundle([_signed_zero_model()], GroupingConfig(), _META)
+        path = tmp_path / "bundle.json"
+        save_bundle(bundle, path)
+        loaded = load_bundle(path)
+        assert loaded.models[0].log_prior[Label.MALWARE].hex() == "-0x0.0p+0"
+        assert _hex_parameters(loaded) == _hex_parameters(bundle)
+
+    def test_format_1_documents_still_load(self):
+        old = bundle_from_json(_FORMAT_1)
+        assert _hex_parameters(old) == _hex_parameters(_bundle(groups=(0,)))
+        text = bundle_to_json(old)
+        assert json.loads(text)["format"] == 2
+        new = bundle_from_json(text)
+        assert new.models == old.models
+        assert _hex_parameters(new) == _hex_parameters(old)
+        assert (new.config, new.meta) == (old.config, old.meta)
+
+    @pytest.mark.parametrize("version", [3, "2", True, 2.0, None, [2]])
+    def test_loader_rejects_other_formats(self, version):
+        doc = json.loads(bundle_to_json(_bundle(groups=(0,))))
+        doc["format"] = version
+        with pytest.raises(BundleValidationError, match="format"):
+            bundle_from_json(json.dumps(doc))
 
     def test_round_trip_preserves_predictions(self, tmp_path):
         bundle = _bundle()
@@ -444,7 +504,7 @@ class TestBundleSerialization:
         model = doc["models"][0]
         stored = model["log_likelihood"]["malware"][model["features"][0]]
         original = bundle.models[0].log_likelihood[Label.MALWARE][model["features"][0]]
-        assert stored == original  # 17 significant digits round-trip exactly
+        assert stored == original  # the shortest repr round-trips exactly
 
     @pytest.mark.parametrize(
         "mutate",
