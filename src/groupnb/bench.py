@@ -95,7 +95,9 @@ def run_bench(
 
     Rows come out ordered k ascending, batch size ascending, sequential
     before parallel; each mode runs config.repetitions times and the
-    speedup is the ratio of the two stored medians.
+    speedup is the ratio of the two stored medians. A parallel row's
+    lanes are the lanes that ran, at most config.lanes (see
+    engine.classify_parallel).
     """
     missing = [k for k in config.k_values if k not in bundles]
     if missing:
@@ -116,10 +118,10 @@ def run_bench(
                 engine.classify_sequential(bundle, workload).elapsed_ns
                 for _ in range(config.repetitions)
             ]
-            par_ns = [
-                engine.classify_parallel(bundle, workload).elapsed_ns
-                for _ in range(config.repetitions)
+            par_runs = [
+                engine.classify_parallel(bundle, workload) for _ in range(config.repetitions)
             ]
+            par_ns = [run.elapsed_ns for run in par_runs]
             seq_median = int(round(statistics.median(seq_ns)))
             par_median = int(round(statistics.median(par_ns)))
             rows.append(
@@ -138,7 +140,7 @@ def run_bench(
                     k=k,
                     batch_size=batch_size,
                     mode=MODE_PARALLEL,
-                    lanes=config.lanes,
+                    lanes=par_runs[0].lanes,
                     elapsed_ns_median=par_median,
                     elapsed_ns_min=min(par_ns),
                     speedup=engine.speedup(seq_median, par_median),

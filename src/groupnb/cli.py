@@ -123,7 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a corpus with a trained bundle")
     p.add_argument("--bundle", required=True, help="bundle JSON path")
     p.add_argument("--in", dest="input", required=True, help="input JSONL path")
-    p.add_argument("--lanes", type=int, default=1, help="worker lanes for --parallel")
+    p.add_argument("--lanes", type=int, default=1,
+                   help="at most this many lanes for --parallel; a batch gets one per "
+                        "512 samples")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--parallel", action="store_true", help="use worker-process lanes")
     mode.add_argument("--sequential", action="store_true", help="single-threaded (default)")
@@ -139,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-counts", type=_int_list, default=(1, 2, 4, 8, 16),
                    dest="batch_counts", help="comma-separated batch-size multipliers")
     p.add_argument("--lanes", type=int, default=None,
-                   help="worker lanes, default: detected hardware threads")
+                   help="at most this many lanes per parallel run, default: detected "
+                        "hardware threads")
     p.add_argument("--reps", type=int, default=5, help="repetitions per cell")
     p.add_argument("--out", required=True, help="report CSV path")
     p.set_defaults(func=_cmd_bench)
@@ -223,8 +226,9 @@ def _cmd_classify(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fp:
         engine.write_predictions(run, samples, fp)
     mode = "parallel" if args.parallel else "sequential"
+    lanes = "1 lane" if run.lanes == 1 else f"{run.lanes} lanes"
     print(
-        f"classified {len(samples)} samples ({mode}, {len(run.errors)} errors) "
+        f"classified {len(samples)} samples ({mode}, {lanes}, {len(run.errors)} errors) "
         f"in {run.elapsed_ns} ns"
     )
     return 0
@@ -279,6 +283,9 @@ def _cmd_score(args) -> int:
                 raise ParseError(line_no, "prediction must be an object with a string 'id'")
             if doc["id"] in seen:
                 raise IntegrityError(f"duplicate prediction id {doc['id']!r} at line {line_no}")
+            if doc["id"] not in truth:
+                raise IntegrityError(
+                    f"prediction id {doc['id']!r} at line {line_no} is missing from truth")
             seen.add(doc["id"])
             if "error" in doc:
                 errors += 1
@@ -287,9 +294,6 @@ def _cmd_score(args) -> int:
             if raw not in (Label.MALWARE.value, Label.BENIGN.value):
                 raise ParseError(line_no, f"bad label {raw!r}")
             predicted[doc["id"]] = Label(raw)
-    unknown = set(predicted) - set(truth)
-    if unknown:
-        raise IntegrityError(f"predictions for ids missing from truth: {sorted(unknown)[:5]}")
 
     correct = sum(1 for i, label in predicted.items() if truth[i] is label)
     per_class = {}
@@ -305,6 +309,7 @@ def _cmd_score(args) -> int:
         "accuracy": _division(correct, len(predicted)),
         "samples": len(predicted),
         "errors": errors,
+        "missing": len(truth.keys() - seen),
         "per_class": per_class,
     }
     print(json.dumps(payload))

@@ -9,12 +9,14 @@ nearest trained one (upward first). Bundles are saved as JSON, format 2
 Batches are classified over lanes by one runtime: the caller runs lane 0
 and each further lane is one worker process with its own pipe, forked
 where the platform allows and spawned elsewhere, through the same code.
-The sequential baseline is its one-lane case and starts no process.
-Every lane runs the same array kernel over a contiguous slice, so
-predictions are bit-identical at any lane count. Elapsed time covers
-only the classification kernel, not parsing, score-table building or
-serialization; it starts after a ready/go barrier, so process start-up
-and warm-up are excluded.
+A batch of N samples runs on at most max(1, N // _BLOCK) lanes, so a
+batch below two kernel blocks runs in the caller alone; TimedRun.lanes
+says how many lanes ran. The sequential baseline is the one-lane case
+and starts no process. Every lane runs the same array kernel over a
+contiguous slice, so predictions are bit-identical at any lane count.
+Elapsed time covers only the classification kernel, not parsing,
+score-table building or serialization; it starts after a ready/go
+barrier, so process start-up and warm-up are excluded.
 
 The kernel scores a block of samples at once and reproduces
 classifier.log_posterior bit for bit. Each bundle gets one score table
@@ -81,7 +83,7 @@ class ModelBundle:
 
 @dataclass(frozen=True)
 class Workload:
-    """An ordered batch of samples plus the lane count to classify it with."""
+    """An ordered batch of samples plus the most lanes to classify it with."""
 
     samples: tuple[SampleRecord, ...]
     lanes: int
@@ -93,15 +95,17 @@ class Workload:
 
 @dataclass(frozen=True)
 class TimedRun:
-    """Predictions in input order plus kernel wall time.
+    """Predictions in input order, kernel wall time and the lanes that ran.
 
     predictions has one slot per input sample; a slot is None when that
-    sample failed (its (index, message) pair is in errors).
+    sample failed (its (index, message) pair is in errors). lanes counts
+    the caller plus every worker started, at most the lanes requested.
     """
 
     predictions: tuple[Prediction | None, ...]
     errors: tuple[tuple[int, str], ...]
     elapsed_ns: int
+    lanes: int
 
 
 def _route_row(ids: Sequence[int], group: int) -> int:
@@ -224,6 +228,8 @@ def train_bundle(
 # --- batch classification --------------------------------------------------
 
 # Samples scored per kernel step; bounds the temporary arrays to a few MB.
+# A batch also gets at most one lane per full block: below that, starting
+# a worker costs more than the lane saves.
 _BLOCK = 512
 
 
@@ -317,9 +323,9 @@ def _classify_slice(
 
 
 def _timed_run(
-    parts: Iterable[tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]], elapsed_ns: int
+    parts: Sequence[tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]], elapsed_ns: int
 ) -> TimedRun:
-    """Assemble predictions, in input order, from consecutive slice results."""
+    """Assemble predictions, in input order, from consecutive slice results, one per lane."""
     predictions: list[Prediction | None] = []
     errors: list[tuple[int, str]] = []
     append = predictions.append
@@ -331,7 +337,7 @@ def _timed_run(
             label = Label.MALWARE if score_m > score_b else Label.BENIGN
             append(Prediction(label, {Label.MALWARE: score_m, Label.BENIGN: score_b}, group))
         errors.extend(slice_errors)
-    return TimedRun(tuple(predictions), tuple(errors), elapsed_ns)
+    return TimedRun(tuple(predictions), tuple(errors), elapsed_ns, len(parts))
 
 
 def _lane(conn, caller_ends, bundle: ModelBundle, samples: Sequence[SampleRecord], start: int,
@@ -383,15 +389,18 @@ def classify_sequential(
 def classify_parallel(
     bundle: ModelBundle, workload: Workload, *, warmup: bool = True
 ) -> TimedRun:
-    """Classify over ``workload.lanes`` lanes: ``lanes - 1`` forked workers plus the caller.
+    """Classify over at most ``workload.lanes`` lanes: the caller plus worker processes.
 
-    The batch is cut into contiguous chunks of ceil(N / lanes) samples.
-    The caller classifies chunk 0 itself; every other chunk gets one
-    worker process and one pipe. Workers are forked where the platform
-    can, so they inherit the bundle and the batch; elsewhere they are
-    spawned and the same arguments are pickled. Lanes return arrays, and
-    the predictions built from them are in input order and bit-identical
-    (label and log-scores) to classify_sequential on the same workload.
+    A batch of N samples runs on min(workload.lanes, max(1, N // _BLOCK))
+    lanes, reported as run.lanes, so a batch below two kernel blocks
+    starts no process. The batch is cut into contiguous chunks of
+    ceil(N / lanes) samples. The caller classifies chunk 0 itself; every
+    other chunk gets one worker process and one pipe. Workers are forked
+    where the platform can, so they inherit the bundle and the batch;
+    elsewhere they are spawned and the same arguments are pickled. Lanes
+    return arrays, and the predictions built from them are in input order
+    and bit-identical (label and log-scores) to classify_sequential on the
+    same workload.
     elapsed_ns is the wall time of the parallel region only: it starts
     once every lane has finished its optional warm-up pass and reported
     ready. A worker that dies before returning its chunk raises
@@ -407,6 +416,7 @@ def _classify(
     if not bundle.trained_ids:
         raise EmptyBundleError("bundle has no trained models")
     n = len(samples)
+    lanes = min(lanes, max(1, n // _BLOCK))
     chunk = -(-n // lanes) if n else 1
     bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)] or [(0, 0)]
     bundle._tables  # build once here, so forked lanes inherit them

@@ -27,6 +27,7 @@ from groupnb.corpus import (
     trainable_groups,
 )
 from groupnb.engine import (
+    _BLOCK,
     Workload,
     classify_parallel,
     classify_sequential,
@@ -171,16 +172,19 @@ def test_c4_parallel_sequential_equivalence(acceptance):
         bundle = train_bundle(train, k=int(rng.integers(3, 12)), created_at="t")
 
         order = rng.permutation(len(corpus))
-        n = int(rng.integers(10, 50))
+        lanes = lane_cycle[case % 4]
+        # A lane only starts for a full kernel block, so each lane gets one.
+        n = int(rng.integers(10, 50)) + lanes * _BLOCK
         samples = [corpus[order[i % len(corpus)]] for i in range(n)]
         if case % 5 == 0:
             samples[n // 2] = make_sample("big", Label.UNKNOWN, 512000 + case, {"mov": 1})
-        workload = Workload(tuple(samples), lanes=lane_cycle[case % 4])
+        workload = Workload(tuple(samples), lanes=lanes)
 
         seq = classify_sequential(bundle, workload, warmup=False)
         par = classify_parallel(bundle, workload, warmup=False)
         assert par.predictions == seq.predictions  # labels and float-exact scores
         assert par.errors == seq.errors
+        assert par.lanes == lanes
     acceptance(
         "C4", "parallel-sequential-equivalence", "PASS", "50 runs at lanes 1/2/4/8, bit-identical"
     )

@@ -16,7 +16,7 @@ from groupnb.bench import (
     run_bench,
 )
 from groupnb.corpus import Label
-from groupnb.engine import train_bundle, train_bundles
+from groupnb.engine import _BLOCK, train_bundle, train_bundles
 from groupnb.errors import InvalidConfigError, ParseError
 
 from helpers import grouped, make_sample, two_class_group
@@ -153,6 +153,14 @@ class TestRunBench:
             assert seq.lanes == 1
             assert par.speedup == seq.elapsed_ns_median / par.elapsed_ns_median
             assert par.elapsed_ns_min <= par.elapsed_ns_median
+
+    def test_parallel_rows_report_the_lanes_that_ran(self):
+        report = self._report(counts=(1, 2 * _BLOCK // 8))  # 8 and 2 * _BLOCK samples
+        lanes = {(r.k, r.batch_size): r.lanes for r in report.rows if r.mode == "parallel"}
+        assert lanes == {(2, 8): 1, (2, 2 * _BLOCK): 2, (3, 8): 1, (3, 2 * _BLOCK): 2}
+        sink = io.StringIO()
+        emit_csv(report, sink)
+        assert parse_csv(sink.getvalue()) == report
 
     def test_missing_bundle_fails_before_running(self):
         corpus = _train_corpus()

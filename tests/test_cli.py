@@ -7,6 +7,7 @@ import pytest
 
 from groupnb.bench import parse_csv
 from groupnb.cli import main
+from groupnb.engine import _BLOCK
 
 from helpers import deadline, kill_worker_lanes
 
@@ -89,35 +90,36 @@ class TestPipeline:
         # Fully separated class vocabularies: held-out accuracy is perfect.
         assert payload["accuracy"] == 1.0
         assert payload["errors"] == 0
+        assert payload["missing"] == 0
         assert payload["per_class"]["malware"]["recall"] == 1.0
 
-    def test_parallel_classify_matches_sequential(self, pipeline_files, tmp_path):
+    def test_parallel_classify_matches_sequential(self, pipeline_files, tmp_path, capsys):
+        """Byte-identical output below and at two kernel blocks; the summary names the lanes."""
         paths = pipeline_files
         _run("train", "--in", str(paths["train"]), "--k", "10", "--out", str(paths["bundle"]))
-        seq_out = tmp_path / "seq.jsonl"
-        par_out = tmp_path / "par.jsonl"
-        assert (
-            _run(
-                "classify",
-                "--bundle", str(paths["bundle"]),
-                "--in", str(paths["test"]),
-                "--sequential",
-                "--out", str(seq_out),
-            )
-            == 0
-        )
-        assert (
-            _run(
-                "classify",
-                "--bundle", str(paths["bundle"]),
-                "--in", str(paths["test"]),
-                "--parallel",
-                "--lanes", "3",
-                "--out", str(par_out),
-            )
-            == 0
-        )
-        assert seq_out.read_text() == par_out.read_text()
+        big = cycled(paths["test"], 2 * _BLOCK)
+        for source, lanes in ((paths["test"], "1 lane"), (big, "2 lanes")):
+            outs = []
+            for mode in (["--sequential"], ["--parallel", "--lanes", "3"]):
+                outs.append(tmp_path / f"{source.stem}{mode[0]}.jsonl")
+                capsys.readouterr()
+                assert _run("classify", "--bundle", str(paths["bundle"]), "--in", str(source),
+                            *mode, "--out", str(outs[-1])) == 0
+            assert f"(parallel, {lanes}, 0 errors)" in capsys.readouterr().out
+            assert outs[0].read_text() == outs[1].read_text()
+
+    def test_score_counts_missing_predictions(self, pipeline_files, capsys):
+        paths = pipeline_files
+        _run("train", "--in", str(paths["train"]), "--k", "10", "--out", str(paths["bundle"]))
+        _run("classify", "--bundle", str(paths["bundle"]), "--in", str(paths["test"]),
+             "--out", str(paths["preds"]))
+        preds = paths_lines(paths["preds"])
+        error = json.dumps({"id": json.loads(preds[1])["id"], "error": "e"})
+        paths["preds"].write_text("\n".join(preds[3:] + [error]) + "\n")
+        capsys.readouterr()
+        assert _run("score", "--preds", str(paths["preds"]), "--truth", str(paths["test"])) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["samples"], payload["errors"], payload["missing"]) == (61, 1, 2)
 
     def test_score_rejects_bundle_alias(self, pipeline_files, capsys):
         paths = pipeline_files
@@ -240,7 +242,8 @@ class TestExitCodes:
     ], ids=["huge_integer", "list_id"])
     def test_score_rejects_malformed_predictions(self, pipeline_files, capsys, line):
         paths = pipeline_files
-        paths["preds"].write_text('{"id": "a", "error": "e"}\n' + line + "\n")
+        first_id = json.loads(paths_lines(paths["test"])[0])["id"]
+        paths["preds"].write_text(json.dumps({"id": first_id, "error": "e"}) + "\n" + line + "\n")
         assert _run("score", "--preds", str(paths["preds"]), "--truth", str(paths["test"])) == 2
         err = capsys.readouterr().err
         assert err.startswith("groupnb: data error: line 2: ")
@@ -272,9 +275,8 @@ class TestExitCodes:
         lines = ['"a"', "[]", "[[1]]", "null", "true", "1e999", huge,
                  '{"id": "a", "label": %s}' % huge, '{"id": %s, "label": "malware"}' % huge,
                  '{"id": %s, "error": "e"}' % huge]
-        # An error line's id is not looked up in the truth file, so any string passes.
         cases = [(labeled, "id", replacements), (labeled, "label", replacements),
-                 (failed, "id", [v for v in replacements if not isinstance(v, str)])]
+                 (failed, "id", replacements)]
         for doc, key, values in cases:
             lines.append(json.dumps({k: v for k, v in doc.items() if k != key}))
             lines += [json.dumps({**doc, key: value}) for value in values]
@@ -290,9 +292,10 @@ class TestExitCodes:
         assert _run("train", "--in", str(paths["train"]), "--k", "8",
                     "--out", str(paths["bundle"])) == 0
         capsys.readouterr()
+        big = cycled(paths["test"], 2 * _BLOCK)  # two kernel blocks: the second lane starts
         kill_worker_lanes(monkeypatch)
         with deadline(30):
-            code = _run("classify", "--bundle", str(paths["bundle"]), "--in", str(paths["test"]),
+            code = _run("classify", "--bundle", str(paths["bundle"]), "--in", str(big),
                         "--parallel", "--lanes", "2", "--out", str(paths["preds"]))
         assert code == 3
         err = capsys.readouterr().err
@@ -318,3 +321,13 @@ class TestExitCodes:
 
 def paths_lines(path):
     return [line for line in path.read_text().splitlines() if line]
+
+
+def cycled(path, n):
+    """A sibling of ``path`` holding n of its lines, cycled, with unique ids."""
+    lines = paths_lines(path)
+    out = path.with_name(f"cycled-{n}.jsonl")
+    out.write_text("".join(
+        json.dumps({**json.loads(lines[i % len(lines)]), "id": f"c{i}"}) + "\n"
+        for i in range(n)))
+    return out

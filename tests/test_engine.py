@@ -13,6 +13,7 @@ import pytest
 
 from groupnb.corpus import GroupingConfig, Label, OpcodeHistogram
 from groupnb.engine import (
+    _BLOCK,
     BundleMeta,
     ModelBundle,
     Workload,
@@ -237,14 +238,17 @@ class TestClassifySequential:
 
 
 class TestClassifyParallel:
+    """Batches hold at least lanes * _BLOCK samples, so every requested lane runs."""
+
     @pytest.mark.parametrize("lanes", [1, 2, 4])
     def test_bit_identical_to_sequential(self, lanes):
         bundle = _bundle()
-        workload = _workload(bundle, 60, lanes=lanes, seed=lanes)
+        workload = _workload(bundle, lanes * _BLOCK + 60, lanes=lanes, seed=lanes)
         seq = classify_sequential(bundle, workload)
         par = classify_parallel(bundle, workload)
         assert par.predictions == seq.predictions
         assert par.errors == seq.errors
+        assert (seq.lanes, par.lanes) == (1, lanes)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
@@ -252,7 +256,7 @@ class TestClassifyParallel:
         methods = [m for m in multiprocessing.get_all_start_methods() if m != "fork"]
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
         bundle = _bundle()
-        good = list(_workload(bundle, 12, lanes=lanes, seed=lanes).samples)
+        good = list(_workload(bundle, lanes * _BLOCK + 12, lanes=lanes, seed=lanes).samples)
         good[7] = make_sample("big", Label.UNKNOWN, 600000, {"mov": 1})
         workload = Workload(samples=tuple(good), lanes=lanes)
         seq = classify_sequential(bundle, workload, warmup=False)
@@ -260,33 +264,66 @@ class TestClassifyParallel:
             par = classify_parallel(bundle, workload, warmup=False)
         assert [_exact(p) for p in par.predictions] == [_exact(p) for p in seq.predictions]
         assert par.errors == seq.errors
+        assert par.lanes == lanes
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("warmup", [True, False])
     def test_dead_lane_raises_lane_error(self, warmup, monkeypatch):
         kill_worker_lanes(monkeypatch)
         bundle = _bundle()
+        workload = _workload(bundle, 3 * _BLOCK + 30, lanes=3)
         with deadline(30), pytest.raises(LaneError, match="lane 1 exited with code 9"):
-            classify_parallel(bundle, _workload(bundle, 30, lanes=3), warmup=warmup)
+            classify_parallel(bundle, workload, warmup=warmup)
         assert multiprocessing.active_children() == []
 
     def test_lane_left_by_the_caller_exits_quietly(self, monkeypatch, capfd):
-        kill_worker_lanes(monkeypatch, start=20)
+        n = 3 * _BLOCK + 60
+        kill_worker_lanes(monkeypatch, start=-(-n // 3))  # lane 1 dies, lane 2 is left
         bundle = _bundle()
         with deadline(30), pytest.raises(LaneError, match="lane 1 exited with code 9"):
-            classify_parallel(bundle, _workload(bundle, 60, lanes=3))
+            classify_parallel(bundle, _workload(bundle, n, lanes=3))
         assert multiprocessing.active_children() == []
         assert "Traceback" not in capfd.readouterr().err
 
     def test_error_entries_survive_parallelism(self):
         bundle = _bundle()
-        good = list(_workload(bundle, 9, lanes=3).samples)
+        good = list(_workload(bundle, 3 * _BLOCK + 9, lanes=3).samples)
         good[4] = make_sample("big", Label.UNKNOWN, 600000, {"mov": 1})
         workload = Workload(samples=tuple(good), lanes=3)
         seq = classify_sequential(bundle, workload)
         par = classify_parallel(bundle, workload)
         assert par.errors == seq.errors == ((4, "size_bytes 600000 outside [0, 512000)"),)
         assert par.predictions == seq.predictions
+        assert par.lanes == 3
+
+    @pytest.mark.parametrize("n", [1, _BLOCK, 2 * _BLOCK - 1])
+    def test_below_two_blocks_starts_no_process(self, n, monkeypatch):
+        bundle = _bundle()
+        samples = _workload(bundle, n, lanes=1, seed=n).samples
+        seq = classify_sequential(bundle, Workload(samples, lanes=1), warmup=False)
+
+        def refuse(self):
+            raise AssertionError("a worker lane was started")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        for lanes in (2, 4, 8):
+            par = classify_parallel(bundle, Workload(samples, lanes=lanes), warmup=False)
+            assert [_exact(p) for p in par.predictions] == [_exact(p) for p in seq.predictions]
+            assert par.errors == seq.errors
+            assert par.lanes == 1
+
+    @pytest.mark.parametrize("n", [2 * _BLOCK - 1, 2 * _BLOCK, 4 * _BLOCK + 3])
+    def test_bit_identical_on_both_sides_of_two_blocks(self, n):
+        bundle = _bundle()
+        samples = list(_workload(bundle, n, lanes=1, seed=n).samples)
+        samples[n // 2] = make_sample("big", Label.UNKNOWN, 600000, {"mov": 1})
+        seq = classify_sequential(bundle, Workload(tuple(samples), lanes=1), warmup=False)
+        for lanes in (1, 2, 3, 4, 8):
+            par = classify_parallel(bundle, Workload(tuple(samples), lanes=lanes), warmup=False)
+            assert [_exact(p) for p in par.predictions] == [_exact(p) for p in seq.predictions]
+            assert par.errors == seq.errors
+            assert par.lanes == min(lanes, max(1, n // _BLOCK)), lanes
+        assert multiprocessing.active_children() == []
 
     def test_lanes_exceeding_samples(self):
         bundle = _bundle()
@@ -294,12 +331,14 @@ class TestClassifyParallel:
         par = classify_parallel(bundle, workload)
         seq = classify_sequential(bundle, workload)
         assert par.predictions == seq.predictions
+        assert par.lanes == 1
 
     def test_empty_workload(self):
         bundle = _bundle()
         run = classify_parallel(bundle, Workload(samples=(), lanes=2))
         assert run.predictions == ()
         assert run.errors == ()
+        assert run.lanes == 1
 
 
 def _exact(prediction):
