@@ -2,20 +2,22 @@
 
 Training and scoring work entirely in log space with Laplace smoothing,
 so no feature/class pair ever scores -inf. Opcodes outside the feature
-set are ignored at both train and predict time.
+set are ignored at both train and predict time. A model is fitted from
+a group's counted samples (fit_counts over features.count_group), so
+one count serves every feature set; train_group counts and fits in one
+call.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .corpus import Label, OpcodeHistogram, SampleRecord
 from .errors import InsufficientClassError, IntegrityError, InvalidConfigError
-from .features import FeatureSet
-
-CLASSES = (Label.MALWARE, Label.BENIGN)
+from .features import CLASSES, FeatureSet, GroupCounts, count_group
 
 
 @dataclass(frozen=True)
@@ -64,34 +66,43 @@ def train_group(
     *,
     group: int = 0,
 ) -> GroupModel:
-    """Train one group's model on its training samples.
+    """Train one group's model on its training samples (see fit_counts)."""
+    return fit_counts(count_group(samples), features, alpha, group=group)
+
+
+def fit_counts(
+    counts: GroupCounts,
+    features: FeatureSet,
+    alpha: float = 1.0,
+    *,
+    group: int = 0,
+) -> GroupModel:
+    """Fit one group's model from its counted training samples.
 
     Priors are sample-count fractions; likelihoods are smoothed count
     fractions restricted to the feature set:
 
         theta(c, o) = (count_c(o) + alpha) / (total_c + alpha * |features|)
 
-    where total_c sums counts over the feature set only.
+    where total_c sums counts over the feature set only. alpha must be
+    positive and finite, and so must alpha * |features|.
     """
-    if not (isinstance(alpha, (int, float)) and not isinstance(alpha, bool)) or alpha <= 0:
-        raise InvalidConfigError(f"alpha must be positive, got {alpha!r}")
+    if (
+        not isinstance(alpha, (int, float))
+        or isinstance(alpha, bool)
+        or not 0 < alpha <= sys.float_info.max
+    ):
+        raise InvalidConfigError(f"alpha must be positive and finite, got {alpha!r}")
     if not features.opcodes:
         raise InvalidConfigError("feature set is empty")
+    n_features = len(features.opcodes)
+    alpha = float(alpha)
+    if not math.isfinite(alpha * n_features):
+        raise InvalidConfigError(f"alpha * {n_features} features is not finite, got {alpha!r}")
+    if counts.unlabeled is not None:
+        raise IntegrityError(f"sample {counts.unlabeled!r} has no training label")
 
-    feature_index = set(features.opcodes)
-    counts: dict[Label, dict[str, int]] = {
-        c: {op: 0 for op in features.opcodes} for c in CLASSES
-    }
-    n_samples = {c: 0 for c in CLASSES}
-    for sample in samples:
-        if sample.label not in counts:
-            raise IntegrityError(f"sample {sample.id!r} has no training label")
-        n_samples[sample.label] += 1
-        class_counts = counts[sample.label]
-        for op, n in sample.histogram.entries.items():
-            if op in feature_index:
-                class_counts[op] += n
-
+    n_samples = counts.samples
     for c in CLASSES:
         if n_samples[c] == 0:
             raise InsufficientClassError(
@@ -101,14 +112,13 @@ def train_group(
     n_total = n_samples[Label.MALWARE] + n_samples[Label.BENIGN]
     log_prior = {c: math.log(n_samples[c] / n_total) for c in CLASSES}
 
-    n_features = len(features.opcodes)
-    alpha = float(alpha)
     log_likelihood: dict[Label, dict[str, float]] = {}
     for c in CLASSES:
-        total_c = sum(counts[c].values())
-        denom = total_c + alpha * n_features
+        class_counts = counts.opcodes[c]
+        feature_counts = {op: class_counts.get(op, 0) for op in features.opcodes}
+        denom = sum(feature_counts.values()) + alpha * n_features
         log_likelihood[c] = {
-            op: math.log((counts[c][op] + alpha) / denom) for op in features.opcodes
+            op: math.log((feature_counts[op] + alpha) / denom) for op in features.opcodes
         }
 
     return GroupModel(

@@ -1,8 +1,9 @@
 """Model bundles, training, fallback routing, and the batch classification engine.
 
 A ModelBundle holds one trained model per trainable group; train_bundles
-trains one bundle per feature budget k, scoring each group's opcodes
-once for all of them. Routing sends files from untrained groups to the
+trains one bundle per feature budget k, counting each group's training
+histograms once and deriving its feature scores and every k's model
+from those counts. Routing sends files from untrained groups to the
 nearest trained one (upward first). Bundles are saved as JSON, format 2
 (see bundle_to_json); format 1 files still load.
 
@@ -45,7 +46,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .corpus import GroupedCorpus, GroupingConfig, Label, SampleRecord, trainable_groups
-from .classifier import CLASSES, GroupModel, Prediction, train_group
+from .classifier import CLASSES, GroupModel, Prediction, fit_counts
 from .errors import (
     BundleValidationError,
     EmptyBundleError,
@@ -54,7 +55,7 @@ from .errors import (
     LaneError,
     MeasurementError,
 )
-from .features import FeatureSet, score_opcodes, select_top_k
+from .features import FeatureSet, count_group, score_counts, select_top_k
 
 _SUM_TOLERANCE = 1e-9
 
@@ -196,15 +197,18 @@ def train_bundles(
 ) -> dict[int, ModelBundle]:
     """One bundle per k: select features and train a model for every trainable group.
 
-    Each group's opcode scores are computed once and shared by every k.
+    Each group's training samples are counted once (features.count_group);
+    its opcode scores and every k's model come from those counts, with
+    the results and errors of score_opcodes, select_top_k and train_group.
     """
     config = train.config
     models: dict[int, list[GroupModel]] = {k: [] for k in k_values}
     for g in sorted(trainable_groups(train, config)):
-        table = score_opcodes(train.groups[g], group=g)
+        counts = count_group(train.groups[g])
+        table = score_counts(counts, group=g)
         for k, group_models in models.items():
             features = select_top_k(table, k)
-            group_models.append(train_group(train.groups[g], features, alpha, group=g))
+            group_models.append(fit_counts(counts, features, alpha, group=g))
     if created_at is None:
         created_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return {

@@ -1,8 +1,11 @@
-"""Per-group feature scoring and top-k selection.
+"""Per-group opcode counting, feature scoring and top-k selection.
 
-An opcode's score within a group is the absolute difference between its
-normalized occurrence frequency in the malware class and in the benign
-class; the k highest-scoring opcodes become the group's feature set.
+count_group reads a group's training histograms once, and everything
+training needs comes from that table: an opcode's score is the absolute
+difference between its normalized occurrence frequency in the malware
+class and in the benign class (score_counts), the k highest-scoring
+opcodes become the group's feature set (select_top_k), and every k's
+model is fitted from the same counts (classifier.fit_counts).
 """
 
 from __future__ import annotations
@@ -13,13 +16,22 @@ from typing import Sequence
 from .corpus import Label, SampleRecord
 from .errors import InsufficientClassError, InvalidConfigError
 
+CLASSES = (Label.MALWARE, Label.BENIGN)
+
 
 @dataclass(frozen=True)
-class ClassFrequency:
-    """Normalized opcode frequencies of one class (values sum to 1)."""
+class GroupCounts:
+    """One group's training histograms, summed per class in one pass.
 
-    freqs: dict[str, float]
-    total_count: int
+    opcodes[c] maps every opcode seen in a class-c sample to its total
+    count (a key present with count 0 stays); samples[c] is the number
+    of class-c samples; unlabeled is the id of the first sample with no
+    training label, or None.
+    """
+
+    opcodes: dict[Label, dict[str, int]]
+    samples: dict[Label, int]
+    unlabeled: str | None
 
 
 @dataclass(frozen=True)
@@ -38,22 +50,39 @@ class FeatureSet:
     k: int
 
 
-def class_frequency(samples: Sequence[SampleRecord], label: Label) -> ClassFrequency:
-    """Aggregate opcode counts of one class and normalize by the class total.
-
-    An absent class yields total_count 0 and an empty frequency map.
-    """
-    counts: dict[str, int] = {}
-    total = 0
+def count_group(samples: Sequence[SampleRecord]) -> GroupCounts:
+    """Sum the opcode counts and count the samples of each class."""
+    opcodes: dict[Label, dict[str, int]] = {c: {} for c in CLASSES}
+    n_samples = {c: 0 for c in CLASSES}
+    unlabeled = None
     for sample in samples:
-        if sample.label is not label:
+        counts = opcodes.get(sample.label)
+        if counts is None:
+            if unlabeled is None:
+                unlabeled = sample.id
             continue
+        n_samples[sample.label] += 1
+        get = counts.get
         for op, n in sample.histogram.entries.items():
-            counts[op] = counts.get(op, 0) + n
-            total += n
-    if total == 0:
-        return ClassFrequency({}, 0)
-    return ClassFrequency({op: n / total for op, n in counts.items()}, total)
+            counts[op] = get(op, 0) + n
+    return GroupCounts(opcodes, n_samples, unlabeled)
+
+
+def score_counts(counts: GroupCounts, group: int | None = None) -> ScoreTable:
+    """Score every opcode counted in either class (see score_opcodes)."""
+    malware = counts.opcodes[Label.MALWARE]
+    benign = counts.opcodes[Label.BENIGN]
+    total_m = sum(malware.values())
+    total_b = sum(benign.values())
+    if total_m == 0:
+        raise InsufficientClassError(f"group {group}: no malware opcode occurrences to score")
+    if total_b == 0:
+        raise InsufficientClassError(f"group {group}: no benign opcode occurrences to score")
+    scores = {
+        op: abs(malware.get(op, 0) / total_m - benign.get(op, 0) / total_b)
+        for op in sorted(malware.keys() | benign.keys())
+    }
+    return ScoreTable(scores, group)
 
 
 def score_opcodes(samples: Sequence[SampleRecord], group: int | None = None) -> ScoreTable:
@@ -61,18 +90,10 @@ def score_opcodes(samples: Sequence[SampleRecord], group: int | None = None) -> 
 
     Requires opcode occurrences from both classes; a class that is absent
     (or contributes no opcodes at all) raises InsufficientClassError.
+    Samples with no training label are ignored here (train_group rejects
+    them).
     """
-    f_malware = class_frequency(samples, Label.MALWARE)
-    f_benign = class_frequency(samples, Label.BENIGN)
-    if f_malware.total_count == 0:
-        raise InsufficientClassError(f"group {group}: no malware opcode occurrences to score")
-    if f_benign.total_count == 0:
-        raise InsufficientClassError(f"group {group}: no benign opcode occurrences to score")
-    vocab = sorted(set(f_malware.freqs) | set(f_benign.freqs))
-    scores = {
-        op: abs(f_malware.freqs.get(op, 0.0) - f_benign.freqs.get(op, 0.0)) for op in vocab
-    }
-    return ScoreTable(scores, group)
+    return score_counts(count_group(samples), group)
 
 
 def select_top_k(table: ScoreTable, k: int) -> FeatureSet:

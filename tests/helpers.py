@@ -62,6 +62,21 @@ def two_class_group(
     return samples
 
 
+def seeded_group(rng, max_samples: int = 10) -> list[SampleRecord]:
+    """Random two-class sample list drawn from a ``random.Random``, where both
+    classes have occurrences. Histograms are built directly, so some keys
+    carry a count of 0, which ``from_counts`` would drop."""
+    pool = ["add", "call", "jmp", "lea", "mov", "pop", "push", "ret", "sub", "xor"]
+    vocab = rng.sample(pool, rng.randint(2, len(pool)))
+    samples = []
+    for i in range(rng.randint(2, max_samples)):
+        label = Label.MALWARE if i % 2 == 0 else Label.BENIGN
+        ops = {op: rng.randint(0, 30) for op in rng.sample(vocab, rng.randint(1, len(vocab)))}
+        ops[rng.choice(vocab)] = rng.randint(1, 30)
+        samples.append(SampleRecord(f"s{i}", label, 100 + i, OpcodeHistogram(ops)))
+    return samples
+
+
 @contextlib.contextmanager
 def deadline(seconds: int):
     """Fail the test if the block runs longer than ``seconds``."""

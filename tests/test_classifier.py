@@ -1,6 +1,7 @@
 """Multinomial model training and log-space scoring."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from groupnb.classifier import (
     train_group,
 )
 
-from helpers import make_sample
+from helpers import make_sample, seeded_group
 
 
 def _example_model(alpha=1.0):
@@ -89,6 +90,39 @@ class TestTrainGroup:
             train_group(both, FeatureSet(("a",), 1), 0.0)
         with pytest.raises(InvalidConfigError):
             train_group(both, FeatureSet(("a",), 1), -1.0)
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [math.nan, math.inf, -math.inf, 1e308, 10**400],
+        ids=["nan", "inf", "-inf", "1e308", "10**400"],
+    )
+    def test_alpha_must_stay_finite(self, alpha):
+        both = [
+            make_sample("m", Label.MALWARE, 10, {"a": 1}),
+            make_sample("b", Label.BENIGN, 11, {"a": 1}),
+        ]
+        # 1e308 alone is finite; alpha * |features| = 2e308 is not.
+        with pytest.raises(InvalidConfigError, match="alpha"):
+            train_group(both, FeatureSet(("a", "b"), 2), alpha)
+
+    def test_matches_double_loop_oracle_exactly(self):
+        rng = random.Random(17)
+        for _ in range(100):
+            samples = seeded_group(rng)
+            pool = sorted({op for s in samples for op in s.histogram.entries} | {"absent"})
+            features = FeatureSet(tuple(rng.sample(pool, rng.randint(1, len(pool)))), len(pool))
+            alpha = rng.choice([1, 0.5, 2.0, 1e-3, 3.7])
+            model = train_group(samples, features, alpha, group=2)
+            expected = _oracle_log_likelihood(samples, features.opcodes, alpha)
+            assert {
+                c.value: {op: v.hex() for op, v in row.items()}
+                for c, row in model.log_likelihood.items()
+            } == expected
+            n = {c: sum(1 for s in samples if s.label is c) for c in (Label.MALWARE, Label.BENIGN)}
+            assert model.train_counts == n
+            assert {c: v.hex() for c, v in model.log_prior.items()} == {
+                c: math.log(n[c] / len(samples)).hex() for c in n
+            }
 
     def test_model_rows_are_distributions(self):
         rng = np.random.default_rng(13)
@@ -226,3 +260,15 @@ class TestNormalizedPosterior:
             ranked_scores = sorted(scores, key=scores.get)
             ranked_posterior = sorted(posterior, key=posterior.get)
             assert ranked_scores == ranked_posterior
+
+
+def _oracle_log_likelihood(samples, features, alpha):
+    """ln theta(c, o) by a loop over classes, features and samples, as float.hex."""
+    out = {}
+    for c in (Label.MALWARE, Label.BENIGN):
+        counts = {
+            op: sum(s.histogram.get(op) for s in samples if s.label is c) for op in features
+        }
+        denom = sum(counts.values()) + alpha * len(features)
+        out[c.value] = {op: math.log((counts[op] + alpha) / denom).hex() for op in features}
+    return out

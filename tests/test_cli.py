@@ -194,6 +194,18 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "1e308"])
+    def test_non_finite_alpha_exits_one(self, pipeline_files, capsys, alpha):
+        # 1e308 is finite, but alpha * 8 features is not.
+        paths = pipeline_files
+        capsys.readouterr()
+        assert _run("train", "--in", str(paths["train"]), "--k", "8", "--alpha", alpha,
+                    "--out", str(paths["bundle"])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("groupnb: config error: alpha")
+        assert len(err.splitlines()) == 1
+        assert not paths["bundle"].exists()
+
     def test_data_errors_exit_two(self, tmp_path):
         corrupt = tmp_path / "corrupt.jsonl"
         corrupt.write_text('{"id":"a"...\n')

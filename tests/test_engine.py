@@ -11,6 +11,7 @@ import statistics
 import numpy as np
 import pytest
 
+from groupnb import engine
 from groupnb.corpus import GroupingConfig, Label, OpcodeHistogram
 from groupnb.engine import (
     _BLOCK,
@@ -27,19 +28,21 @@ from groupnb.engine import (
     save_bundle,
     speedup,
     train_bundle,
+    train_bundles,
     write_predictions,
 )
 from groupnb.errors import (
     BundleValidationError,
     EmptyBundleError,
     GroupNBError,
+    InsufficientClassError,
     IntegrityError,
     InvalidConfigError,
     LaneError,
     MeasurementError,
 )
 from groupnb.classifier import CLASSES, GroupModel, predict, train_group
-from groupnb.features import FeatureSet
+from groupnb.features import FeatureSet, score_opcodes, select_top_k
 
 from groupnb.synth import SyntheticSpec, generate_synthetic
 
@@ -639,6 +642,67 @@ class TestTrainBundle:
         samples = two_class_group(0)
         bundle = train_bundle(grouped(samples), k=2, alpha=1.0, created_at="t")
         assert len(bundle.models[0].features.opcodes) == 2
+
+    def test_counts_each_group_once_for_every_k(self, monkeypatch):
+        calls = []
+        real = engine.count_group
+
+        def counting(samples):
+            calls.append(len(samples))
+            return real(samples)
+
+        monkeypatch.setattr(engine, "count_group", counting)
+        samples = two_class_group(0) + two_class_group(1) + two_class_group(2)
+        bundles = train_bundles(grouped(samples), (1, 2, 3), created_at="t")
+        assert calls == [12, 12, 12]
+        assert sorted(bundles) == [1, 2, 3]
+
+    def test_matches_the_public_steps(self):
+        corpus = grouped(generate_synthetic(SyntheticSpec(4, 6, 40, 0.5, 3)))
+        bundles = train_bundles(corpus, (1, 5, 40), 0.5, created_at="t")
+        for k, bundle in bundles.items():
+            models = []
+            for g in bundle.trained_ids:
+                table = score_opcodes(corpus.groups[g], group=g)
+                models.append(
+                    train_group(corpus.groups[g], select_top_k(table, k), 0.5, group=g)
+                )
+            steps = build_bundle(models, corpus.config, bundle.meta)
+            assert bundle_to_json(steps) == bundle_to_json(bundle)
+
+
+def _with_unlabeled():
+    return two_class_group(0) + [make_sample("u", Label.UNKNOWN, 3, {"evil": 9})]
+
+
+def _empty_benign():
+    return [
+        s if s.label is Label.MALWARE else dataclasses.replace(s, histogram=OpcodeHistogram({}))
+        for s in two_class_group(0)
+    ]
+
+
+def _train_by_bundles(samples, k, alpha):
+    train_bundles(grouped(samples), (k,), alpha, created_at="t")
+
+
+def _train_by_steps(samples, k, alpha):
+    features = select_top_k(score_opcodes(samples, group=0), k)
+    train_group(samples, features, alpha, group=0)
+
+
+@pytest.mark.parametrize("train", [_train_by_bundles, _train_by_steps])
+@pytest.mark.parametrize("samples, k, alpha, error, message", [
+    (_with_unlabeled, 5, 0.0, InvalidConfigError, "alpha must be positive"),
+    (_with_unlabeled, 0, 1.0, InvalidConfigError, "k must be a positive integer"),
+    (_with_unlabeled, 5, 1.0, IntegrityError, "sample 'u' has no training label"),
+    (_empty_benign, 0, 0.0, InsufficientClassError,
+     "group 0: no benign opcode occurrences to score"),
+], ids=["unlabeled-alpha-0", "unlabeled-k-0", "unlabeled", "empty-benign-k-0-alpha-0"])
+def test_training_error_precedence(train, samples, k, alpha, error, message):
+    """Scoring errors come first, then k, then alpha, then an unlabeled sample."""
+    with pytest.raises(error, match=message):
+        train(samples(), k, alpha)
 
 
 class TestWritePredictions:

@@ -1,18 +1,20 @@
 """Per-group opcode scoring and top-k selection."""
 
+import random
+
 import numpy as np
 import pytest
 
-from groupnb.corpus import Label
+from groupnb.corpus import Label, OpcodeHistogram, SampleRecord
 from groupnb.errors import InsufficientClassError, InvalidConfigError
 from groupnb.features import (
     ScoreTable,
-    class_frequency,
+    count_group,
     score_opcodes,
     select_top_k,
 )
 
-from helpers import make_sample
+from helpers import make_sample, seeded_group
 
 _POOL = ["add", "call", "jmp", "lea", "mov", "pop", "push", "ret", "sub", "xor"]
 
@@ -32,36 +34,63 @@ def _random_group(rng, max_samples=10, max_opcodes=10):
     return samples
 
 
-class TestClassFrequency:
+class TestCountGroup:
     def test_single_sample(self):
         samples = [make_sample("m", Label.MALWARE, 10, {"mov": 3, "jmp": 1})]
-        freq = class_frequency(samples, Label.MALWARE)
-        assert freq.total_count == 4
-        assert freq.freqs == {"mov": 0.75, "jmp": 0.25}
+        counts = count_group(samples)
+        assert counts.opcodes == {Label.MALWARE: {"mov": 3, "jmp": 1}, Label.BENIGN: {}}
+        assert counts.samples == {Label.MALWARE: 1, Label.BENIGN: 0}
+        assert counts.unlabeled is None
 
     def test_absent_class(self):
         samples = [make_sample("m", Label.MALWARE, 10, {"mov": 3})]
-        freq = class_frequency(samples, Label.BENIGN)
-        assert freq.total_count == 0
-        assert freq.freqs == {}
+        counts = count_group(samples)
+        assert counts.opcodes[Label.BENIGN] == {}
+        assert counts.samples[Label.BENIGN] == 0
 
     def test_aggregates_across_samples(self):
         samples = [
             make_sample("a", Label.BENIGN, 10, {"mov": 1}),
             make_sample("b", Label.BENIGN, 11, {"mov": 1, "add": 2}),
         ]
-        freq = class_frequency(samples, Label.BENIGN)
-        assert freq.total_count == 4
-        assert freq.freqs == {"mov": 0.5, "add": 0.5}
+        counts = count_group(samples)
+        assert counts.opcodes[Label.BENIGN] == {"mov": 2, "add": 2}
+        assert counts.samples == {Label.MALWARE: 0, Label.BENIGN: 2}
 
-    def test_frequencies_sum_to_one(self):
-        rng = np.random.default_rng(5)
+    def test_keeps_zero_count_keys(self):
+        samples = [
+            SampleRecord("z", Label.MALWARE, 10, OpcodeHistogram({"mov": 0, "add": 2})),
+            make_sample("b", Label.BENIGN, 11, {"jmp": 1}),
+        ]
+        assert count_group(samples).opcodes[Label.MALWARE] == {"mov": 0, "add": 2}
+        # The zero-count key is still scored: |0/2 - 0/1| = 0.
+        assert score_opcodes(samples).scores == {"add": 1.0, "jmp": 1.0, "mov": 0.0}
+
+    def test_records_the_first_unlabeled_sample(self):
+        samples = [
+            make_sample("m", Label.MALWARE, 10, {"mov": 1}),
+            make_sample("u1", Label.UNKNOWN, 11, {"mov": 5}),
+            make_sample("u2", Label.UNKNOWN, 12, {"add": 5}),
+        ]
+        counts = count_group(samples)
+        assert counts.unlabeled == "u1"
+        assert counts.opcodes == {Label.MALWARE: {"mov": 1}, Label.BENIGN: {}}
+        assert counts.samples == {Label.MALWARE: 1, Label.BENIGN: 0}
+
+    def test_totals_match_the_histograms(self):
+        rng = random.Random(5)
         for _ in range(25):
-            samples = _random_group(rng)
+            samples = seeded_group(rng)
+            counts = count_group(samples)
             for label in (Label.MALWARE, Label.BENIGN):
-                freq = class_frequency(samples, label)
-                if freq.total_count:
-                    assert abs(sum(freq.freqs.values()) - 1.0) < 1e-12
+                members = [s for s in samples if s.label is label]
+                assert counts.samples[label] == len(members)
+                assert sum(counts.opcodes[label].values()) == sum(
+                    s.histogram.total() for s in members
+                )
+                assert set(counts.opcodes[label]) == {
+                    op for s in members for op in s.histogram.entries
+                }
 
 
 class TestScoreOpcodes:
@@ -105,6 +134,22 @@ class TestScoreOpcodes:
             assert set(table.scores) == set(oracle)
             for op in oracle:
                 assert abs(table.scores[op] - oracle[op]) < 1e-12
+
+    def test_matches_double_loop_oracle_exactly(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            samples = seeded_group(rng)
+            table = score_opcodes(samples)
+            oracle = _oracle_scores(samples)
+            assert list(table.scores) == sorted(oracle)
+            assert {op: v.hex() for op, v in table.scores.items()} == {
+                op: v.hex() for op, v in oracle.items()
+            }
+
+    def test_ignores_unlabeled_samples(self):
+        samples = seeded_group(random.Random(3))
+        unlabeled = make_sample("u", Label.UNKNOWN, 7, {"mov": 50, "new": 9})
+        assert score_opcodes(samples + [unlabeled]) == score_opcodes(samples)
 
     def test_scale_invariance_of_ranking(self):
         rng = np.random.default_rng(31)
