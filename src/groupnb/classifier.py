@@ -85,7 +85,9 @@ def fit_counts(
         theta(c, o) = (count_c(o) + alpha) / (total_c + alpha * |features|)
 
     where total_c sums counts over the feature set only. alpha must be
-    positive and finite, and so must alpha * |features|.
+    positive and finite, and so must alpha * |features| (else
+    InvalidConfigError); so must total_c + alpha * |features| (else
+    IntegrityError, a data error).
     """
     if (
         not isinstance(alpha, (int, float))
@@ -116,7 +118,15 @@ def fit_counts(
     for c in CLASSES:
         class_counts = counts.opcodes[c]
         feature_counts = {op: class_counts.get(op, 0) for op in features.opcodes}
-        denom = sum(feature_counts.values()) + alpha * n_features
+        try:
+            denom = sum(feature_counts.values()) + alpha * n_features
+        except OverflowError:  # the integer total alone does not fit a float
+            denom = math.inf
+        if not math.isfinite(denom):
+            raise IntegrityError(
+                f"group {group}: {c.value} feature total plus alpha * {n_features} "
+                "is not a finite float"
+            )
         log_likelihood[c] = {
             op: math.log((feature_counts[op] + alpha) / denom) for op in features.opcodes
         }

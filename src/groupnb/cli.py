@@ -6,6 +6,11 @@ classify (sequential or lane-parallel batch prediction), bench (the
 timing sweep to CSV), and score (accuracy plus per-class
 precision/recall from a prediction file).
 
+split, train and bench group by the default GroupingConfig (no flag
+changes it); classify routes by the geometry stored in the bundle, so
+a bundle trained through the API with another geometry works here too.
+Every file read is UTF-8 text.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 data or
 integrity error, 3 I/O error or a worker lane of classify --parallel
 that died before returning its chunk.
@@ -16,13 +21,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import bench as bench_mod
 from . import engine
 from .corpus import (
+    GroupedCorpus,
     GroupingConfig,
     Label,
+    _decode_json,
     parse_corpus,
     partition_by_group,
     serialize_sample,
@@ -111,12 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="train JSONL path")
     p.add_argument("--k", type=int, required=True, help="features per group")
     p.add_argument("--alpha", type=float, default=1.0, help="smoothing pseudo-count")
-    p.add_argument("--group-kb", type=int, default=5, dest="group_kb",
-                   help="group width in KiB")
-    p.add_argument("--max-kb", type=int, default=500, dest="max_kb",
-                   help="size cutoff in KiB")
-    p.add_argument("--min-per-class", type=int, default=6, dest="min_per_class",
-                   help="fewest samples of each class a trainable group needs")
     p.add_argument("--out", required=True, help="bundle JSON path")
     p.set_defaults(func=_cmd_train)
 
@@ -155,9 +156,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 text file; a line holding a byte that is not UTF-8 is a ParseError."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fp:
+        for line_no, line in enumerate(fp, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00  # surrogateescape's stand-in
+                    raise ParseError(line_no, f"byte 0x{byte:02x} is not valid UTF-8") from None
+            yield line
+
+
 def _read_corpus(path: str, *, allow_unlabeled: bool = False):
-    with open(path, "r", encoding="utf-8") as fp:
-        return parse_corpus(fp, allow_unlabeled=allow_unlabeled)
+    return parse_corpus(_lines(path), allow_unlabeled=allow_unlabeled)
+
+
+def _grouped(samples, what: str = "samples") -> GroupedCorpus:
+    """Bucket samples by the default geometry; warn about the ones outside its size range."""
+    grouped, rejected = partition_by_group(samples, GroupingConfig())
+    if rejected:
+        print(f"warning: skipped {len(rejected)} {what} outside the size range", file=sys.stderr)
+    return grouped
 
 
 def _write_corpus(path: str, samples) -> None:
@@ -181,12 +202,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    samples = _read_corpus(args.input)
-    config = GroupingConfig()
-    grouped, rejected = partition_by_group(samples, config)
-    if rejected:
-        print(f"warning: skipped {len(rejected)} samples outside the size range",
-              file=sys.stderr)
+    grouped = _grouped(_read_corpus(args.input))
     result = split_train_test(grouped, args.ratio, args.seed)
     _write_corpus(args.train, result.train.all_samples())
     _write_corpus(args.test, result.test.all_samples())
@@ -199,16 +215,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = GroupingConfig(
-        group_size_bytes=args.group_kb * 1024,
-        max_size_bytes=args.max_kb * 1024,
-        min_per_class=args.min_per_class,
-    )
-    samples = _read_corpus(args.input)
-    grouped, rejected = partition_by_group(samples, config)
-    if rejected:
-        print(f"warning: skipped {len(rejected)} samples outside the size range",
-              file=sys.stderr)
+    grouped = _grouped(_read_corpus(args.input))
     bundle = engine.train_bundle(grouped, args.k, args.alpha)
     engine.save_bundle(bundle, args.out)
     print(f"trained {len(bundle.trained_ids)} group models (k={args.k}) to {args.out}")
@@ -238,10 +245,7 @@ def _cmd_bench(args) -> int:
     config = _bench_config(args)
     train_samples = _read_corpus(args.train)
     test_samples = _read_corpus(args.test)
-    grouped, rejected = partition_by_group(train_samples, GroupingConfig())
-    if rejected:
-        print(f"warning: skipped {len(rejected)} train samples outside the size range",
-              file=sys.stderr)
+    grouped = _grouped(train_samples, "train samples")
     bundles = engine.train_bundles(grouped, config.k_values)
     report = bench_mod.run_bench(bundles, test_samples, config)
     with open(args.out, "w", encoding="utf-8") as fp:
@@ -269,31 +273,28 @@ def _cmd_score(args) -> int:
     predicted: dict[str, Label] = {}
     seen: set[str] = set()
     errors = 0
-    with open(args.preds, "r", encoding="utf-8") as fp:
-        for line_no, line in enumerate(fp, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid prediction JSON: {exc.msg}") from None
-            except ValueError as exc:  # an integer past the int-to-str digit limit
-                raise ParseError(line_no, f"invalid prediction JSON: {exc}") from None
-            if not isinstance(doc, dict) or not isinstance(doc.get("id"), str):
-                raise ParseError(line_no, "prediction must be an object with a string 'id'")
-            if doc["id"] in seen:
-                raise IntegrityError(f"duplicate prediction id {doc['id']!r} at line {line_no}")
-            if doc["id"] not in truth:
-                raise IntegrityError(
-                    f"prediction id {doc['id']!r} at line {line_no} is missing from truth")
-            seen.add(doc["id"])
-            if "error" in doc:
-                errors += 1
-                continue
-            raw = doc.get("label")
-            if raw not in (Label.MALWARE.value, Label.BENIGN.value):
-                raise ParseError(line_no, f"bad label {raw!r}")
-            predicted[doc["id"]] = Label(raw)
+    for line_no, line in enumerate(_lines(args.preds), start=1):
+        if not line.strip():
+            continue
+        try:
+            doc = _decode_json(line)
+        except ValueError as exc:
+            raise ParseError(line_no, f"invalid prediction JSON: {exc}") from None
+        if not isinstance(doc, dict) or not isinstance(doc.get("id"), str):
+            raise ParseError(line_no, "prediction must be an object with a string 'id'")
+        if doc["id"] in seen:
+            raise IntegrityError(f"duplicate prediction id {doc['id']!r} at line {line_no}")
+        if doc["id"] not in truth:
+            raise IntegrityError(
+                f"prediction id {doc['id']!r} at line {line_no} is missing from truth")
+        seen.add(doc["id"])
+        if "error" in doc:
+            errors += 1
+            continue
+        raw = doc.get("label")
+        if raw not in (Label.MALWARE.value, Label.BENIGN.value):
+            raise ParseError(line_no, f"bad label {raw!r}")
+        predicted[doc["id"]] = Label(raw)
 
     correct = sum(1 for i, label in predicted.items() if truth[i] is label)
     per_class = {}

@@ -167,6 +167,20 @@ def _lines(stream: Iterable[str] | str) -> Iterable[str]:
     return stream
 
 
+def _decode_json(text: str):
+    """json.loads, where every document it cannot decode raises ValueError naming the reason.
+
+    That covers bad syntax, nesting past the recursion limit and (as
+    json.loads raises it) an integer past the int-to-str digit limit.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(exc.msg) from None
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+
+
 def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) -> list[SampleRecord]:
     """Parse a JSONL corpus: one ``{"id", "label", "size_bytes", "opcodes"}`` object per line.
 
@@ -184,10 +198,8 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_no, f"invalid JSON: {exc.msg}") from None
-        except ValueError as exc:  # an integer past the int-to-str digit limit
+            obj = _decode_json(line)
+        except ValueError as exc:
             raise ParseError(line_no, f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise ParseError(line_no, "record must be a JSON object")
@@ -262,7 +274,9 @@ def assign_group(size_bytes: int, config: GroupingConfig) -> int:
     """Size group index for a file size: floor(size / group width).
 
     Group intervals are half-open [i*width, (i+1)*width). Sizes at or
-    above the cutoff (and negative sizes) raise SizeRangeError.
+    above the cutoff (and negative sizes) raise SizeRangeError. This is
+    the one size rule: partition_by_group and the classify kernel both
+    call it.
     """
     if size_bytes < 0 or size_bytes >= config.max_size_bytes:
         raise SizeRangeError(
@@ -274,20 +288,20 @@ def assign_group(size_bytes: int, config: GroupingConfig) -> int:
 def partition_by_group(
     samples: Iterable[SampleRecord], config: GroupingConfig
 ) -> tuple[GroupedCorpus, list[SampleRecord]]:
-    """Bucket samples into size groups.
+    """Bucket samples into size groups by assign_group under ``config``.
 
-    Samples outside the admissible size range are not a failure: they
-    come back in the second element ("rejected") so callers can report
-    them.
+    Samples that assign_group rejects are not a failure: they come back
+    in the second element ("rejected") so callers can report them.
     """
     groups: dict[int, list[SampleRecord]] = {}
     rejected: list[SampleRecord] = []
     for sample in samples:
-        if 0 <= sample.size_bytes < config.max_size_bytes:
-            g = sample.size_bytes // config.group_size_bytes
-            groups.setdefault(g, []).append(sample)
-        else:
+        try:
+            g = assign_group(sample.size_bytes, config)
+        except SizeRangeError:
             rejected.append(sample)
+        else:
+            groups.setdefault(g, []).append(sample)
     return GroupedCorpus(config, groups), rejected
 
 

@@ -45,7 +45,10 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .corpus import GroupedCorpus, GroupingConfig, Label, SampleRecord, trainable_groups
+from .corpus import (
+    GroupedCorpus, GroupingConfig, Label, SampleRecord, _decode_json, assign_group,
+    trainable_groups,
+)
 from .classifier import CLASSES, GroupModel, Prediction, fit_counts
 from .errors import (
     BundleValidationError,
@@ -54,6 +57,7 @@ from .errors import (
     InvalidConfigError,
     LaneError,
     MeasurementError,
+    SizeRangeError,
 )
 from .features import FeatureSet, count_group, score_counts, select_top_k
 
@@ -290,10 +294,6 @@ def _log_scores(
     return out
 
 
-def _oversize_message(size_bytes: int, limit: int) -> str:
-    return f"size_bytes {size_bytes} outside [0, {limit})"
-
-
 def _classify_slice(
     bundle: ModelBundle, samples: Sequence[SampleRecord], start: int, end: int
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
@@ -304,21 +304,21 @@ def _classify_slice(
     (absolute index, message) pairs.
     """
     ids = bundle.trained_ids
-    width = bundle.config.group_size_bytes
-    limit = bundle.config.max_size_bytes
+    config = bundle.config
     admitted: list[int] = []
     rows: list[int] = []
     histograms: list[dict[str, int]] = []
     errors: list[tuple[int, str]] = []
     for i in range(start, end):
         sample = samples[i]
-        size = sample.size_bytes
-        if 0 <= size < limit:
-            admitted.append(i - start)
-            rows.append(_route_row(ids, size // width))
-            histograms.append(sample.histogram.entries)
-        else:
-            errors.append((i, _oversize_message(size, limit)))
+        try:
+            group = assign_group(sample.size_bytes, config)
+        except SizeRangeError as exc:
+            errors.append((i, str(exc)))
+            continue
+        admitted.append(i - start)
+        rows.append(_route_row(ids, group))
+        histograms.append(sample.histogram.entries)
     groups = np.full(end - start, -1, dtype=np.int64)
     scores = np.zeros((end - start, len(CLASSES)))
     groups[admitted] = np.array(ids, dtype=np.int64)[rows]
@@ -541,10 +541,8 @@ def bundle_from_json(text: str) -> ModelBundle:
     Any malformed document raises BundleValidationError.
     """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BundleValidationError(f"invalid bundle JSON: {exc.msg}") from None
-    except ValueError as exc:  # an integer past the int-to-str digit limit
+        doc = _decode_json(text)
+    except ValueError as exc:
         raise BundleValidationError(f"invalid bundle JSON: {exc}") from None
     doc = _object(doc, "bundle")
     if "format" in doc:  # format 1 files carry no "format" key
@@ -622,8 +620,15 @@ def bundle_from_json(text: str) -> ModelBundle:
 
 
 def load_bundle(path) -> ModelBundle:
-    with open(path, "r", encoding="utf-8") as fp:
-        return bundle_from_json(fp.read())
+    """Read and validate a bundle file; a byte that is not UTF-8 is a BundleValidationError."""
+    with open(path, "rb") as fp:
+        data = fp.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BundleValidationError(
+            f"bundle is not valid UTF-8 at byte offset {exc.start}") from None
+    return bundle_from_json(text)
 
 
 def _fmt_float(value: float) -> str:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from groupnb.corpus import Label, OpcodeHistogram
-from groupnb.errors import InsufficientClassError, InvalidConfigError
+from groupnb.errors import InsufficientClassError, IntegrityError, InvalidConfigError
 from groupnb.features import FeatureSet
 from groupnb.classifier import (
     log_posterior,
@@ -104,6 +104,22 @@ class TestTrainGroup:
         # 1e308 alone is finite; alpha * |features| = 2e308 is not.
         with pytest.raises(InvalidConfigError, match="alpha"):
             train_group(both, FeatureSet(("a", "b"), 2), alpha)
+
+    def test_class_total_must_fit_a_float(self):
+        # Each count converts to float; their malware total (6e308) does not.
+        samples = [make_sample(f"m{i}", Label.MALWARE, 10, {"evil": 10**308}) for i in range(6)]
+        samples.append(make_sample("b", Label.BENIGN, 11, {"mov": 3}))
+        with pytest.raises(IntegrityError, match="^group 4: malware feature total"):
+            train_group(samples, FeatureSet(("evil", "mov"), 2), group=4)
+
+    def test_total_plus_smoothing_must_stay_finite(self):
+        # The benign total fits a float, and so does alpha * 2, but not their sum.
+        samples = [
+            make_sample("m", Label.MALWARE, 10, {"evil": 1}),
+            make_sample("b", Label.BENIGN, 11, {"mov": int(1.7e308)}),
+        ]
+        with pytest.raises(IntegrityError, match="^group 5: benign feature total"):
+            train_group(samples, FeatureSet(("evil", "mov"), 2), 1e307, group=5)
 
     def test_matches_double_loop_oracle_exactly(self):
         rng = random.Random(17)

@@ -7,9 +7,10 @@ import pytest
 
 from groupnb.bench import parse_csv
 from groupnb.cli import main
-from groupnb.engine import _BLOCK
+from groupnb.corpus import GroupingConfig, assign_group
+from groupnb.engine import _BLOCK, route, save_bundle, train_bundle
 
-from helpers import deadline, kill_worker_lanes
+from helpers import deadline, grouped, kill_worker_lanes, two_class_group
 
 
 def _run(*argv):
@@ -181,6 +182,83 @@ class TestPipeline:
                 assert row.speedup == sibling.elapsed_ns_median / row.elapsed_ns_median
 
 
+class TestGeometry:
+    """The CLI groups by the default geometry; classify uses the bundle's own."""
+
+    def test_split_train_and_bench_skip_the_same_samples(self, pipeline_files, tmp_path, capsys):
+        paths = pipeline_files
+        corpus = tmp_path / "oversize.jsonl"
+        extra = "".join(
+            json.dumps({"id": f"big{size}", "label": label, "size_bytes": size,
+                        "opcodes": {"mov": 1}}) + "\n"
+            for size, label in ((512000, "malware"), (600000, "benign"), (10**12, "malware")))
+        corpus.write_text(paths["corpus"].read_text() + extra)
+        out = tmp_path / "out"
+        runs = [
+            (("split", "--in", corpus, "--train", out, "--test", tmp_path / "out2"), "samples"),
+            (("train", "--in", corpus, "--k", "8", "--out", out), "samples"),
+            (("bench", "--train", corpus, "--test", paths["test"], "--k", "5",
+              "--batch-multiple", "16", "--batch-counts", "1", "--lanes", "1", "--reps", "1",
+              "--out", out), "train samples"),
+        ]
+        for argv, what in runs:
+            capsys.readouterr()
+            assert _run(*map(str, argv)) == 0, argv[0]
+            assert capsys.readouterr().err == f"warning: skipped 3 {what} outside the size range\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--group-kb", "5"), ("--max-kb", "500"), ("--min-per-class", "6")])
+    def test_removed_geometry_flags_exit_one(self, pipeline_files, capsys, flag, value):
+        paths = pipeline_files
+        capsys.readouterr()
+        assert _run("train", "--in", str(paths["train"]), "--k", "8", flag, value,
+                    "--out", str(paths["bundle"])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: groupnb")
+        assert f"error: unrecognized arguments: {flag} {value}" in err
+        assert not paths["bundle"].exists()
+
+    def test_classify_routes_by_the_bundle_geometry(self, tmp_path, capsys):
+        config = GroupingConfig(1024, 10240, 2)
+        samples = two_class_group(2, 2, 2, width=1024) + two_class_group(7, 2, 2, width=1024)
+        bundle = train_bundle(grouped(samples, config), 2)
+        assert bundle.trained_ids == (2, 7)
+        save_bundle(bundle, tmp_path / "bundle.json")
+        # Under the default geometry the first four would all route to group 2.
+        sizes = [0, 5120, 7 * 1024 + 5, 10239, 10240]
+        source = tmp_path / "in.jsonl"
+        source.write_text("".join(
+            json.dumps({"id": f"s{size}", "size_bytes": size, "opcodes": {"evil": 2}}) + "\n"
+            for size in sizes))
+        preds = tmp_path / "preds.jsonl"
+        assert _run("classify", "--bundle", str(tmp_path / "bundle.json"), "--in", str(source),
+                    "--out", str(preds)) == 0
+        lines = [json.loads(line) for line in paths_lines(preds)]
+        assert [line.get("effective_group") for line in lines] == [2, 7, 7, 7, None]
+        assert [line["effective_group"] for line in lines[:4]] == [
+            route(bundle, assign_group(size, config)) for size in sizes[:4]]
+        assert lines[4]["error"] == "size_bytes 10240 outside [0, 10240)"
+
+
+def _put_bad_byte(path, after):
+    """Put byte 0xff into the first line of ``path`` that starts at or after byte ``after``.
+
+    The byte goes right after the line's first 8 bytes (inside its id
+    string). Returns that line's number.
+    """
+    lines = path.read_bytes().splitlines(keepends=True)
+    start = 0
+    for line_no, line in enumerate(lines, start=1):
+        if start >= after:
+            break
+        start += len(line)
+    else:
+        raise AssertionError(f"{path} has no line past byte {after}")
+    lines[line_no - 1] = line[:8] + b"\xff" + line[8:]
+    path.write_bytes(b"".join(lines))
+    return line_no
+
+
 class TestExitCodes:
     def test_usage_errors_exit_one(self, tmp_path):
         assert _run() == 1
@@ -298,6 +376,107 @@ class TestExitCodes:
             assert _run("score", "--preds", str(preds), "--truth", str(truth)) == 2, line
             err = capsys.readouterr().err
             assert err.startswith("groupnb: data error: ") and err.count("\n") == 1, line
+
+    @pytest.mark.parametrize("after", [0, 8 * 1024 + 1], ids=["line_1", "past_8_KiB"])
+    @pytest.mark.parametrize("reader", [
+        "split", "train", "classify", "bench_train", "bench_test", "score_truth", "score_preds"])
+    def test_lines_that_are_not_utf8_exit_two(self, pipeline_files, tmp_path, capsys, reader,
+                                              after):
+        """A bad byte in any line-read file; past 8 KiB it is met partway through the stream."""
+        paths = pipeline_files
+        assert _run("train", "--in", str(paths["train"]), "--k", "8",
+                    "--out", str(paths["bundle"])) == 0
+        paths["preds"].write_text("".join(
+            json.dumps({"id": json.loads(line)["id"], "error": "padding " * 40}) + "\n"
+            for line in paths_lines(paths["test"])))
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(paths["preds" if reader == "score_preds" else "test"].read_bytes())
+        line_no = _put_bad_byte(bad, after)
+        out = tmp_path / "out"
+        argv = {
+            "split": ("split", "--in", bad, "--train", out, "--test", tmp_path / "out2"),
+            "train": ("train", "--in", bad, "--k", "8", "--out", out),
+            "classify": ("classify", "--bundle", paths["bundle"], "--in", bad, "--out", out),
+            "bench_train": ("bench", "--train", bad, "--test", paths["test"], "--out", out),
+            "bench_test": ("bench", "--train", paths["train"], "--test", bad, "--out", out),
+            "score_truth": ("score", "--preds", paths["preds"], "--truth", bad),
+            "score_preds": ("score", "--preds", bad, "--truth", paths["test"]),
+        }[reader]
+        capsys.readouterr()
+        assert _run(*map(str, argv)) == 2
+        err = capsys.readouterr().err
+        assert err == f"groupnb: data error: line {line_no}: byte 0xff is not valid UTF-8\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("after", [0, 8 * 1024 + 1], ids=["first_byte", "past_8_KiB"])
+    def test_bundle_that_is_not_utf8_exits_two(self, pipeline_files, capsys, after):
+        paths = pipeline_files
+        assert _run("train", "--in", str(paths["train"]), "--k", "8",
+                    "--out", str(paths["bundle"])) == 0
+        text = paths["bundle"].read_bytes()
+        padded = text[:-2] + b" " * after + text[-2:]  # whitespace before the closing brace
+        offset = 0 if after == 0 else len(text) - 2 + after
+        paths["bundle"].write_bytes(padded[:offset] + b"\xff" + padded[offset:])
+        capsys.readouterr()
+        assert _run("classify", "--bundle", str(paths["bundle"]), "--in", str(paths["test"]),
+                    "--out", str(paths["preds"])) == 2
+        err = capsys.readouterr().err
+        assert err == f"groupnb: data error: bundle is not valid UTF-8 at byte offset {offset}\n"
+        assert not paths["preds"].exists()
+
+    def test_non_ascii_text_still_reads(self, tmp_path):
+        """Valid multi-byte UTF-8 passes, including characters cut by the file's read chunks."""
+
+        def line(sid):
+            doc = {"id": sid, "label": "malware", "size_bytes": 9, "opcodes": {"mov": 1}}
+            return json.dumps(doc, ensure_ascii=False) + "\n"
+
+        ids = ["\u00e9t\u00e9", "\U0001f600", "\u00e9" * 6000]  # the last id is 12,000 bytes
+        head = "".join(map(line, ids[:2])) + '{"id": "'
+        if len(head.encode()) % 2 == 0:
+            # Start the 2-byte characters at an odd offset, so every read-chunk edge
+            # inside them (a multiple of 4 KiB) cuts one in half.
+            ids[0] += "!"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(map(line, ids)), encoding="utf-8")
+        train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+        assert _run("split", "--in", str(corpus), "--train", str(train), "--test", str(test)) == 0
+        split_ids = {json.loads(line)["id"] for line in paths_lines(train) + paths_lines(test)}
+        assert split_ids == set(ids)
+
+    @pytest.mark.parametrize("target", ["in", "bundle", "preds"])
+    def test_deep_nesting_exits_two(self, pipeline_files, tmp_path, capsys, target):
+        paths = pipeline_files
+        assert _run("train", "--in", str(paths["train"]), "--k", "8",
+                    "--out", str(paths["bundle"])) == 0
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "\n")
+        argv, expected = {
+            "in": (("classify", "--bundle", paths["bundle"], "--in", deep, "--out", paths["preds"]),
+                   "line 1: invalid JSON: nested too deeply"),
+            "bundle": (("classify", "--bundle", deep, "--in", paths["test"], "--out", paths["preds"]),
+                       "invalid bundle JSON: nested too deeply"),
+            "preds": (("score", "--preds", deep, "--truth", paths["test"]),
+                      "line 1: invalid prediction JSON: nested too deeply"),
+        }[target]
+        capsys.readouterr()
+        assert _run(*map(str, argv)) == 2
+        assert capsys.readouterr().err == f"groupnb: data error: {expected}\n"
+
+    def test_class_total_past_the_float_range_exits_two(self, tmp_path, capsys):
+        corpus = tmp_path / "huge.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"{label[0]}{i}", "label": label, "size_bytes": 10,
+                        "opcodes": ops}) + "\n"
+            for i in range(6)
+            for label, ops in (("malware", {"evil": 10**308, "mov": 1}),
+                               ("benign", {"add": 2, "mov": 3}))))
+        bundle = tmp_path / "bundle.json"
+        assert _run("train", "--in", str(corpus), "--k", "2", "--out", str(bundle)) == 2
+        assert capsys.readouterr().err == (
+            "groupnb: data error: group 0: malware feature total plus alpha * 2 "
+            "is not a finite float\n")
+        assert not bundle.exists()
 
     def test_dead_lane_exits_three(self, pipeline_files, capsys, monkeypatch):
         paths = pipeline_files

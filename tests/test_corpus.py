@@ -143,6 +143,12 @@ class TestParseCorpus:
             parse_corpus(lines)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("opener", ["[", "{\"a\": "])
+    def test_nesting_past_the_recursion_limit_is_a_parse_error(self, opener):
+        lines = ['{"id":"a","label":"benign","size_bytes":7,"opcodes":{}}', opener * 100_000]
+        with pytest.raises(ParseError, match="^line 2: invalid JSON: nested too deeply$"):
+            parse_corpus(lines)
+
     @pytest.mark.parametrize(
         "line",
         [

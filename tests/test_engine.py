@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from groupnb import engine
-from groupnb.corpus import GroupingConfig, Label, OpcodeHistogram
+from groupnb.corpus import GroupingConfig, Label, OpcodeHistogram, assign_group, partition_by_group
 from groupnb.engine import (
     _BLOCK,
     BundleMeta,
@@ -40,6 +40,7 @@ from groupnb.errors import (
     InvalidConfigError,
     LaneError,
     MeasurementError,
+    SizeRangeError,
 )
 from groupnb.classifier import CLASSES, GroupModel, predict, train_group
 from groupnb.features import FeatureSet, score_opcodes, select_top_k
@@ -238,6 +239,58 @@ class TestClassifySequential:
         warm = classify_sequential(bundle, workload, warmup=True)
         cold = classify_sequential(bundle, workload, warmup=False)
         assert warm.predictions == cold.predictions
+
+
+# Both sides of the first group edge and of the cutoff, at the default geometry.
+_RULE_SIZES = (-1, 0, 5119, 5120, 511999, 512000)
+
+
+def _assigned(size, config):
+    """assign_group's group for a size, or the text of the SizeRangeError it raises."""
+    try:
+        return assign_group(size, config)
+    except SizeRangeError as exc:
+        return str(exc)
+
+
+class TestOneSizeRule:
+    """partition_by_group and the classify kernel follow assign_group, error text included."""
+
+    def test_partition_by_group_agrees(self):
+        config = GroupingConfig()
+        samples = [make_sample(f"s{size}", Label.BENIGN, size, {"mov": 1}) for size in _RULE_SIZES]
+        corpus, rejected = partition_by_group(samples, config)
+        placed = {s.id: g for g, bucket in corpus.groups.items() for s in bucket}
+        for sample in samples:
+            expected = _assigned(sample.size_bytes, config)
+            if isinstance(expected, str):
+                assert sample in rejected and sample.id not in placed
+            else:
+                assert placed[sample.id] == expected
+        assert [s.size_bytes for s in rejected] == [-1, 512000]
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_classify_agrees(self, lanes):
+        bundle = _bundle(groups=(0, 1, 99))  # every assigned group is trained: no rerouting
+        n = 3 * _BLOCK  # each lane's chunk holds every size
+        samples = tuple(
+            make_sample(f"s{i}", Label.UNKNOWN, _RULE_SIZES[i % len(_RULE_SIZES)], {"mov": 1})
+            for i in range(n)
+        )
+        workload = Workload(samples, lanes=lanes)
+        seq = classify_sequential(bundle, workload)
+        par = classify_parallel(bundle, workload)
+        assert (seq.lanes, par.lanes) == (1, lanes)
+        for run in (seq, par):
+            errors = dict(run.errors)
+            for i, sample in enumerate(samples):
+                expected = _assigned(sample.size_bytes, bundle.config)
+                if isinstance(expected, str):
+                    assert run.predictions[i] is None and errors[i] == expected
+                else:
+                    assert run.predictions[i].effective_group == expected and i not in errors
+            assert errors[0] == "size_bytes -1 outside [0, 512000)"
+            assert errors[5] == "size_bytes 512000 outside [0, 512000)"
 
 
 class TestClassifyParallel:
@@ -627,6 +680,19 @@ class TestBundleSerialization:
             bundle_from_json("{not json")
         with pytest.raises(BundleValidationError):
             bundle_from_json('"just a string"')
+        with pytest.raises(BundleValidationError, match="nested too deeply"):
+            bundle_from_json("[" * 100_000)
+
+    @pytest.mark.parametrize("offset", [0, 9000])
+    def test_loader_rejects_bytes_that_are_not_utf8(self, tmp_path, offset):
+        path = tmp_path / "bundle.json"
+        save_bundle(_bundle(groups=range(40)), path)
+        data = bytearray(path.read_bytes())
+        assert len(data) > 9000
+        data[offset] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(BundleValidationError, match=f"not valid UTF-8 at byte offset {offset}$"):
+            load_bundle(path)
 
 
 class TestTrainBundle:
