@@ -9,7 +9,8 @@ precision/recall from a prediction file).
 split, train and bench group by the default GroupingConfig (no flag
 changes it); classify routes by the geometry stored in the bundle, so
 a bundle trained through the API with another geometry works here too.
-Every file read is UTF-8 text.
+Every file read is UTF-8 text. A data error on a line of a corpus or
+prediction file names the file as given, then the line.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data or
 integrity error, 3 I/O error or a worker lane of classify --parallel
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from . import bench as bench_mod
@@ -169,8 +171,19 @@ def _lines(path: str) -> Iterator[str]:
             yield line
 
 
+@contextmanager
+def _naming(path: str) -> Iterator[None]:
+    """Prefix ``path`` to a ParseError or IntegrityError raised while its lines are read."""
+    try:
+        yield
+    except (ParseError, IntegrityError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _read_corpus(path: str, *, allow_unlabeled: bool = False):
-    return parse_corpus(_lines(path), allow_unlabeled=allow_unlabeled)
+    with _naming(path):
+        return parse_corpus(_lines(path), allow_unlabeled=allow_unlabeled)
 
 
 def _grouped(samples, what: str = "samples") -> GroupedCorpus:
@@ -273,28 +286,29 @@ def _cmd_score(args) -> int:
     predicted: dict[str, Label] = {}
     seen: set[str] = set()
     errors = 0
-    for line_no, line in enumerate(_lines(args.preds), start=1):
-        if not line.strip():
-            continue
-        try:
-            doc = _decode_json(line)
-        except ValueError as exc:
-            raise ParseError(line_no, f"invalid prediction JSON: {exc}") from None
-        if not isinstance(doc, dict) or not isinstance(doc.get("id"), str):
-            raise ParseError(line_no, "prediction must be an object with a string 'id'")
-        if doc["id"] in seen:
-            raise IntegrityError(f"duplicate prediction id {doc['id']!r} at line {line_no}")
-        if doc["id"] not in truth:
-            raise IntegrityError(
-                f"prediction id {doc['id']!r} at line {line_no} is missing from truth")
-        seen.add(doc["id"])
-        if "error" in doc:
-            errors += 1
-            continue
-        raw = doc.get("label")
-        if raw not in (Label.MALWARE.value, Label.BENIGN.value):
-            raise ParseError(line_no, f"bad label {raw!r}")
-        predicted[doc["id"]] = Label(raw)
+    with _naming(args.preds):
+        for line_no, line in enumerate(_lines(args.preds), start=1):
+            if not line.strip():
+                continue
+            try:
+                doc = _decode_json(line)
+            except ValueError as exc:
+                raise ParseError(line_no, f"invalid prediction JSON: {exc}") from None
+            if not isinstance(doc, dict) or not isinstance(doc.get("id"), str):
+                raise ParseError(line_no, "prediction must be an object with a string 'id'")
+            if doc["id"] in seen:
+                raise IntegrityError(f"duplicate prediction id {doc['id']!r} at line {line_no}")
+            if doc["id"] not in truth:
+                raise IntegrityError(
+                    f"prediction id {doc['id']!r} at line {line_no} is missing from truth")
+            seen.add(doc["id"])
+            if "error" in doc:
+                errors += 1
+                continue
+            raw = doc.get("label")
+            if raw not in (Label.MALWARE.value, Label.BENIGN.value):
+                raise ParseError(line_no, f"bad label {raw!r}")
+            predicted[doc["id"]] = Label(raw)
 
     correct = sum(1 for i, label in predicted.items() if truth[i] is label)
     per_class = {}

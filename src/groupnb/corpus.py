@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import IntegrityError, InvalidConfigError, ParseError, SizeRangeError
 
@@ -35,7 +35,8 @@ class OpcodeHistogram:
 
     Canonical form: keys are non-empty lowercase tokens, counts are
     positive integers that convert to float (zero-count entries are
-    absent).
+    absent). The histograms of one parse_corpus call share one key
+    string per distinct mnemonic.
     """
 
     entries: dict[str, int]
@@ -47,21 +48,8 @@ class OpcodeHistogram:
         Raises ValueError naming the first malformed entry, or the first
         (merged) count too large to convert to float.
         """
-        # Common case in a few C-level passes: exact str keys, none empty,
-        # already lowercase; exact int counts (bool excluded), none
-        # negative, their sum convertible to float.
-        values = counts.values()
-        if (
-            set(map(type, counts)) == {str}
-            and set(map(type, values)) == {int}
-            and "" not in counts
-            and (lowest := min(values)) >= 0
-        ):
-            joined = "\0".join(counts)
-            if joined.lower() == joined and _fits_float(sum(values)):
-                if lowest:
-                    return cls(dict(counts))
-                return cls(dict(compress(counts.items(), values)))
+        if _plain_names(counts) and _plain_counts(counts.values()):
+            return cls(_nonzero(dict(counts)))
         return cls(_fold_counts(counts))
 
     def total(self) -> int:
@@ -69,6 +57,32 @@ class OpcodeHistogram:
 
     def get(self, mnemonic: str, default: int = 0) -> int:
         return self.entries.get(mnemonic, default)
+
+
+# The canonical-form rules, checked in a few C-level passes; an input
+# either rule does not admit goes through _fold_counts, which folds case
+# or names the first bad entry.
+def _plain_names(names: Collection) -> bool:
+    """The key rule: exact str names, none empty, already lowercase."""
+    if not {*map(type, names)} <= {str} or "" in names:
+        return False
+    joined = "\0".join(names)
+    return joined.lower() == joined
+
+
+def _plain_counts(values: Collection) -> bool:
+    """The count rule: exact int counts (bool excluded), none negative, their sum a float."""
+    return (
+        {*map(type, values)} <= {int}
+        and min(values, default=0) >= 0
+        and _fits_float(sum(values))
+    )
+
+
+def _nonzero(entries: dict[str, int]) -> dict[str, int]:
+    """``entries`` without its zero counts (``entries`` itself when it has none)."""
+    values = entries.values()
+    return entries if all(values) else dict(compress(entries.items(), values))
 
 
 def _fits_float(n: int) -> bool:
@@ -94,6 +108,34 @@ def _fold_counts(counts: Mapping[str, int]) -> dict[str, int]:
         if not _fits_float(count):
             raise ValueError(f"count for {key!r} is too large to convert to float")
     return entries
+
+
+def _shared_histogram(ops: dict, names: dict[str, str]) -> OpcodeHistogram:
+    """OpcodeHistogram.from_counts(ops), keyed by the strings of ``names``.
+
+    ``names`` maps every canonical mnemonic met so far in one parse to
+    the one string that stands for it. A line of known names needs only
+    the count rule. A line that brings a new name also needs the key
+    rule, over all its names, and its new names join ``names`` with
+    their own strings. A line the rules do not admit goes through
+    _fold_counts, as from_counts sends it (folding case, or raising its
+    ValueError), and its result is re-keyed through ``names`` too.
+    """
+    values = ops.values()
+    if _plain_counts(values):
+        try:
+            return OpcodeHistogram(_nonzero(dict(zip(map(names.__getitem__, ops), values))))
+        except KeyError:  # a name new to this parse
+            pass
+        if _plain_names(ops):
+            known = len(names)
+            keys = [*map(names.setdefault, ops, ops)]
+            if len(names) - known == len(ops):  # the line's own strings are now the shared ones
+                return OpcodeHistogram(_nonzero(ops))
+            return OpcodeHistogram(_nonzero(dict(zip(keys, values))))
+    # A rule has failed, so from_counts would fold the line too.
+    entries = _fold_counts(ops)
+    return OpcodeHistogram(dict(zip(map(names.setdefault, entries, entries), entries.values())))
 
 
 @dataclass(frozen=True)
@@ -162,8 +204,14 @@ class SplitResult:
 
 
 def _lines(stream: Iterable[str] | str) -> Iterable[str]:
+    """The lines of a text or of an iterable of lines.
+
+    A text breaks only at universal newlines (LF, CRLF, CR), as a file
+    read in text mode does: JSON allows the other characters that
+    str.splitlines breaks at raw inside a string.
+    """
     if isinstance(stream, str):
-        return stream.splitlines()
+        return stream.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return stream
 
 
@@ -189,11 +237,18 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
     as ``Label.UNKNOWN`` (classification input); a label string other
     than "malware"/"benign" is always a parse error.
 
+    A text is split into lines at universal newlines only. The
+    histograms of one call share one key string per distinct mnemonic,
+    so a large batch holds each name once rather than once per sample.
+    Names are checked on the lines that bring a new one; a line of known
+    names only has its counts checked.
+
     Raises ParseError (with line number) on a malformed line and
     IntegrityError on a duplicate id.
     """
     records: list[SampleRecord] = []
     seen: set[str] = set()
+    names: dict[str, str] = {}
     for line_no, line in enumerate(_lines(stream), start=1):
         if not line.strip():
             continue
@@ -231,7 +286,7 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
         if not isinstance(raw_ops, dict):
             raise ParseError(line_no, "'opcodes' must be an object")
         try:
-            histogram = OpcodeHistogram.from_counts(raw_ops)
+            histogram = _shared_histogram(raw_ops, names)
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
 
@@ -258,7 +313,8 @@ def tokenize_disassembly(stream: Iterable[str] | str) -> OpcodeHistogram:
 
     The first whitespace-delimited token of each line is the mnemonic,
     case-folded to lowercase; operands are ignored. Blank lines and
-    comment lines starting with ';' are skipped.
+    comment lines starting with ';' are skipped. A text breaks into
+    lines at universal newlines only, as in parse_corpus.
     """
     counts: dict[str, int] = {}
     for line in _lines(stream):

@@ -336,7 +336,7 @@ class TestExitCodes:
         paths["preds"].write_text(json.dumps({"id": first_id, "error": "e"}) + "\n" + line + "\n")
         assert _run("score", "--preds", str(paths["preds"]), "--truth", str(paths["test"])) == 2
         err = capsys.readouterr().err
-        assert err.startswith("groupnb: data error: line 2: ")
+        assert err.startswith(f"groupnb: data error: {paths['preds']}: line 2: ")
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("first", [
@@ -350,7 +350,7 @@ class TestExitCodes:
         preds.write_text(first + '\n{"id": "a", "label": "malware"}\n')
         assert _run("score", "--preds", str(preds), "--truth", str(truth)) == 2
         err = capsys.readouterr().err
-        assert err == "groupnb: data error: duplicate prediction id 'a' at line 2\n"
+        assert err == f"groupnb: data error: {preds}: duplicate prediction id 'a' at line 2\n"
 
     def test_score_mutations_exit_two_without_a_traceback(self, tmp_path, capsys):
         """Every field score reads, replaced by values of every JSON type or deleted."""
@@ -405,7 +405,33 @@ class TestExitCodes:
         capsys.readouterr()
         assert _run(*map(str, argv)) == 2
         err = capsys.readouterr().err
-        assert err == f"groupnb: data error: line {line_no}: byte 0xff is not valid UTF-8\n"
+        assert err == f"groupnb: data error: {bad}: line {line_no}: byte 0xff is not valid UTF-8\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reader", [
+        "split", "train", "classify", "bench_train", "bench_test", "score_truth"])
+    def test_duplicate_ids_name_the_file(self, pipeline_files, tmp_path, capsys, reader):
+        paths = pipeline_files
+        assert _run("train", "--in", str(paths["train"]), "--k", "8",
+                    "--out", str(paths["bundle"])) == 0
+        reads_test = reader in ("classify", "bench_test", "score_truth")
+        lines = paths_lines(paths["test" if reads_test else "train"])
+        bad = tmp_path / "dup.jsonl"
+        bad.write_text("".join(line + "\n" for line in lines[:3] + lines[1:2] + lines[3:]))
+        out = tmp_path / "out"
+        argv = {
+            "split": ("split", "--in", bad, "--train", out, "--test", tmp_path / "out2"),
+            "train": ("train", "--in", bad, "--k", "8", "--out", out),
+            "classify": ("classify", "--bundle", paths["bundle"], "--in", bad, "--out", out),
+            "bench_train": ("bench", "--train", bad, "--test", paths["test"], "--out", out),
+            "bench_test": ("bench", "--train", paths["train"], "--test", bad, "--out", out),
+            "score_truth": ("score", "--preds", paths["preds"], "--truth", bad),
+        }[reader]
+        capsys.readouterr()
+        assert _run(*map(str, argv)) == 2
+        dup = json.loads(lines[1])["id"]
+        err = capsys.readouterr().err
+        assert err == f"groupnb: data error: {bad}: duplicate id {dup!r} at line 4\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("after", [0, 8 * 1024 + 1], ids=["first_byte", "past_8_KiB"])
@@ -453,11 +479,11 @@ class TestExitCodes:
         deep.write_text("[" * 100_000 + "\n")
         argv, expected = {
             "in": (("classify", "--bundle", paths["bundle"], "--in", deep, "--out", paths["preds"]),
-                   "line 1: invalid JSON: nested too deeply"),
+                   f"{deep}: line 1: invalid JSON: nested too deeply"),
             "bundle": (("classify", "--bundle", deep, "--in", paths["test"], "--out", paths["preds"]),
                        "invalid bundle JSON: nested too deeply"),
             "preds": (("score", "--preds", deep, "--truth", paths["test"]),
-                      "line 1: invalid prediction JSON: nested too deeply"),
+                      f"{deep}: line 1: invalid prediction JSON: nested too deeply"),
         }[target]
         capsys.readouterr()
         assert _run(*map(str, argv)) == 2

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from groupnb import corpus
 from groupnb.corpus import (
     GroupingConfig,
     Label,
@@ -26,8 +27,44 @@ from groupnb.errors import (
     ParseError,
     SizeRangeError,
 )
+from groupnb.synth import SyntheticSpec, generate_synthetic
 
 from helpers import grouped, make_sample
+
+
+def _mutated_lines() -> list[str]:
+    """Corpus lines with every field and count replaced by values of every JSON type, or deleted."""
+    doc = {"id": "a", "label": "malware", "size_bytes": 4000, "opcodes": {"mov": 3, "add": 1}}
+    replacements = [None, True, False, "", "x", "MOV", [], [1], [[1]], {}, {"mov": 1},
+                    {"mov": [1]}, {"": 1}, {"MOV": True}, 1.5, -1, 0, 2**64, 10**400, 1e308,
+                    float("nan"), float("inf")]
+    huge = "9" * 5000  # past the int-to-str digit limit
+    lines = ["[]", "[[1]]", "null", '"a"', "1e999", huge,
+             '{"id": "a", "label": "benign", "size_bytes": %s, "opcodes": {}}' % huge]
+    paths = [(key,) for key in doc] + [("opcodes", op) for op in doc["opcodes"]]
+    for path in paths:
+        for value in replacements + [KeyError]:
+            mutated = json.loads(json.dumps(doc))
+            parent = mutated if len(path) == 1 else mutated["opcodes"]
+            if value is KeyError:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            lines.append(json.dumps(mutated))
+    return lines
+
+
+def _outcome(parse, lines, allow_unlabeled=False):
+    """Records with their entries in order, or the error's type, text and line."""
+    try:
+        records = parse(lines, allow_unlabeled=allow_unlabeled)
+    except GroupNBError as exc:
+        return "error", type(exc), str(exc), getattr(exc, "line_no", None)
+    return "ok", records, [list(r.histogram.entries.items()) for r in records]
+
+
+def _line(sid, opcodes):
+    return json.dumps({"id": sid, "label": "malware", "size_bytes": 10, "opcodes": opcodes})
 
 
 class TestOpcodeHistogram:
@@ -181,24 +218,7 @@ class TestParseCorpus:
 
     def test_only_package_errors_escape(self):
         """Every field and count replaced by values of every JSON type, or deleted."""
-        doc = {"id": "a", "label": "malware", "size_bytes": 4000, "opcodes": {"mov": 3, "add": 1}}
-        replacements = [None, True, False, "", "x", "MOV", [], [1], [[1]], {}, {"mov": 1},
-                        {"mov": [1]}, {"": 1}, {"MOV": True}, 1.5, -1, 0, 2**64, 10**400, 1e308,
-                        float("nan"), float("inf")]
-        huge = "9" * 5000  # past the int-to-str digit limit
-        lines = ["[]", "[[1]]", "null", '"a"', "1e999", huge,
-                 '{"id": "a", "label": "benign", "size_bytes": %s, "opcodes": {}}' % huge]
-        paths = [(key,) for key in doc] + [("opcodes", op) for op in doc["opcodes"]]
-        for path in paths:
-            for value in replacements + [KeyError]:
-                mutated = json.loads(json.dumps(doc))
-                parent = mutated if len(path) == 1 else mutated["opcodes"]
-                if value is KeyError:
-                    del parent[path[-1]]
-                else:
-                    parent[path[-1]] = value
-                lines.append(json.dumps(mutated))
-        for line in lines:
+        for line in _mutated_lines():
             for allow_unlabeled in (False, True):
                 try:
                     parse_corpus(line, allow_unlabeled=allow_unlabeled)
@@ -226,6 +246,118 @@ class TestParseCorpus:
                 samples.append(make_sample(f"s{case}-{i}", label, int(rng.integers(0, 512000)), ops))
             text = "\n".join(serialize_sample(s) for s in samples)
             assert parse_corpus(text) == samples
+
+
+class TestSharedNames:
+    """parse_corpus keys every histogram of one call by one string per mnemonic."""
+
+    @staticmethod
+    def _per_line_from_counts(monkeypatch):
+        """parse_corpus with one OpcodeHistogram.from_counts call per line, no shared names."""
+        monkeypatch.setattr(corpus, "_shared_histogram",
+                            lambda ops, names: OpcodeHistogram.from_counts(ops))
+        return lambda lines, allow_unlabeled=False: corpus.parse_corpus(
+            list(lines), allow_unlabeled=allow_unlabeled)
+
+    def _assert_same(self, monkeypatch, corpora):
+        outcomes = [(_outcome(parse_corpus, lines, allow), lines, allow)
+                    for lines in corpora for allow in (False, True)]
+        reference = self._per_line_from_counts(monkeypatch)
+        for got, lines, allow in outcomes:
+            assert got == _outcome(reference, lines, allow), lines
+
+    def test_one_string_per_distinct_mnemonic(self):
+        samples = generate_synthetic(SyntheticSpec(6, 8, 40, 0.5, 3))
+        records = parse_corpus("\n".join(map(serialize_sample, samples)))
+        assert records == samples
+        keys = [key for r in records for key in r.histogram.entries]
+        assert len(keys) > 10 * len({*keys})  # names repeat across samples
+        assert len({*map(id, keys)}) == len({*keys})
+
+    def test_folded_names_use_the_shared_strings(self):
+        records = parse_corpus([_line("a", {"mov": 1, "add": 2}), _line("b", {"MOV": 3, "Add": 1}),
+                                _line("c", {"Mov": 1, "mov": 2, "xor": 1}),
+                                _line("d", {"xor": 4, "ADD": 0})])
+        assert [r.histogram.entries for r in records] == [
+            {"mov": 1, "add": 2}, {"mov": 3, "add": 1}, {"mov": 3, "xor": 1}, {"xor": 4}]
+        keys = [key for r in records for key in r.histogram.entries]
+        assert len({*map(id, keys)}) == len({*keys}) == 3
+
+    def test_mutations_match_one_from_counts_per_line(self, monkeypatch):
+        """Each mutated line alone, and after a clean line that makes its names known."""
+        clean = _line("c", {"mov": 5, "add": 6})
+        corpora = [[line] for line in _mutated_lines()]
+        corpora += [[clean, line] for line in _mutated_lines()]
+        self._assert_same(monkeypatch, corpora)
+
+    @pytest.mark.parametrize("corpus_lines", [
+        [_line("a", {"mov": 1}), _line("b", {"MOV": 2}), _line("c", {"mOv": 1, "mov": 1})],
+        [_line("a", {"mov": 1, "add": 1}), _line("b", {"add": 2, "Mov": 2, "xor": 1})],
+        [_line("a", {"mov": 1, "add": 1}), _line("b", {"mov": 0, "add": 3}),
+         _line("c", {"mov": 0}), _line("d", {"xor": 0, "jmp": 2}), _line("e", {"sub": 0})],
+        [_line("a", {"mov": 1, "add": 1}), _line("b", {"mov": 2, "add": -1})],
+        [_line("a", {"mov": 1, "add": 1}), _line("b", {"mov": 2, "add": 1.5})],
+        [_line("a", {"mov": 1, "add": 1}), _line("b", {"mov": True, "add": 1})],
+        [_line("a", {"mov": 1, "add": 1}), _line("b", {"mov": None})],
+        [_line("a", {"mov": 1, "add": 1}), _line("b", {"mov": 2**1023, "add": 2**1023})],
+        [_line("a", {"mov": 1, "add": 1}), _line("b", {"mov": 10**400})],
+        [_line("a", {"mov": 1, "add": 1}), _line("b", {"mov": 1, "xor": -1})],
+        [_line("a", {"mov": 1}), _line("b", {"add": 1}), _line("c", {"mov": 2}),
+         _line("d", {"mov": 1, "": 1})],
+        [_line("a", {"mov": 1}), _line("b", {"add": 1}), _line("c", {"": 1, "mov": 2})],
+        [_line("a", {"mov": 1}), _line("b", {}), _line("c", {"mov": 1}), _line("d", {})],
+        [_line("a", {}), _line("b", {"mov": 1})],
+    ], ids=["case_after_lowercase", "mixed_case_and_new", "zero_counts", "negative_known",
+            "float_known", "bool_known", "null_known", "sum_past_float_known", "huge_known",
+            "bad_count_new", "empty_name_line_4", "empty_name_first", "empty_opcodes",
+            "empty_opcodes_first"])
+    def test_ordered_cases_match_one_from_counts_per_line(self, monkeypatch, corpus_lines):
+        self._assert_same(monkeypatch, [corpus_lines])
+
+    def test_each_call_starts_a_new_table(self):
+        first = parse_corpus(_line("a", {"mov": 1}))
+        second = parse_corpus(_line("a", {"mov": 1}))
+        assert [*first[0].histogram.entries][0] is not [*second[0].histogram.entries][0]
+
+
+class TestLineBreaks:
+    """A text corpus breaks at universal newlines only, as a file read in text mode does."""
+
+    @staticmethod
+    def _from_file(tmp_path, text, reader):
+        path = tmp_path / "corpus.jsonl"
+        with open(path, "w", encoding="utf-8", newline="") as fp:
+            fp.write(text)
+        with open(path, encoding="utf-8") as fp:
+            return reader(fp)
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c",
+                                      "\x1d", "\x1e"])
+    def test_other_line_breaks_stay_inside_a_line(self, tmp_path, char):
+        raw = '{"id": "b%sc", "size_bytes": 10, "label": "benign", "opcodes": {"add": 2}}' % char
+        text = "\n".join([_line("a", {"mov": 1}), raw, _line("d", {"xor": 3})]) + "\n"
+        parse = lambda lines: _outcome(parse_corpus, lines)  # noqa: E731
+        got = parse(text)
+        assert got == self._from_file(tmp_path, text, parse)
+        if char >= " ":
+            assert got[0] == "ok" and got[1][1].id == f"b{char}c"
+        else:  # JSON allows no raw control character in a string
+            assert got[0] == "error" and got[3] == 2
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_numbers_follow_universal_newlines(self, tmp_path, ending):
+        lines = [_line("a", {"mov": 1}), "", _line("b\u2028", {"mov": 1}), "{nope"]
+        text = ending.join(lines) + ending
+        parse = lambda lines: _outcome(parse_corpus, lines)  # noqa: E731
+        got = parse(text)
+        assert got == self._from_file(tmp_path, text, parse)
+        assert got[0] == "error" and got[3] == 4
+
+    def test_tokenize_disassembly_breaks_like_a_file(self, tmp_path):
+        text = "mov a\u2028b\r\nXOR c\x0cd\rret\n"
+        got = tokenize_disassembly(text)
+        assert got.entries == {"mov": 1, "xor": 1, "ret": 1}
+        assert self._from_file(tmp_path, text, tokenize_disassembly) == got
 
 
 class TestTokenizeDisassembly:
