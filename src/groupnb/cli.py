@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from typing import Iterator, Sequence
@@ -126,9 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a corpus with a trained bundle")
     p.add_argument("--bundle", required=True, help="bundle JSON path")
     p.add_argument("--in", dest="input", required=True, help="input JSONL path")
-    p.add_argument("--lanes", type=int, default=1,
-                   help="at most this many lanes for --parallel; a batch gets one per "
-                        "512 samples")
+    p.add_argument("--lanes", type=int, default=os.cpu_count() or 1,
+                   help="at most this many lanes for --parallel, default: detected "
+                        "hardware threads; a batch gets one per 512 samples")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--parallel", action="store_true", help="use worker-process lanes")
     mode.add_argument("--sequential", action="store_true", help="single-threaded (default)")
@@ -230,6 +231,9 @@ def _cmd_split(args) -> int:
 def _cmd_train(args) -> int:
     grouped = _grouped(_read_corpus(args.input))
     bundle = engine.train_bundle(grouped, args.k, args.alpha)
+    if not bundle.trained_ids:  # classify would reject the bundle
+        raise EmptyBundleError(f"no size group has {grouped.config.min_per_class} training "
+                               "samples of each class; no bundle written")
     engine.save_bundle(bundle, args.out)
     print(f"trained {len(bundle.trained_ids)} group models (k={args.k}) to {args.out}")
     return 0

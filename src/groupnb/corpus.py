@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
@@ -115,11 +116,10 @@ def _shared_histogram(ops: dict, names: dict[str, str]) -> OpcodeHistogram:
 
     ``names`` maps every canonical mnemonic met so far in one parse to
     the one string that stands for it. A line of known names needs only
-    the count rule. A line that brings a new name also needs the key
-    rule, over all its names, and its new names join ``names`` with
-    their own strings. A line the rules do not admit goes through
-    _fold_counts, as from_counts sends it (folding case, or raising its
-    ValueError), and its result is re-keyed through ``names`` too.
+    the count rule, and its dict is rebuilt from the shared strings. Any
+    other line goes through from_counts (folding case, or raising its
+    ValueError); its new names join ``names`` with their own strings,
+    and its entries are re-keyed through ``names``.
     """
     values = ops.values()
     if _plain_counts(values):
@@ -127,14 +127,7 @@ def _shared_histogram(ops: dict, names: dict[str, str]) -> OpcodeHistogram:
             return OpcodeHistogram(_nonzero(dict(zip(map(names.__getitem__, ops), values))))
         except KeyError:  # a name new to this parse
             pass
-        if _plain_names(ops):
-            known = len(names)
-            keys = [*map(names.setdefault, ops, ops)]
-            if len(names) - known == len(ops):  # the line's own strings are now the shared ones
-                return OpcodeHistogram(_nonzero(ops))
-            return OpcodeHistogram(_nonzero(dict(zip(keys, values))))
-    # A rule has failed, so from_counts would fold the line too.
-    entries = _fold_counts(ops)
+    entries = OpcodeHistogram.from_counts(ops).entries
     return OpcodeHistogram(dict(zip(map(names.setdefault, entries, entries), entries.values())))
 
 
@@ -240,8 +233,9 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
     A text is split into lines at universal newlines only. The
     histograms of one call share one key string per distinct mnemonic,
     so a large batch holds each name once rather than once per sample.
-    Names are checked on the lines that bring a new one; a line of known
-    names only has its counts checked.
+    A line of known names has only its counts checked; any other line is
+    built by OpcodeHistogram.from_counts, so records and error texts are
+    those of one from_counts call per line.
 
     Raises ParseError (with line number) on a malformed line and
     IntegrityError on a duplicate id.
@@ -311,19 +305,14 @@ def serialize_sample(record: SampleRecord) -> str:
 def tokenize_disassembly(stream: Iterable[str] | str) -> OpcodeHistogram:
     """Count mnemonics in a text disassembly dump, one instruction per line.
 
-    The first whitespace-delimited token of each line is the mnemonic,
-    case-folded to lowercase; operands are ignored. Blank lines and
-    comment lines starting with ';' are skipped. A text breaks into
-    lines at universal newlines only, as in parse_corpus.
+    The first whitespace-delimited token of each line is the mnemonic;
+    operands are ignored. Blank lines and comment lines starting with ';'
+    are skipped. A text breaks into lines at universal newlines only, as
+    in parse_corpus. OpcodeHistogram.from_counts folds the raw counts.
     """
-    counts: dict[str, int] = {}
-    for line in _lines(stream):
-        stripped = line.strip()
-        if not stripped or stripped.startswith(";"):
-            continue
-        mnemonic = stripped.split(None, 1)[0].lower()
-        counts[mnemonic] = counts.get(mnemonic, 0) + 1
-    return OpcodeHistogram(counts)
+    stripped = map(str.strip, _lines(stream))
+    return OpcodeHistogram.from_counts(
+        Counter(line.split(None, 1)[0] for line in stripped if line and not line.startswith(";")))
 
 
 def assign_group(size_bytes: int, config: GroupingConfig) -> int:

@@ -301,7 +301,8 @@ def _classify_slice(
 
     Returns the effective group per sample (-1 where it failed), the
     (malware, benign) log-scores per sample, and the failures as
-    (absolute index, message) pairs.
+    (absolute index, message) pairs in index order. A sample fails when
+    its size is out of range or a log-score overflows the float range.
     """
     ids = bundle.trained_ids
     config = bundle.config
@@ -322,7 +323,13 @@ def _classify_slice(
     groups = np.full(end - start, -1, dtype=np.int64)
     scores = np.zeros((end - start, len(CLASSES)))
     groups[admitted] = np.array(ids, dtype=np.int64)[rows]
-    scores[admitted] = _log_scores(bundle._tables, histograms, rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        scores[admitted] = _log_scores(bundle._tables, histograms, rows)
+    non_finite = np.flatnonzero(~np.isfinite(scores).all(axis=1))
+    if len(non_finite):
+        groups[non_finite] = -1
+        errors = sorted(errors + [(start + i, "log-score is not a finite float")
+                                  for i in non_finite.tolist()])
     return groups, scores, errors
 
 

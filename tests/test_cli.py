@@ -2,13 +2,14 @@
 
 import json
 import multiprocessing
+import os
 
 import pytest
 
 from groupnb.bench import parse_csv
 from groupnb.cli import main
 from groupnb.corpus import GroupingConfig, assign_group
-from groupnb.engine import _BLOCK, route, save_bundle, train_bundle
+from groupnb.engine import _BLOCK, load_bundle, route, save_bundle, train_bundle
 
 from helpers import deadline, grouped, kill_worker_lanes, two_class_group
 
@@ -108,6 +109,49 @@ class TestPipeline:
                             *mode, "--out", str(outs[-1])) == 0
             assert f"(parallel, {lanes}, 0 errors)" in capsys.readouterr().out
             assert outs[0].read_text() == outs[1].read_text()
+
+    def test_parallel_lanes_default_to_the_hardware_threads(self, pipeline_files, tmp_path,
+                                                            capsys, monkeypatch):
+        paths = pipeline_files
+        _run("train", "--in", str(paths["train"]), "--k", "10", "--out", str(paths["bundle"]))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        big = cycled(paths["test"], 2 * _BLOCK)
+        outs = [tmp_path / "seq.jsonl", tmp_path / "par.jsonl"]
+        for mode, out in zip(("--sequential", "--parallel"), outs):
+            capsys.readouterr()
+            assert _run("classify", "--bundle", str(paths["bundle"]), "--in", str(big), mode,
+                        "--out", str(out)) == 0
+        assert "(parallel, 2 lanes, 0 errors)" in capsys.readouterr().out
+        assert outs[0].read_text() == outs[1].read_text()
+
+    def test_overflowing_log_score_is_a_per_sample_error(self, pipeline_files, tmp_path, capsys):
+        """A sample whose log-score leaves the float range gets an error line, on every lane."""
+        paths = pipeline_files
+        _run("train", "--in", str(paths["train"]), "--k", "10", "--out", str(paths["bundle"]))
+        bundle = load_bundle(paths["bundle"])
+        group = bundle.trained_ids[0]
+        # The three features' log-likelihoods sum to at most 3 * log(1/3) per class, so
+        # 10**308 of each overflows both log-scores.
+        huge = {"id": "huge", "label": "malware", "size_bytes": group * 5120,
+                "opcodes": dict.fromkeys(bundle.models[group].features.opcodes[:3], 10**308)}
+        paths["test"].write_text(paths["test"].read_text() + json.dumps(huge) + "\n")
+        assert _run("classify", "--bundle", str(paths["bundle"]), "--in", str(paths["test"]),
+                    "--out", str(paths["preds"])) == 0
+        assert paths_lines(paths["preds"])[-1] == (
+            '{"id": "huge", "error": "log-score is not a finite float"}')
+        capsys.readouterr()
+        assert _run("score", "--preds", str(paths["preds"]), "--truth", str(paths["test"])) == 0
+        assert json.loads(capsys.readouterr().out)["errors"] == 1
+
+        big = cycled(paths["test"], 2 * _BLOCK)
+        failing = sum(json.loads(line)["opcodes"] == huge["opcodes"] for line in paths_lines(big))
+        outs = [tmp_path / "seq.jsonl", tmp_path / "par.jsonl"]
+        for mode, out in zip((["--sequential"], ["--parallel", "--lanes", "2"]), outs):
+            capsys.readouterr()
+            assert _run("classify", "--bundle", str(paths["bundle"]), "--in", str(big), *mode,
+                        "--out", str(out)) == 0
+        assert f"(parallel, 2 lanes, {failing} errors)" in capsys.readouterr().out
+        assert outs[0].read_text() == outs[1].read_text()
 
     def test_score_counts_missing_predictions(self, pipeline_files, capsys):
         paths = pipeline_files
@@ -502,6 +546,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "groupnb: data error: group 0: malware feature total plus alpha * 2 "
             "is not a finite float\n")
+        assert not bundle.exists()
+
+    @pytest.mark.parametrize("per_class", [0, 5], ids=["empty", "below_threshold"])
+    def test_train_without_a_trainable_group_exits_two(self, tmp_path, capsys, per_class):
+        corpus = tmp_path / "few.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"{label[0]}{i}", "label": label, "size_bytes": 10,
+                        "opcodes": {"mov": 1, label: 2}}) + "\n"
+            for i in range(per_class) for label in ("malware", "benign")))
+        bundle = tmp_path / "bundle.json"
+        assert _run("train", "--in", str(corpus), "--k", "2", "--out", str(bundle)) == 2
+        assert capsys.readouterr().err == (
+            "groupnb: data error: no size group has 6 training samples of each class; "
+            "no bundle written\n")
         assert not bundle.exists()
 
     def test_dead_lane_exits_three(self, pipeline_files, capsys, monkeypatch):

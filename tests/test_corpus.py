@@ -307,11 +307,16 @@ class TestSharedNames:
         [_line("a", {"mov": 1}), _line("b", {"add": 1}), _line("c", {"": 1, "mov": 2})],
         [_line("a", {"mov": 1}), _line("b", {}), _line("c", {"mov": 1}), _line("d", {})],
         [_line("a", {}), _line("b", {"mov": 1})],
+        [_line("a", {"mov": 1, "add": 1}), _line("b", {"mov": 2, "xor": 1}), _line("c", {"xor": 3})],
     ], ids=["case_after_lowercase", "mixed_case_and_new", "zero_counts", "negative_known",
             "float_known", "bool_known", "null_known", "sum_past_float_known", "huge_known",
             "bad_count_new", "empty_name_line_4", "empty_name_first", "empty_opcodes",
-            "empty_opcodes_first"])
+            "empty_opcodes_first", "new_name_later"])
     def test_ordered_cases_match_one_from_counts_per_line(self, monkeypatch, corpus_lines):
+        got = _outcome(parse_corpus, corpus_lines)
+        if got[0] == "ok":  # one key object per distinct mnemonic
+            keys = [key for r in got[1] for key in r.histogram.entries]
+            assert len({*map(id, keys)}) == len({*keys})
         self._assert_same(monkeypatch, [corpus_lines])
 
     def test_each_call_starts_a_new_table(self):
