@@ -3,7 +3,7 @@
 Workloads are built in multiples of a fixed batch size by cycling the
 test set, classified repeatedly at each feature-budget k in both modes,
 and summarized as median/min elapsed nanoseconds plus the
-median-over-median speedup. Reports serialize to CSV deterministically
+median-over-median speedup. The rows serialize to CSV deterministically
 and parse back for self-consistency checks.
 """
 
@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, TextIO
 from . import engine
 from .corpus import SampleRecord
 from .engine import ModelBundle, Workload
-from .errors import InvalidConfigError, ParseError
+from .errors import InvalidConfigError, ParseError, positive_int
 
 CSV_HEADER = "k,batch_size,mode,lanes,elapsed_ns_median,elapsed_ns_min,speedup"
 
@@ -29,8 +29,7 @@ def _check_positive_ints(name: str, values: Sequence[int]) -> None:
     if not values:
         raise InvalidConfigError(f"{name} must be non-empty")
     for value in values:
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise InvalidConfigError(f"{name} entries must be positive integers, got {value!r}")
+        positive_int(f"{name} entry", value)
 
 
 @dataclass(frozen=True)
@@ -46,9 +45,9 @@ class BenchConfig:
         _check_positive_ints("batch_counts", self.batch_counts)
         if self.lanes is None:
             object.__setattr__(self, "lanes", os.cpu_count() or 1)
-        _check_positive_ints("batch_multiple", (self.batch_multiple,))
-        _check_positive_ints("lanes", (self.lanes,))
-        _check_positive_ints("repetitions", (self.repetitions,))
+        positive_int("batch_multiple", self.batch_multiple)
+        positive_int("lanes", self.lanes)
+        positive_int("repetitions", self.repetitions)
 
 
 @dataclass(frozen=True)
@@ -60,11 +59,6 @@ class BenchRow:
     elapsed_ns_median: int
     elapsed_ns_min: int
     speedup: float | None  # None on sequential rows
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    rows: tuple[BenchRow, ...]
 
 
 def make_batches(
@@ -90,8 +84,8 @@ def run_bench(
     bundles: Mapping[int, ModelBundle],
     test_samples: Sequence[SampleRecord],
     config: BenchConfig,
-) -> BenchReport:
-    """Time every (k, batch_size) cell in both modes.
+) -> tuple[BenchRow, ...]:
+    """Time every (k, batch_size) cell in both modes; returns one row per cell and mode.
 
     Rows come out ordered k ascending, batch size ascending, sequential
     before parallel; each mode runs config.repetitions times and the
@@ -146,13 +140,13 @@ def run_bench(
                     speedup=engine.speedup(seq_median, par_median),
                 )
             )
-    return BenchReport(rows=tuple(rows))
+    return tuple(rows)
 
 
-def emit_csv(report: BenchReport, sink: TextIO) -> None:
-    """Write the report; emitting the same report twice is byte-identical."""
+def emit_csv(rows: Sequence[BenchRow], sink: TextIO) -> None:
+    """Write the rows under CSV_HEADER; emitting the same rows twice is byte-identical."""
     sink.write(CSV_HEADER + "\n")
-    for row in report.rows:
+    for row in rows:
         speedup = "" if row.speedup is None else repr(row.speedup)
         sink.write(
             f"{row.k},{row.batch_size},{row.mode},{row.lanes},"
@@ -160,8 +154,8 @@ def emit_csv(report: BenchReport, sink: TextIO) -> None:
         )
 
 
-def parse_csv(text: str) -> BenchReport:
-    """Inverse of emit_csv; emit(parse(emit(r))) == emit(r)."""
+def parse_csv(text: str) -> tuple[BenchRow, ...]:
+    """The rows of an emit_csv text; emit(parse(emit(rows))) == emit(rows)."""
     lines = [line for line in text.splitlines() if line]
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError(1, f"expected header {CSV_HEADER!r}")
@@ -187,4 +181,4 @@ def parse_csv(text: str) -> BenchReport:
             )
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
-    return BenchReport(rows=tuple(rows))
+    return tuple(rows)

@@ -165,8 +165,14 @@ def log_posterior(model: GroupModel, histogram: OpcodeHistogram) -> dict[Label, 
 
 
 def predict(model: GroupModel, histogram: OpcodeHistogram) -> Prediction:
-    """Classify one histogram: malware iff its log-score is strictly higher."""
+    """Classify one histogram: malware iff its log-score is strictly higher.
+
+    A log-score that overflows the float range raises IntegrityError, the
+    failure the batch kernel records for that sample.
+    """
     scores = log_posterior(model, histogram)
+    if not all(map(math.isfinite, scores.values())):
+        raise IntegrityError(f"group {model.group}: log-score is not a finite float")
     if scores[Label.MALWARE] > scores[Label.BENIGN]:
         label = Label.MALWARE
     else:

@@ -12,8 +12,8 @@ a bundle trained through the API with another geometry works here too.
 Every file read is UTF-8 text. A data error on a line of a corpus or
 prediction file names the file as given, then the line.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data or
-integrity error, 3 I/O error or a worker lane of classify --parallel
+Exit codes: 0 success, 1 usage or configuration error, 2 data error
+(any DataError), 3 I/O error or a worker lane of classify --parallel
 that died before returning its chunk.
 """
 
@@ -38,28 +38,8 @@ from .corpus import (
     serialize_sample,
     split_train_test,
 )
-from .errors import (
-    BundleValidationError,
-    EmptyBundleError,
-    InsufficientClassError,
-    IntegrityError,
-    InvalidConfigError,
-    LaneError,
-    MeasurementError,
-    ParseError,
-    SizeRangeError,
-)
+from .errors import DataError, EmptyBundleError, IntegrityError, InvalidConfigError, LaneError, ParseError
 from .synth import SyntheticSpec, generate_synthetic
-
-_DATA_ERRORS = (
-    ParseError,
-    IntegrityError,
-    SizeRangeError,
-    InsufficientClassError,
-    BundleValidationError,
-    EmptyBundleError,
-    MeasurementError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,8 +69,6 @@ def _int_list(text: str) -> tuple[int, ...]:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
     return values
 
 
@@ -228,12 +206,19 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    grouped = _grouped(_read_corpus(args.input))
-    bundle = engine.train_bundle(grouped, args.k, args.alpha)
-    if not bundle.trained_ids:  # classify would reject the bundle
+def _train(grouped: GroupedCorpus, k_values: Sequence[int],
+           alpha: float = 1.0) -> dict[int, engine.ModelBundle]:
+    """engine.train_bundles, refusing bundles without a model (classify would reject them)."""
+    bundles = engine.train_bundles(grouped, k_values, alpha)
+    if not any(bundle.trained_ids for bundle in bundles.values()):
         raise EmptyBundleError(f"no size group has {grouped.config.min_per_class} training "
                                "samples of each class; no bundle written")
+    return bundles
+
+
+def _cmd_train(args) -> int:
+    grouped = _grouped(_read_corpus(args.input))
+    bundle = _train(grouped, (args.k,), args.alpha)[args.k]
     engine.save_bundle(bundle, args.out)
     print(f"trained {len(bundle.trained_ids)} group models (k={args.k}) to {args.out}")
     return 0
@@ -263,11 +248,10 @@ def _cmd_bench(args) -> int:
     train_samples = _read_corpus(args.train)
     test_samples = _read_corpus(args.test)
     grouped = _grouped(train_samples, "train samples")
-    bundles = engine.train_bundles(grouped, config.k_values)
-    report = bench_mod.run_bench(bundles, test_samples, config)
+    rows = bench_mod.run_bench(_train(grouped, config.k_values), test_samples, config)
     with open(args.out, "w", encoding="utf-8") as fp:
-        bench_mod.emit_csv(report, fp)
-    print(f"wrote {len(report.rows)} bench rows to {args.out}")
+        bench_mod.emit_csv(rows, fp)
+    print(f"wrote {len(rows)} bench rows to {args.out}")
     return 0
 
 
@@ -347,7 +331,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvalidConfigError as exc:
         print(f"groupnb: config error: {exc}", file=sys.stderr)
         return 1
-    except _DATA_ERRORS as exc:
+    except DataError as exc:
         print(f"groupnb: data error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

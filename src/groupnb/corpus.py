@@ -19,7 +19,7 @@ from enum import Enum
 from itertools import compress
 from typing import Collection, Iterable, Mapping
 
-from .errors import IntegrityError, InvalidConfigError, ParseError, SizeRangeError
+from .errors import IntegrityError, InvalidConfigError, ParseError, SizeRangeError, positive_int
 
 
 class Label(Enum):
@@ -156,9 +156,7 @@ class GroupingConfig:
 
     def __post_init__(self):
         for name in ("group_size_bytes", "max_size_bytes", "min_per_class"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-                raise InvalidConfigError(f"{name} must be a positive integer, got {value!r}")
+            positive_int(name, getattr(self, name))
         if self.max_size_bytes % self.group_size_bytes != 0:
             raise InvalidConfigError(
                 f"max_size_bytes ({self.max_size_bytes}) must be divisible by "
@@ -192,8 +190,6 @@ class GroupedCorpus:
 class SplitResult:
     train: GroupedCorpus
     test: GroupedCorpus
-    seed: int
-    ratio: tuple[int, int]
 
 
 def _lines(stream: Iterable[str] | str) -> Iterable[str]:
@@ -359,9 +355,7 @@ def split_train_test(
     r_test)) samples to the training side (rounding favors training)
     and the rest to the test side. Deterministic for a given seed.
     """
-    r_train, r_test = ratio
-    if not isinstance(r_train, int) or not isinstance(r_test, int) or r_train <= 0 or r_test <= 0:
-        raise InvalidConfigError(f"ratio components must be positive integers, got {ratio!r}")
+    r_train, r_test = (positive_int("ratio part", part) for part in ratio)
 
     rng = random.Random(seed)
     train_groups: dict[int, list[SampleRecord]] = {}
@@ -385,8 +379,6 @@ def split_train_test(
     return SplitResult(
         train=GroupedCorpus(grouped.config, train_groups),
         test=GroupedCorpus(grouped.config, test_groups),
-        seed=seed,
-        ratio=(r_train, r_test),
     )
 
 

@@ -58,6 +58,7 @@ from .errors import (
     LaneError,
     MeasurementError,
     SizeRangeError,
+    positive_int,
 )
 from .features import FeatureSet, count_group, score_counts, select_top_k
 
@@ -94,8 +95,7 @@ class Workload:
     lanes: int
 
     def __post_init__(self):
-        if not isinstance(self.lanes, int) or isinstance(self.lanes, bool) or self.lanes < 1:
-            raise InvalidConfigError(f"lanes must be a positive integer, got {self.lanes!r}")
+        positive_int("lanes", self.lanes)
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,6 @@ def train_bundles(
     k_values: Iterable[int],
     alpha: float = 1.0,
     *,
-    seed: int = 0,
     created_at: str | None = None,
 ) -> dict[int, ModelBundle]:
     """One bundle per k: select features and train a model for every trainable group.
@@ -204,6 +203,7 @@ def train_bundles(
     Each group's training samples are counted once (features.count_group);
     its opcode scores and every k's model come from those counts, with
     the results and errors of score_opcodes, select_top_k and train_group.
+    Training draws no random numbers, so every bundle's meta.seed is 0.
     """
     config = train.config
     models: dict[int, list[GroupModel]] = {k: [] for k in k_values}
@@ -216,7 +216,7 @@ def train_bundles(
     if created_at is None:
         created_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return {
-        k: build_bundle(group_models, config, BundleMeta(k, float(alpha), seed, created_at))
+        k: build_bundle(group_models, config, BundleMeta(k, float(alpha), 0, created_at))
         for k, group_models in models.items()
     }
 
@@ -226,11 +226,10 @@ def train_bundle(
     k: int,
     alpha: float = 1.0,
     *,
-    seed: int = 0,
     created_at: str | None = None,
 ) -> ModelBundle:
     """train_bundles for a single k."""
-    return train_bundles(train, (k,), alpha, seed=seed, created_at=created_at)[k]
+    return train_bundles(train, (k,), alpha, created_at=created_at)[k]
 
 
 # --- batch classification --------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Label, SampleRecord
-from .errors import InsufficientClassError, InvalidConfigError
+from .errors import InsufficientClassError, positive_int
 
 CLASSES = (Label.MALWARE, Label.BENIGN)
 
@@ -39,7 +39,6 @@ class ScoreTable:
     """Opcode -> |f_malware - f_benign| for one group."""
 
     scores: dict[str, float]
-    group: int | None = None
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ def score_counts(counts: GroupCounts, group: int | None = None) -> ScoreTable:
         op: abs(malware.get(op, 0) / total_m - benign.get(op, 0) / total_b)
         for op in sorted(malware.keys() | benign.keys())
     }
-    return ScoreTable(scores, group)
+    return ScoreTable(scores)
 
 
 def score_opcodes(samples: Sequence[SampleRecord], group: int | None = None) -> ScoreTable:
@@ -101,7 +100,6 @@ def select_top_k(table: ScoreTable, k: int) -> FeatureSet:
 
     If fewer than k opcodes were scored, all of them are returned.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InvalidConfigError(f"k must be a positive integer, got {k!r}")
+    positive_int("k", k)
     ordered = sorted(table.scores.items(), key=lambda item: (-item[1], item[0]))
     return FeatureSet(tuple(op for op, _ in ordered[:k]), k)

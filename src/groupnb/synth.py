@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Label, OpcodeHistogram, SampleRecord
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, positive_int
 
 # Floor plus per-64-bytes growth, so opcode volume tracks file size the
 # way instruction counts track binary size.
@@ -33,17 +33,12 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        for name in ("group_count", "samples_per_group_per_class", "vocabulary_size", "seed"):
+        positive_int("group_count", self.group_count)
+        positive_int("samples_per_group_per_class", self.samples_per_group_per_class)
+        for name in ("vocabulary_size", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
-        if self.group_count < 1:
-            raise InvalidConfigError(f"group_count must be positive, got {self.group_count}")
-        if self.samples_per_group_per_class < 1:
-            raise InvalidConfigError(
-                f"samples_per_group_per_class must be positive,"
-                f" got {self.samples_per_group_per_class}"
-            )
         if self.vocabulary_size < 2:
             raise InvalidConfigError(
                 f"vocabulary_size must be at least 2, got {self.vocabulary_size}"
@@ -87,8 +82,7 @@ def generate_synthetic(spec: SyntheticSpec, group_size_bytes: int = 5120) -> lis
     sizes are uniform within the group's byte range and each histogram
     is a multinomial draw whose total count grows with the file size.
     """
-    if not isinstance(group_size_bytes, int) or group_size_bytes < 1:
-        raise InvalidConfigError(f"group_size_bytes must be positive, got {group_size_bytes!r}")
+    positive_int("group_size_bytes", group_size_bytes)
     vocab = vocabulary(spec.vocabulary_size)
     probs_malware, probs_benign = class_distributions(spec)
     rng = np.random.default_rng(spec.seed)

@@ -226,7 +226,7 @@ def test_c5_speedup_methodology(acceptance):
 
     config = BenchConfig(lanes=threads)
     report = run_bench(bundles, corpus, config)
-    assert len(report.rows) == 6 * 5 * 2
+    assert len(report) == 6 * 5 * 2
     elapsed = time.perf_counter() - t0
     assert elapsed < 600
     acceptance(
@@ -262,7 +262,7 @@ def cost_trend_report():
 
 def test_c6_feature_cost_trend(acceptance, cost_trend_report):
     """Sequential cost grows with the feature budget (>= 10% at 20 vs 200)."""
-    rows = {(r.k, r.mode): r for r in cost_trend_report.rows}
+    rows = {(r.k, r.mode): r for r in cost_trend_report}
     fast = rows[(20, "sequential")].elapsed_ns_median
     slow = rows[(200, "sequential")].elapsed_ns_median
     assert slow > fast * 1.10

@@ -7,7 +7,6 @@ import pytest
 
 from groupnb.bench import (
     BenchConfig,
-    BenchReport,
     BenchRow,
     CSV_HEADER,
     emit_csv,
@@ -125,12 +124,12 @@ class TestRunBench:
         bundles = train_bundles(corpus, (2,), created_at="t")
         config = BenchConfig(k_values=(2,), batch_multiple=8, batch_counts=(1,), lanes=2, repetitions=1)
         report = run_bench(bundles, _test_samples(), config)
-        assert len(report.rows) == 2
+        assert len(report) == 2
 
     def test_cardinality_and_order(self):
         report = self._report(counts=(1, 2))
-        assert len(report.rows) == 2 * 2 * 2
-        shape = [(r.k, r.batch_size, r.mode) for r in report.rows]
+        assert len(report) == 2 * 2 * 2
+        shape = [(r.k, r.batch_size, r.mode) for r in report]
         assert shape == [
             (2, 8, "sequential"),
             (2, 8, "parallel"),
@@ -145,7 +144,7 @@ class TestRunBench:
     def test_speedup_recomputable_from_rows(self):
         report = self._report(reps=2, counts=(1, 2))
         by_key = {}
-        for row in report.rows:
+        for row in report:
             by_key.setdefault((row.k, row.batch_size), {})[row.mode] = row
         for pair in by_key.values():
             seq, par = pair["sequential"], pair["parallel"]
@@ -156,7 +155,7 @@ class TestRunBench:
 
     def test_parallel_rows_report_the_lanes_that_ran(self):
         report = self._report(counts=(1, 2 * _BLOCK // 8))  # 8 and 2 * _BLOCK samples
-        lanes = {(r.k, r.batch_size): r.lanes for r in report.rows if r.mode == "parallel"}
+        lanes = {(r.k, r.batch_size): r.lanes for r in report if r.mode == "parallel"}
         assert lanes == {(2, 8): 1, (2, 2 * _BLOCK): 2, (3, 8): 1, (3, 2 * _BLOCK): 2}
         sink = io.StringIO()
         emit_csv(report, sink)
@@ -179,26 +178,26 @@ class TestCsv:
 
     def test_empty_report_is_header_only(self):
         sink = io.StringIO()
-        emit_csv(BenchReport(rows=()), sink)
+        emit_csv((), sink)
         assert sink.getvalue() == CSV_HEADER + "\n"
 
     def test_two_rows_make_three_lines(self):
         sink = io.StringIO()
-        emit_csv(BenchReport(rows=self._rows()), sink)
+        emit_csv(self._rows(), sink)
         lines = sink.getvalue().splitlines()
         assert len(lines) == 3
         assert lines[1] == "2,8,sequential,1,1000,900,"
         assert lines[2] == "2,8,parallel,4,500,450,2.0"
 
     def test_emit_is_deterministic(self):
-        report = BenchReport(rows=self._rows())
+        report = self._rows()
         a, b = io.StringIO(), io.StringIO()
         emit_csv(report, a)
         emit_csv(report, b)
         assert a.getvalue() == b.getvalue()
 
     def test_parse_inverts_emit(self):
-        report = BenchReport(rows=self._rows())
+        report = self._rows()
         sink = io.StringIO()
         emit_csv(report, sink)
         parsed = parse_csv(sink.getvalue())

@@ -1,5 +1,6 @@
 """Multinomial model training and log-space scoring."""
 
+import dataclasses
 import math
 import random
 
@@ -202,7 +203,28 @@ class TestLogPosterior:
                 assert math.isfinite(value)
 
 
+class TestGroupModel:
+    def test_likelihood_rows_must_cover_every_feature(self):
+        model = _example_model()
+        partial = {Label.MALWARE: {"a": -0.5}, Label.BENIGN: model.log_likelihood[Label.BENIGN]}
+        with pytest.raises(IntegrityError, match="group 3: log_likelihood missing feature 'b'"):
+            dataclasses.replace(model, log_likelihood=partial)
+
+
 class TestPredict:
+    def test_overflowing_log_score_is_an_integrity_error(self):
+        """As the batch kernel fails such a sample; log_posterior still returns the raw sums."""
+        samples = [
+            make_sample("m", Label.MALWARE, 10, {"a": 2, "b": 1}),
+            make_sample("b", Label.BENIGN, 11, {"b": 1, "c": 2}),
+        ]
+        model = train_group(samples, FeatureSet(("a", "b", "c"), 3), 1.0, group=3)
+        histogram = OpcodeHistogram.from_counts(dict.fromkeys("abc", 10**308))
+        assert log_posterior(model, histogram) == {
+            Label.MALWARE: -math.inf, Label.BENIGN: -math.inf}
+        with pytest.raises(IntegrityError, match="group 3: log-score is not a finite float"):
+            predict(model, histogram)
+
     def test_malware_when_strictly_higher(self):
         model = _example_model()
         prediction = predict(model, OpcodeHistogram.from_counts({"a": 1}))

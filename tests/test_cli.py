@@ -6,6 +6,8 @@ import os
 
 import pytest
 
+import groupnb
+from groupnb import cli
 from groupnb.bench import parse_csv
 from groupnb.cli import main
 from groupnb.corpus import GroupingConfig, assign_group
@@ -182,6 +184,15 @@ class TestPipeline:
         assert _run("score", "--preds", str(paths["preds"]), "--truth", str(paths["test"])) == 0
         assert json.loads(capsys.readouterr().out.strip())["accuracy"] == 1.0
 
+    def test_score_skips_blank_prediction_lines(self, tmp_path, capsys):
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text('{"id": "a", "label": "malware", "size_bytes": 7, "opcodes": {}}\n')
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('\n{"id": "a", "label": "malware"}\n \n')
+        assert _run("score", "--preds", str(preds), "--truth", str(truth)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["samples"], payload["errors"], payload["accuracy"]) == (1, 0, 1.0)
+
     def test_gen_is_deterministic(self, tmp_path):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
@@ -215,12 +226,12 @@ class TestPipeline:
             == 0
         )
         report = parse_csv(report_path.read_text())
-        assert len(report.rows) == 2 * 2 * 2
-        for row in report.rows:
+        assert len(report) == 2 * 2 * 2
+        for row in report:
             if row.mode == "parallel":
                 sibling = next(
                     r
-                    for r in report.rows
+                    for r in report
                     if r.mode == "sequential" and (r.k, r.batch_size) == (row.k, row.batch_size)
                 )
                 assert row.speedup == sibling.elapsed_ns_median / row.elapsed_ns_median
@@ -308,6 +319,10 @@ class TestExitCodes:
         assert _run() == 1
         assert _run("gen", "--nope") == 1
         assert _run("split", "--in", "x", "--ratio", "banana", "--train", "a", "--test", "b") == 1
+        for ratio in ("1", "a:b", "0:1"):
+            assert _run("split", "--in", "x", "--ratio", ratio, "--train", "a", "--test", "b") == 1
+        for flag, value in (("--k", "x"), ("--batch-counts", "1,,2")):
+            assert _run("bench", "--train", "a", "--test", "b", flag, value, "--out", "c") == 1
 
     def test_config_errors_exit_one(self, tmp_path):
         out = tmp_path / "c.jsonl"
@@ -561,6 +576,44 @@ class TestExitCodes:
             "groupnb: data error: no size group has 6 training samples of each class; "
             "no bundle written\n")
         assert not bundle.exists()
+
+    @pytest.mark.parametrize("per_class", [0, 5], ids=["empty", "below_threshold"])
+    def test_bench_without_a_trainable_group_exits_two(self, tmp_path, capsys, per_class):
+        """bench refuses the corpus with train's words, before it times anything."""
+        corpus = tmp_path / "few.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"{label[0]}{i}", "label": label, "size_bytes": 10,
+                        "opcodes": {"mov": 1, label: 2}}) + "\n"
+            for i in range(per_class) for label in ("malware", "benign")))
+        report = tmp_path / "bench.csv"
+        assert _run("bench", "--train", str(corpus), "--test", str(corpus), "--k", "2",
+                    "--batch-multiple", "8", "--batch-counts", "1", "--lanes", "1",
+                    "--reps", "1", "--out", str(report)) == 2
+        assert capsys.readouterr().err == (
+            "groupnb: data error: no size group has 6 training samples of each class; "
+            "no bundle written\n")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("name", [
+        name for name in groupnb.__all__
+        if isinstance(getattr(groupnb, name), type)
+        and issubclass(getattr(groupnb, name), groupnb.GroupNBError)
+        and getattr(groupnb, name) is not groupnb.GroupNBError])
+    def test_every_error_class_has_its_exit_code(self, tmp_path, capsys, monkeypatch, name):
+        """Config errors exit 1, every DataError 2, LaneError 3, each with one stderr line."""
+        error = getattr(groupnb, name)
+        kinds = {groupnb.InvalidConfigError: (1, "config error"),
+                 groupnb.DataError: (2, "data error"), groupnb.LaneError: (3, "lane error")}
+        [(code, kind)] = [value for base, value in kinds.items() if issubclass(error, base)]
+
+        def command(args):
+            raise error(7, "boom") if error is groupnb.ParseError else error("boom")
+
+        monkeypatch.setattr(cli, "_cmd_gen", command)
+        assert _run("gen", "--groups", "1", "--per-class", "1",
+                    "--out", str(tmp_path / "c.jsonl")) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"groupnb: {kind}: ") and err.count("\n") == 1, err
 
     def test_dead_lane_exits_three(self, pipeline_files, capsys, monkeypatch):
         paths = pipeline_files

@@ -527,6 +527,8 @@ class TestSplitTrainTest:
         labeled = grouped(self._stratum(3, Label.BENIGN))
         with pytest.raises(InvalidConfigError):
             split_train_test(labeled, (0, 1), seed=0)
+        with pytest.raises(InvalidConfigError):
+            split_train_test(labeled, (True, 1), seed=0)
 
 
 class TestTrainableGroups:

@@ -609,6 +609,10 @@ class TestBundleSerialization:
             lambda doc: doc["models"][0]["log_likelihood"].pop("malware"),
             lambda doc: doc["models"][0]["features"].append("extra"),
             lambda doc: doc["models"][0].__setitem__("group", 9999),
+            lambda doc: doc["models"][0].update(features=[],
+                                                log_likelihood={"malware": {}, "benign": {}}),
+            lambda doc: doc["models"][0].update(features=["x", "x"], log_likelihood={
+                "malware": {"x": -1.0}, "benign": {"x": -1.0}}),
         ],
     )
     def test_loader_rejects_tampered_documents(self, mutate):

@@ -100,7 +100,6 @@ class TestScoreOpcodes:
             make_sample("b", Label.BENIGN, 11, {"mov": 1, "add": 3}),
         ]
         table = score_opcodes(samples, group=0)
-        assert table.group == 0
         assert table.scores == pytest.approx({"mov": 0.5, "jmp": 0.25, "add": 0.75})
 
     def test_identical_distributions_score_zero(self):

@@ -130,3 +130,5 @@ class TestGenerateSynthetic:
     def test_rejects_bad_group_width(self):
         with pytest.raises(InvalidConfigError):
             generate_synthetic(_spec(), group_size_bytes=0)
+        with pytest.raises(InvalidConfigError):
+            generate_synthetic(_spec(), group_size_bytes=True)
