@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, TextIO
 
 from . import engine
-from .corpus import SampleRecord
+from .corpus import SampleRecord, _lines
 from .engine import ModelBundle, Workload
 from .errors import InvalidConfigError, ParseError, positive_int
 
@@ -155,12 +155,15 @@ def emit_csv(rows: Sequence[BenchRow], sink: TextIO) -> None:
 
 
 def parse_csv(text: str) -> tuple[BenchRow, ...]:
-    """The rows of an emit_csv text; emit(parse(emit(rows))) == emit(rows)."""
-    lines = [line for line in text.splitlines() if line]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ParseError(1, f"expected header {CSV_HEADER!r}")
+    """The rows of an emit_csv text; emit(parse(emit(rows))) == emit(rows).
+
+    Lines break as in parse_corpus; blank ones are skipped but counted.
+    """
+    lines = [(line_no, line) for line_no, line in enumerate(_lines(text), start=1) if line]
+    if not lines or lines[0][1] != CSV_HEADER:
+        raise ParseError(lines[0][0] if lines else 1, f"expected header {CSV_HEADER!r}")
     rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 7:
             raise ParseError(line_no, f"expected 7 fields, got {len(parts)}")

@@ -5,7 +5,8 @@ so no feature/class pair ever scores -inf. Opcodes outside the feature
 set are ignored at both train and predict time. A model is fitted from
 a group's counted samples (fit_counts over features.count_group), so
 one count serves every feature set; train_group counts and fits in one
-call.
+call. A GroupModel checks its own invariants when built, so a fitted
+model and a loaded one pass the same checks.
 """
 
 from __future__ import annotations
@@ -16,8 +17,30 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .corpus import Label, OpcodeHistogram, SampleRecord
-from .errors import InsufficientClassError, IntegrityError, InvalidConfigError
+from .errors import BundleValidationError, InsufficientClassError, IntegrityError, InvalidConfigError
 from .features import CLASSES, FeatureSet, GroupCounts, count_group
+
+
+def valid_alpha(alpha) -> bool:
+    """True for a positive, finite int or float smoothing pseudo-count (bool excluded)."""
+    return (isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
+            and 0 < alpha <= sys.float_info.max)
+
+
+# How far the exps of a model's log priors, or of one likelihood row, may sum from 1.
+_SUM_TOLERANCE = 1e-9
+
+
+def _check_distribution(log_values: list[float], where: str, what: str) -> None:
+    """BundleValidationError unless every value is finite and their exps sum to 1."""
+    if not all(map(math.isfinite, log_values)):
+        raise BundleValidationError(f"{where}: non-finite {what}")
+    try:
+        total = sum(map(math.exp, log_values))
+    except OverflowError:
+        total = math.inf
+    if abs(total - 1.0) > _SUM_TOLERANCE:
+        raise BundleValidationError(f"{where}: {what} sum to {total!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -25,8 +48,10 @@ class GroupModel:
     """Trained Naive Bayes parameters for one size group.
 
     log_prior exponentiates to class probabilities summing to 1;
-    log_likelihood holds ln theta(class, opcode) for every feature, and
-    exp of each class's row sums to 1 over the feature set.
+    log_likelihood holds ln theta(class, opcode) for exactly the
+    features, and exp of each class's row sums to 1. The constructor
+    checks this, a positive finite alpha and a training sample of each
+    class, and raises BundleValidationError otherwise.
     """
 
     group: int
@@ -37,13 +62,21 @@ class GroupModel:
     train_counts: dict[Label, int]
 
     def __post_init__(self):
-        ll_m = self.log_likelihood.get(Label.MALWARE, {})
-        ll_b = self.log_likelihood.get(Label.BENIGN, {})
-        for op in self.features.opcodes:
-            if op not in ll_m or op not in ll_b:
-                raise IntegrityError(
-                    f"group {self.group}: log_likelihood missing feature {op!r}"
-                )
+        where = f"model for group {self.group}"
+        features = self.features.opcodes
+        if not valid_alpha(self.alpha):
+            raise BundleValidationError(f"{where}: alpha must be positive and finite")
+        _check_distribution([self.log_prior.get(c, math.nan) for c in CLASSES], where, "priors")
+        for c in CLASSES:
+            if self.train_counts.get(c, 0) < 1:
+                raise BundleValidationError(f"{where}: no {c.value} training samples recorded")
+            row = self.log_likelihood.get(c, {})
+            for op in features:
+                if op not in row:
+                    raise BundleValidationError(f"{where}: log_likelihood missing feature {op!r}")
+            if len(row) != len(features):
+                raise BundleValidationError(f"{where}: {c.value} likelihoods hold a non-feature")
+            _check_distribution([row[op] for op in features], where, f"{c.value} likelihoods")
 
 
 @dataclass(frozen=True)
@@ -89,14 +122,8 @@ def fit_counts(
     InvalidConfigError); so must total_c + alpha * |features| (else
     IntegrityError, a data error).
     """
-    if (
-        not isinstance(alpha, (int, float))
-        or isinstance(alpha, bool)
-        or not 0 < alpha <= sys.float_info.max
-    ):
+    if not valid_alpha(alpha):
         raise InvalidConfigError(f"alpha must be positive and finite, got {alpha!r}")
-    if not features.opcodes:
-        raise InvalidConfigError("feature set is empty")
     n_features = len(features.opcodes)
     alpha = float(alpha)
     if not math.isfinite(alpha * n_features):
@@ -131,14 +158,7 @@ def fit_counts(
             op: math.log((feature_counts[op] + alpha) / denom) for op in features.opcodes
         }
 
-    return GroupModel(
-        group=group,
-        features=features,
-        log_prior=log_prior,
-        log_likelihood=log_likelihood,
-        alpha=alpha,
-        train_counts=dict(n_samples),
-    )
+    return GroupModel(group, features, log_prior, log_likelihood, alpha, dict(n_samples))
 
 
 def log_posterior(model: GroupModel, histogram: OpcodeHistogram) -> dict[Label, float]:
@@ -181,7 +201,12 @@ def predict(model: GroupModel, histogram: OpcodeHistogram) -> Prediction:
 
 
 def normalized_posterior(scores: Mapping[Label, float]) -> dict[Label, float]:
-    """Diagnostic accessor: exponentiate-and-normalize joint log-scores."""
+    """Diagnostic accessor: exponentiate-and-normalize joint log-scores.
+
+    A score that is not a finite float raises IntegrityError, as in predict.
+    """
+    if not all(map(math.isfinite, scores.values())):
+        raise IntegrityError("log-score is not a finite float")
     peak = max(scores.values())
     exps = {c: math.exp(s - peak) for c, s in scores.items()}
     total = sum(exps.values())

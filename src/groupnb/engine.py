@@ -5,7 +5,10 @@ trains one bundle per feature budget k, counting each group's training
 histograms once and deriving its feature scores and every k's model
 from those counts. Routing sends files from untrained groups to the
 nearest trained one (upward first). Bundles are saved as JSON, format 2
-(see bundle_to_json); format 1 files still load.
+(see bundle_to_json); format 1 files still load. Each part of a bundle
+(GroupingConfig, BundleMeta, GroupModel, FeatureSet) checks its own
+invariants when built; build_bundle checks how they fit together, and
+the loader checks only the document's JSON types.
 
 Batches are classified over lanes by one runtime: the caller runs lane 0
 and each further lane is one worker process with its own pipe, forked
@@ -33,11 +36,10 @@ right, the order of the scalar loop.
 from __future__ import annotations
 
 import json
-import math
 import multiprocessing
 import time
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property, partial
 from itertools import repeat
@@ -49,7 +51,7 @@ from .corpus import (
     GroupedCorpus, GroupingConfig, Label, SampleRecord, _decode_json, assign_group,
     trainable_groups,
 )
-from .classifier import CLASSES, GroupModel, Prediction, fit_counts
+from .classifier import CLASSES, GroupModel, Prediction, fit_counts, valid_alpha
 from .errors import (
     BundleValidationError,
     EmptyBundleError,
@@ -62,15 +64,29 @@ from .errors import (
 )
 from .features import FeatureSet, count_group, score_counts, select_top_k
 
-_SUM_TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True)
 class BundleMeta:
+    """How a bundle was trained; alpha is stored as a float.
+
+    InvalidConfigError unless k is a positive int, alpha positive and
+    finite, seed an int and created_at a str.
+    """
+
     k: int
     alpha: float
     seed: int
     created_at: str
+
+    def __post_init__(self):
+        positive_int("k", self.k)
+        if not valid_alpha(self.alpha):
+            raise InvalidConfigError(f"alpha must be positive and finite, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", float(self.alpha))
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise InvalidConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.created_at, str):
+            raise InvalidConfigError(f"created_at must be a string, got {self.created_at!r}")
 
 
 @dataclass(frozen=True)
@@ -131,56 +147,25 @@ def route(bundle: ModelBundle, group: int) -> int:
     return ids[_route_row(ids, group)]
 
 
-def _exp_sum(log_values: list[float]) -> float:
-    """Sum of exp(v) left to right; inf when a term overflows."""
-    try:
-        return sum(map(math.exp, log_values))
-    except OverflowError:
-        return math.inf
-
-
-def _validate_model(model: GroupModel, config: GroupingConfig, meta: BundleMeta) -> None:
-    where = f"model for group {model.group}"
-    if not (0 <= model.group < config.group_count):
-        raise BundleValidationError(f"{where}: group id outside [0, {config.group_count})")
-    n_features = len(model.features.opcodes)
-    if n_features == 0:
-        raise BundleValidationError(f"{where}: empty feature set")
-    if n_features > meta.k:
-        raise BundleValidationError(f"{where}: {n_features} features exceeds k={meta.k}")
-    if len(set(model.features.opcodes)) != n_features:
-        raise BundleValidationError(f"{where}: duplicate features")
-    if model.alpha <= 0 or not math.isfinite(model.alpha):
-        raise BundleValidationError(f"{where}: alpha must be positive and finite")
-    priors = [model.log_prior[c] for c in CLASSES]
-    if not all(map(math.isfinite, priors)):
-        raise BundleValidationError(f"{where}: non-finite log prior")
-    prior_sum = _exp_sum(priors)
-    if abs(prior_sum - 1.0) > _SUM_TOLERANCE:
-        raise BundleValidationError(f"{where}: priors sum to {prior_sum!r}, not 1")
-    for c in CLASSES:
-        if model.train_counts.get(c, 0) < 1:
-            raise BundleValidationError(f"{where}: no {c.value} training samples recorded")
-        row = model.log_likelihood[c]
-        for op in model.features.opcodes:
-            if not math.isfinite(row[op]):
-                raise BundleValidationError(f"{where}: non-finite likelihood for {op!r}")
-        total = _exp_sum([row[op] for op in model.features.opcodes])
-        if abs(total - 1.0) > _SUM_TOLERANCE:
-            raise BundleValidationError(
-                f"{where}: {c.value} likelihoods sum to {total!r}, not 1"
-            )
-
-
 def build_bundle(
     models: Iterable[GroupModel], config: GroupingConfig, meta: BundleMeta
 ) -> ModelBundle:
-    """Assemble and validate a bundle; trained_ids come out sorted ascending."""
+    """Assemble a bundle; trained_ids come out sorted ascending.
+
+    Models, config and meta check themselves; this checks what needs the
+    whole bundle: one model per group (else IntegrityError), each inside
+    the config's range with at most meta.k features (else BundleValidationError).
+    """
     by_group: dict[int, GroupModel] = {}
     for model in models:
+        where = f"model for group {model.group}"
         if model.group in by_group:
             raise IntegrityError(f"duplicate model for group {model.group}")
-        _validate_model(model, config, meta)
+        if not 0 <= model.group < config.group_count:
+            raise BundleValidationError(f"{where}: group id outside [0, {config.group_count})")
+        if len(model.features.opcodes) > meta.k:
+            raise BundleValidationError(
+                f"{where}: {len(model.features.opcodes)} features exceeds k={meta.k}")
         by_group[model.group] = model
     ids = tuple(sorted(by_group))
     return ModelBundle(
@@ -204,6 +189,7 @@ def train_bundles(
     its opcode scores and every k's model come from those counts, with
     the results and errors of score_opcodes, select_top_k and train_group.
     Training draws no random numbers, so every bundle's meta.seed is 0.
+    The metas are built last: a training error comes before BundleMeta's.
     """
     config = train.config
     models: dict[int, list[GroupModel]] = {k: [] for k in k_values}
@@ -216,7 +202,7 @@ def train_bundles(
     if created_at is None:
         created_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return {
-        k: build_bundle(group_models, config, BundleMeta(k, float(alpha), 0, created_at))
+        k: build_bundle(group_models, config, BundleMeta(k, alpha, 0, created_at))
         for k, group_models in models.items()
     }
 
@@ -561,22 +547,10 @@ def bundle_from_json(text: str) -> ModelBundle:
     _require(isinstance(raw_models, list), "bundle 'models' must be an array")
 
     try:
-        config = GroupingConfig(
-            group_size_bytes=raw_config["group_size_bytes"],
-            max_size_bytes=raw_config["max_size_bytes"],
-            min_per_class=raw_config["min_per_class"],
-        )
-        meta = BundleMeta(
-            k=_integer(raw_meta["k"], "meta.k"),
-            alpha=_numbers([raw_meta["alpha"]], "meta.alpha")[0],
-            seed=_integer(raw_meta["seed"], "meta.seed"),
-            created_at=raw_meta["created_at"],
-        )
+        config = GroupingConfig(**{f.name: raw_config[f.name] for f in fields(GroupingConfig)})
+        meta = BundleMeta(**{f.name: raw_meta[f.name] for f in fields(BundleMeta)})
     except (KeyError, InvalidConfigError) as exc:
         raise BundleValidationError(f"bad bundle config/meta: {exc}") from None
-    _require(meta.k >= 1, "meta.k must be positive")
-    _require(meta.alpha > 0 and math.isfinite(meta.alpha), "meta.alpha must be positive and finite")
-    _require(isinstance(meta.created_at, str), "meta.created_at must be a string")
 
     models = []
     for position, raw in enumerate(raw_models):
@@ -595,7 +569,10 @@ def bundle_from_json(text: str) -> ModelBundle:
             isinstance(feature_list, list) and all(isinstance(op, str) for op in feature_list),
             f"{where}: 'features' must be an array of strings",
         )
-        features = FeatureSet(tuple(feature_list), meta.k)
+        try:
+            features = FeatureSet(tuple(feature_list), meta.k)
+        except InvalidConfigError as exc:
+            raise BundleValidationError(f"{where}: {exc}") from None
         log_prior: dict[Label, float] = {}
         log_likelihood: dict[Label, dict[str, float]] = {}
         train_counts: dict[Label, int] = {}
@@ -604,24 +581,11 @@ def bundle_from_json(text: str) -> ModelBundle:
             log_prior[c] = _numbers([raw_prior[c.value]], f"{where}.log_prior")[0]
             row = raw_ll.get(c.value)
             _require(isinstance(row, dict), f"{where}: log_likelihood missing {c.value!r}")
-            _require(
-                set(row) == set(feature_list),
-                f"{where}: {c.value} likelihood keys do not match the feature list",
-            )
-            values = _numbers([row[op] for op in feature_list], f"{where}.log_likelihood")
-            log_likelihood[c] = dict(zip(feature_list, values))
+            values = _numbers(list(row.values()), f"{where}.log_likelihood")
+            log_likelihood[c] = dict(zip(row, values))
             _require(c.value in raw_counts, f"{where}: train_counts missing {c.value!r}")
             train_counts[c] = _integer(raw_counts[c.value], f"{where}.train_counts")
-        models.append(
-            GroupModel(
-                group=group,
-                features=features,
-                log_prior=log_prior,
-                log_likelihood=log_likelihood,
-                alpha=alpha,
-                train_counts=train_counts,
-            )
-        )
+        models.append(GroupModel(group, features, log_prior, log_likelihood, alpha, train_counts))
     return build_bundle(models, config, meta)
 
 

@@ -5,7 +5,8 @@ training needs comes from that table: an opcode's score is the absolute
 difference between its normalized occurrence frequency in the malware
 class and in the benign class (score_counts), the k highest-scoring
 opcodes become the group's feature set (select_top_k), and every k's
-model is fitted from the same counts (classifier.fit_counts).
+model is fitted from the same counts (classifier.fit_counts). A
+FeatureSet holds at least one opcode and none twice.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Label, SampleRecord
-from .errors import InsufficientClassError, positive_int
+from .errors import InsufficientClassError, InvalidConfigError, positive_int
 
 CLASSES = (Label.MALWARE, Label.BENIGN)
 
@@ -43,10 +44,17 @@ class ScoreTable:
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Top-k opcodes, ordered by descending score then ascending mnemonic."""
+    """Top-k opcodes, ordered by descending score then ascending mnemonic.
+
+    At least one opcode and none twice, else InvalidConfigError.
+    """
 
     opcodes: tuple[str, ...]
     k: int
+
+    def __post_init__(self):
+        if not self.opcodes or len(set(self.opcodes)) != len(self.opcodes):
+            raise InvalidConfigError("feature set is empty or repeats an opcode")
 
 
 def count_group(samples: Sequence[SampleRecord]) -> GroupCounts:

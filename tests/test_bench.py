@@ -228,3 +228,24 @@ class TestCsv:
     def test_parse_rejects_malformed_input(self, text):
         with pytest.raises(ParseError):
             parse_csv(text)
+
+
+class TestLineBreaks:
+    """A CSV text breaks at universal newlines only, as parse_corpus's text does."""
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c",
+                                      "\x1d", "\x1e"])
+    def test_other_line_breaks_stay_inside_a_line(self, char):
+        text = CSV_HEADER + "\n1,2,sequential,1,5,5," + char + "\n2,8,sequential,1,1000,900,\n"
+        with pytest.raises(ParseError) as info:
+            parse_csv(text)
+        assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_numbers_count_every_line(self, ending):
+        lines = ["", CSV_HEADER, "2,8,sequential,1,1000,900,", "", "x,8,parallel,2,500,450,2.0"]
+        with pytest.raises(ParseError, match="^line 5: ") as info:
+            parse_csv(ending.join(lines) + ending)
+        assert info.value.line_no == 5
+        assert parse_csv(ending.join(lines[:3]) + ending) == (
+            BenchRow(2, 8, "sequential", 1, 1000, 900, None),)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from groupnb.corpus import Label, OpcodeHistogram
-from groupnb.errors import InsufficientClassError, IntegrityError, InvalidConfigError
+from groupnb.errors import (
+    BundleValidationError, InsufficientClassError, IntegrityError, InvalidConfigError,
+)
 from groupnb.features import FeatureSet
 from groupnb.classifier import (
     log_posterior,
@@ -207,7 +209,8 @@ class TestGroupModel:
     def test_likelihood_rows_must_cover_every_feature(self):
         model = _example_model()
         partial = {Label.MALWARE: {"a": -0.5}, Label.BENIGN: model.log_likelihood[Label.BENIGN]}
-        with pytest.raises(IntegrityError, match="group 3: log_likelihood missing feature 'b'"):
+        with pytest.raises(BundleValidationError,
+                           match="group 3: log_likelihood missing feature 'b'"):
             dataclasses.replace(model, log_likelihood=partial)
 
 
@@ -298,6 +301,16 @@ class TestNormalizedPosterior:
             ranked_scores = sorted(scores, key=scores.get)
             ranked_posterior = sorted(posterior, key=posterior.get)
             assert ranked_scores == ranked_posterior
+
+
+    @pytest.mark.parametrize("scores", [
+        (-math.inf, -math.inf), (math.inf, 0.0), (0.0, math.inf), (math.nan, 0.0),
+        (-1.0, -math.inf),
+    ], ids=["both-minus-inf", "plus-inf-malware", "plus-inf-benign", "nan", "one-minus-inf"])
+    def test_non_finite_score_is_an_integrity_error(self, scores):
+        """As predict rejects such scores, rather than returning nan probabilities."""
+        with pytest.raises(IntegrityError, match="^log-score is not a finite float$"):
+            normalized_posterior(dict(zip((Label.MALWARE, Label.BENIGN), scores)))
 
 
 def _oracle_log_likelihood(samples, features, alpha):

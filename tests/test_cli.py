@@ -577,6 +577,24 @@ class TestExitCodes:
             "no bundle written\n")
         assert not bundle.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--alpha", "nan")])
+    def test_bad_k_or_alpha_exits_one_whether_or_not_a_group_trains(self, pipeline_files,
+                                                                    tmp_path, capsys, flag, value):
+        untrainable = tmp_path / "few.jsonl"
+        untrainable.write_text("".join(
+            json.dumps({"id": f"{label[0]}{i}", "label": label, "size_bytes": 10,
+                        "opcodes": {"mov": 1, label: 2}}) + "\n"
+            for i in range(5) for label in ("malware", "benign")))
+        bundle = pipeline_files["bundle"]
+        capsys.readouterr()
+        for corpus in (pipeline_files["train"], untrainable):
+            argv = {"--in": str(corpus), "--k": "3", "--out": str(bundle), flag: value}
+            assert _run("train", *(part for item in argv.items() for part in item)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"groupnb: config error: {flag[2:]} must be ")
+            assert len(err.splitlines()) == 1
+            assert not bundle.exists()
+
     @pytest.mark.parametrize("per_class", [0, 5], ids=["empty", "below_threshold"])
     def test_bench_without_a_trainable_group_exits_two(self, tmp_path, capsys, per_class):
         """bench refuses the corpus with train's words, before it times anything."""

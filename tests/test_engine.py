@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from groupnb import engine
-from groupnb.corpus import GroupingConfig, Label, OpcodeHistogram, assign_group, partition_by_group
+from groupnb.corpus import (
+    GroupedCorpus, GroupingConfig, Label, OpcodeHistogram, assign_group, partition_by_group,
+)
 from groupnb.engine import (
     _BLOCK,
     BundleMeta,
@@ -139,14 +141,14 @@ class TestBuildBundle:
         good = _model(0)
         config = GroupingConfig()
         cases = [
-            dataclasses.replace(good, group=100),
-            dataclasses.replace(good, alpha=-1.0),
-            dataclasses.replace(
+            lambda: build_bundle([dataclasses.replace(good, group=100)], config, _META),
+            lambda: dataclasses.replace(good, alpha=-1.0),
+            lambda: dataclasses.replace(
                 good,
                 log_prior={Label.MALWARE: math.log(0.6), Label.BENIGN: math.log(0.6)},
             ),
-            dataclasses.replace(good, train_counts={Label.MALWARE: 0, Label.BENIGN: 6}),
-            dataclasses.replace(
+            lambda: dataclasses.replace(good, train_counts={Label.MALWARE: 0, Label.BENIGN: 6}),
+            lambda: dataclasses.replace(
                 good,
                 log_likelihood={
                     Label.MALWARE: {op: float("-inf") for op in good.features.opcodes},
@@ -154,9 +156,9 @@ class TestBuildBundle:
                 },
             ),
         ]
-        for bad in cases:
+        for build in cases:
             with pytest.raises(BundleValidationError):
-                build_bundle([bad], config, _META)
+                build()
 
     def test_rejects_more_features_than_budget(self):
         samples = two_class_group(0)
@@ -699,6 +701,150 @@ class TestBundleSerialization:
             load_bundle(path)
 
 
+def _with_likelihoods(model, label, row):
+    return dataclasses.replace(model, log_likelihood={**model.log_likelihood, label: row})
+
+
+def _doc_model(doc):
+    return doc["models"][0]
+
+
+# One case per invariant that a type checks when built: a constructor call
+# on the good model that breaks it, and a bundle document edit that breaks
+# it the same way. Features are ("add", "evil", "mov").
+_INVARIANTS = {
+    "features-empty": (
+        lambda good: FeatureSet((), 3),
+        lambda doc: _doc_model(doc).update(features=[],
+                                           log_likelihood={"malware": {}, "benign": {}}),
+        InvalidConfigError, "feature set is empty or repeats an opcode"),
+    "features-repeated": (
+        lambda good: FeatureSet(("mov", "add", "mov"), 3),
+        lambda doc: _doc_model(doc)["features"].append("add"),
+        InvalidConfigError, "feature set is empty or repeats an opcode"),
+    "model-alpha-zero": (
+        lambda good: dataclasses.replace(good, alpha=0.0),
+        lambda doc: _doc_model(doc).update(alpha=0),
+        BundleValidationError, "group 0: alpha must be positive and finite"),
+    "model-alpha-nan": (
+        lambda good: dataclasses.replace(good, alpha=math.nan),
+        lambda doc: _doc_model(doc).update(alpha=math.nan),
+        BundleValidationError, "group 0: alpha must be positive and finite"),
+    "prior-non-finite": (
+        lambda good: dataclasses.replace(
+            good, log_prior={Label.MALWARE: math.nan, Label.BENIGN: math.log(0.5)}),
+        lambda doc: _doc_model(doc)["log_prior"].update(malware=math.nan),
+        BundleValidationError, "group 0: non-finite priors"),
+    "prior-sum": (
+        lambda good: dataclasses.replace(
+            good, log_prior={Label.MALWARE: math.log(0.6), Label.BENIGN: math.log(0.6)}),
+        lambda doc: _doc_model(doc)["log_prior"].update(malware=math.log(0.6),
+                                                        benign=math.log(0.6)),
+        BundleValidationError, "group 0: priors sum to 1.2"),
+    "train-count": (
+        lambda good: dataclasses.replace(
+            good, train_counts={Label.MALWARE: 0, Label.BENIGN: 6}),
+        lambda doc: _doc_model(doc)["train_counts"].update(malware=0),
+        BundleValidationError, "group 0: no malware training samples recorded"),
+    "likelihood-missing": (
+        lambda good: _with_likelihoods(good, Label.BENIGN, {
+            op: v for op, v in good.log_likelihood[Label.BENIGN].items() if op != "mov"}),
+        lambda doc: _doc_model(doc)["log_likelihood"]["benign"].pop("mov"),
+        BundleValidationError, "group 0: log_likelihood missing feature 'mov'"),
+    "likelihood-extra": (
+        lambda good: _with_likelihoods(good, Label.MALWARE, {
+            **good.log_likelihood[Label.MALWARE], "zzz": -1.0}),
+        lambda doc: _doc_model(doc)["log_likelihood"]["malware"].update(zzz=-1.0),
+        BundleValidationError, "group 0: malware likelihoods hold a non-feature"),
+    "likelihood-non-finite": (
+        lambda good: _with_likelihoods(good, Label.MALWARE, {
+            **good.log_likelihood[Label.MALWARE], "evil": -math.inf}),
+        lambda doc: _doc_model(doc)["log_likelihood"]["malware"].update(evil=-math.inf),
+        BundleValidationError, "group 0: non-finite malware likelihoods"),
+    "likelihood-sum": (
+        lambda good: _with_likelihoods(good, Label.BENIGN, {
+            op: -1.0 for op in good.features.opcodes}),
+        lambda doc: _doc_model(doc)["log_likelihood"].update(
+            benign={"add": -1.0, "evil": -1.0, "mov": -1.0}),
+        BundleValidationError, "group 0: benign likelihoods sum to 1.10"),
+    "meta-k-zero": (
+        lambda good: dataclasses.replace(_META, k=0),
+        lambda doc: doc["meta"].update(k=0),
+        InvalidConfigError, "k must be a positive integer, got 0"),
+    "meta-k-bool": (
+        lambda good: dataclasses.replace(_META, k=True),
+        lambda doc: doc["meta"].update(k=True),
+        InvalidConfigError, "k must be a positive integer, got True"),
+    "meta-alpha-negative": (
+        lambda good: dataclasses.replace(_META, alpha=-1.0),
+        lambda doc: doc["meta"].update(alpha=-1.0),
+        InvalidConfigError, "alpha must be positive and finite, got -1.0"),
+    "meta-alpha-bool": (
+        lambda good: dataclasses.replace(_META, alpha=True),
+        lambda doc: doc["meta"].update(alpha=True),
+        InvalidConfigError, "alpha must be positive and finite, got True"),
+    "meta-alpha-string": (
+        lambda good: dataclasses.replace(_META, alpha="1.0"),
+        lambda doc: doc["meta"].update(alpha="1.0"),
+        InvalidConfigError, "alpha must be positive and finite, got '1.0'"),
+    "meta-seed": (
+        lambda good: dataclasses.replace(_META, seed=1.5),
+        lambda doc: doc["meta"].update(seed=1.5),
+        InvalidConfigError, "seed must be an integer, got 1.5"),
+    "meta-created-at": (
+        lambda good: dataclasses.replace(_META, created_at=20260101),
+        lambda doc: doc["meta"].update(created_at=20260101),
+        InvalidConfigError, "created_at must be a string, got 20260101"),
+}
+
+
+@pytest.mark.parametrize("build, mutate, error, message", _INVARIANTS.values(),
+                         ids=_INVARIANTS.keys())
+def test_each_invariant_is_checked_once_by_its_type(build, mutate, error, message):
+    """The constructor rejects a part that breaks it; the loader maps that to a data error."""
+    good = _model(0)
+    with pytest.raises(error, match=message):
+        build(good)
+    doc = json.loads(bundle_to_json(_bundle(groups=(0,))))
+    mutate(doc)
+    with pytest.raises(BundleValidationError, match=message):
+        bundle_from_json(json.dumps(doc))
+
+
+class TestRoundTripSweep:
+    """Every bundle train_bundles returns survives bundle_to_json -> bundle_from_json."""
+
+    @staticmethod
+    def _assert_round_trips(bundle):
+        text = bundle_to_json(bundle)
+        assert bundle_to_json(bundle_from_json(text)) == text
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_trained_bundles_round_trip(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = SyntheticSpec(
+            group_count=int(rng.integers(1, 5)),
+            samples_per_group_per_class=int(rng.integers(4, 10)),  # some groups untrained
+            vocabulary_size=int(rng.integers(2, 60)),
+            divergence=float(rng.random()),
+            seed=seed,
+        )
+        corpus = grouped(generate_synthetic(spec))
+        for alpha in (0.5, 1, 2.5):
+            bundles = train_bundles(corpus, (1, 5, 40), alpha, created_at="t")
+            for bundle in bundles.values():
+                assert bundle.meta.alpha == float(alpha)
+                assert type(bundle.meta.alpha) is float
+                self._assert_round_trips(bundle)
+
+    def test_empty_and_signed_zero_bundles_round_trip(self):
+        empty = train_bundles(grouped([]), (1, 5, 40), 2.5, created_at="t")
+        for bundle in empty.values():
+            assert bundle.trained_ids == ()
+            self._assert_round_trips(bundle)
+        self._assert_round_trips(build_bundle([_signed_zero_model()], GroupingConfig(), _META))
+
+
 class TestTrainBundle:
     def test_trains_exactly_the_trainable_groups(self):
         samples = two_class_group(0) + two_class_group(1) + two_class_group(2)
@@ -773,6 +919,17 @@ def test_training_error_precedence(train, samples, k, alpha, error, message):
     """Scoring errors come first, then k, then alpha, then an unlabeled sample."""
     with pytest.raises(error, match=message):
         train(samples(), k, alpha)
+
+
+@pytest.mark.parametrize("k, alpha, message", [
+    (0, 1.0, "k must be a positive integer, got 0"),
+    (3, math.nan, "alpha must be positive and finite, got nan"),
+    (3, True, "alpha must be positive and finite, got True"),
+], ids=["k-0", "alpha-nan", "alpha-true"])
+def test_no_trainable_group_still_checks_k_and_alpha(k, alpha, message):
+    """With no model to fit, BundleMeta is what rejects them."""
+    with pytest.raises(InvalidConfigError, match=message):
+        train_bundles(GroupedCorpus(GroupingConfig(), {}), (k,), alpha, created_at="t")
 
 
 class TestWritePredictions:
