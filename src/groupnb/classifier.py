@@ -120,7 +120,8 @@ def fit_counts(
     where total_c sums counts over the feature set only. alpha must be
     positive and finite, and so must alpha * |features| (else
     InvalidConfigError); so must total_c + alpha * |features| (else
-    IntegrityError, a data error).
+    IntegrityError, a data error). An alpha so small that a smoothed
+    likelihood underflows to 0 raises InvalidConfigError.
     """
     if not valid_alpha(alpha):
         raise InvalidConfigError(f"alpha must be positive and finite, got {alpha!r}")
@@ -154,9 +155,15 @@ def fit_counts(
                 f"group {group}: {c.value} feature total plus alpha * {n_features} "
                 "is not a finite float"
             )
-        log_likelihood[c] = {
-            op: math.log((feature_counts[op] + alpha) / denom) for op in features.opcodes
-        }
+        try:
+            log_likelihood[c] = {
+                op: math.log((feature_counts[op] + alpha) / denom) for op in features.opcodes
+            }
+        except ValueError:  # (count + alpha) / denom underflowed to 0
+            raise InvalidConfigError(
+                f"alpha {alpha!r} is too small: a smoothed {c.value} likelihood of group "
+                f"{group} underflows to 0"
+            ) from None
 
     return GroupModel(group, features, log_prior, log_likelihood, alpha, dict(n_samples))
 

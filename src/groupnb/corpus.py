@@ -7,6 +7,21 @@ cutoff) and every group later gets its own feature set and model.
 
 All functions here are pure transformations; returned objects are not
 mutated afterwards and are safe to share across worker processes.
+
+parse_corpus decodes a block of JSONL lines with one json.loads call
+over the lines joined as a JSON array, when every line's first
+character that is not JSON whitespace is "{" and no line holds "[".
+With the separator "\n," between lines, an array of one element per
+line holds exactly each line's document:
+
+- A raw newline is not allowed inside a JSON string, so no separator
+  can sit inside a string.
+- The comma cannot sit in a nested object, because an object needs a
+  key after a comma, and the next line starts with "{".
+- The comma cannot sit in a nested array, because with no "[" there
+  is none.
+- So every separator is top-level, and equal counts mean one document
+  per line.
 """
 
 from __future__ import annotations
@@ -16,8 +31,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
-from typing import Collection, Iterable, Mapping
+from itertools import compress, repeat
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import IntegrityError, InvalidConfigError, ParseError, SizeRangeError, positive_int
 
@@ -36,8 +51,8 @@ class OpcodeHistogram:
 
     Canonical form: keys are non-empty lowercase tokens, counts are
     positive integers that convert to float (zero-count entries are
-    absent). The histograms of one parse_corpus call share one key
-    string per distinct mnemonic.
+    absent). The histograms of one parse_corpus call share their key
+    strings: at most one per distinct mnemonic per block of lines.
     """
 
     entries: dict[str, int]
@@ -111,22 +126,28 @@ def _fold_counts(counts: Mapping[str, int]) -> dict[str, int]:
     return entries
 
 
-def _shared_histogram(ops: dict, names: dict[str, str]) -> OpcodeHistogram:
+def _shared_histogram(ops: dict, names: dict[str, str], decoded_together: bool) -> OpcodeHistogram:
     """OpcodeHistogram.from_counts(ops), keyed by the strings of ``names``.
 
     ``names`` maps every canonical mnemonic met so far in one parse to
     the one string that stands for it. A line of known names needs only
-    the count rule, and its dict is rebuilt from the shared strings. Any
-    other line goes through from_counts (folding case, or raising its
-    ValueError); its new names join ``names`` with their own strings,
-    and its entries are re-keyed through ``names``.
+    the count rule. If its block was ``decoded_together``, its dict is
+    kept as it is, keyed by the decoder's strings; otherwise its dict is
+    rebuilt from the shared strings. Any other line goes through
+    from_counts (folding case, or raising its ValueError); its new names
+    join ``names`` with their own strings, and its entries are re-keyed
+    through ``names``.
     """
     values = ops.values()
     if _plain_counts(values):
-        try:
-            return OpcodeHistogram(_nonzero(dict(zip(map(names.__getitem__, ops), values))))
-        except KeyError:  # a name new to this parse
-            pass
+        if decoded_together:
+            if ops.keys() <= names.keys():
+                return OpcodeHistogram(_nonzero(ops))
+        else:
+            try:
+                return OpcodeHistogram(_nonzero(dict(zip(map(names.__getitem__, ops), values))))
+            except KeyError:  # a name new to this parse
+                pass
     entries = OpcodeHistogram.from_counts(ops).entries
     return OpcodeHistogram(dict(zip(map(names.setdefault, entries, entries), entries.values())))
 
@@ -218,6 +239,80 @@ def _decode_json(text: str):
         raise ValueError("nested too deeply") from None
 
 
+# A block of lines is decoded by one json.loads call once it holds this
+# many characters (about 1 MiB of text); see _decode_block.
+_BLOCK_CHARS = 1 << 20
+
+
+def _line_blocks(stream: Iterable[str] | str) -> Iterator[tuple[list[int], list[str]]]:
+    """The numbers and texts of the non-blank lines, in blocks of about _BLOCK_CHARS characters.
+
+    A block ends with the line that brings it to _BLOCK_CHARS. An
+    exception the stream raises (a reader's ParseError for a line that
+    is not UTF-8, say) is held until the block read before it has been
+    yielded, so an error on an earlier line is still raised first.
+    """
+    line_nos: list[int] = []
+    lines: list[str] = []
+    size = 0
+    try:
+        for line_no, line in enumerate(_lines(stream), start=1):
+            if line.strip():
+                line_nos.append(line_no)
+                lines.append(line)
+                size += len(line)
+                if size >= _BLOCK_CHARS:
+                    yield line_nos, lines
+                    line_nos, lines, size = [], [], 0
+    except Exception:
+        if lines:
+            yield line_nos, lines
+        raise
+    if lines:
+        yield line_nos, lines
+
+
+def _decode_block(lines: list[str]) -> list | None:
+    """The JSON documents of ``lines``, one per line, from one json.loads call.
+
+    None where the module docstring's rule does not prove the block, or
+    where the joined text raises or gives another count than one
+    element per line; such a block is decoded line by line.
+    """
+    if not all(isinstance(line, str) and line.lstrip(" \t\n\r").startswith("{") for line in lines):
+        return None
+    parts = ["\n,"] * (2 * len(lines) + 1)
+    parts[0], parts[1::2], parts[-1] = "[", lines, "]"
+    text = "".join(parts)
+    if text.find("[", 1) != -1:
+        return None
+    try:
+        docs = _decode_json(text)
+    except ValueError:
+        return None
+    return docs if len(docs) == len(lines) else None
+
+
+def _documents(stream: Iterable[str] | str) -> Iterator[tuple[int, object, bool]]:
+    """(line number, JSON document, decoded together) for each non-blank line, in line order.
+
+    A block that _decode_block cannot decode as one has its lines
+    decoded one at a time, each only once the lines before it have been
+    taken, so a ParseError for bad JSON comes at its place in the order.
+    """
+    for line_nos, lines in _line_blocks(stream):
+        docs = _decode_block(lines)
+        if docs is not None:
+            yield from zip(line_nos, docs, repeat(True))
+            continue
+        for line_no, line in zip(line_nos, lines):
+            try:
+                obj = _decode_json(line)
+            except ValueError as exc:
+                raise ParseError(line_no, f"invalid JSON: {exc}") from None
+            yield line_no, obj, False
+
+
 def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) -> list[SampleRecord]:
     """Parse a JSONL corpus: one ``{"id", "label", "size_bytes", "opcodes"}`` object per line.
 
@@ -226,26 +321,31 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
     as ``Label.UNKNOWN`` (classification input); a label string other
     than "malware"/"benign" is always a parse error.
 
-    A text is split into lines at universal newlines only. The
-    histograms of one call share one key string per distinct mnemonic,
-    so a large batch holds each name once rather than once per sample.
-    A line of known names has only its counts checked; any other line is
-    built by OpcodeHistogram.from_counts, so records and error texts are
-    those of one from_counts call per line.
+    A text is split into lines at universal newlines only. The lines
+    are read in blocks of about 1 MiB of text, and a block whose lines
+    all start with "{" and hold no "[" is decoded by one json.loads call
+    over the lines joined as a JSON array ("\n," between lines). That
+    is exact: a raw newline cannot sit inside a JSON string, a comma
+    after a newline cannot sit in an object when the next line starts
+    with "{", and with no "[" it cannot sit in a nested array, so every
+    separator is top-level, and an array of one element per line holds
+    each line's document. Any other block is decoded line by line.
+
+    The histograms share their key strings. A line of a jointly decoded
+    block whose names are all known to the call keeps the decoder's
+    dict, whose keys the decoder holds once per mnemonic per block.
+    Any other line is built by OpcodeHistogram.from_counts and re-keyed
+    by the call's one string per mnemonic. Records and error texts are
+    those of one json.loads and one from_counts call per line.
 
     Raises ParseError (with line number) on a malformed line and
-    IntegrityError on a duplicate id.
+    IntegrityError on a duplicate id, at the first bad line; an error
+    the stream raises comes after those of the lines before it.
     """
     records: list[SampleRecord] = []
     seen: set[str] = set()
     names: dict[str, str] = {}
-    for line_no, line in enumerate(_lines(stream), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = _decode_json(line)
-        except ValueError as exc:
-            raise ParseError(line_no, f"invalid JSON: {exc}") from None
+    for line_no, obj, decoded_together in _documents(stream):
         if not isinstance(obj, dict):
             raise ParseError(line_no, "record must be a JSON object")
 
@@ -276,7 +376,7 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
         if not isinstance(raw_ops, dict):
             raise ParseError(line_no, "'opcodes' must be an object")
         try:
-            histogram = _shared_histogram(raw_ops, names)
+            histogram = _shared_histogram(raw_ops, names, decoded_together)
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
 

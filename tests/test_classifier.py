@@ -108,6 +108,16 @@ class TestTrainGroup:
         with pytest.raises(InvalidConfigError, match="alpha"):
             train_group(both, FeatureSet(("a", "b"), 2), alpha)
 
+    def test_alpha_too_small_for_a_likelihood(self):
+        # 5e-324 / 3 rounds to 0.0 for the opcode the malware class lacks.
+        both = [
+            make_sample("m", Label.MALWARE, 10, {"a": 3}),
+            make_sample("b", Label.BENIGN, 11, {"b": 3}),
+        ]
+        with pytest.raises(InvalidConfigError, match="^alpha 5e-324 is too small: a smoothed "
+                                                     "malware likelihood of group 7 underflows"):
+            train_group(both, FeatureSet(("a", "b"), 2), 5e-324, group=7)
+
     def test_class_total_must_fit_a_float(self):
         # Each count converts to float; their malware total (6e308) does not.
         samples = [make_sample(f"m{i}", Label.MALWARE, 10, {"evil": 10**308}) for i in range(6)]

@@ -10,7 +10,7 @@ import groupnb
 from groupnb import cli
 from groupnb.bench import parse_csv
 from groupnb.cli import main
-from groupnb.corpus import GroupingConfig, assign_group
+from groupnb.corpus import _BLOCK_CHARS, GroupingConfig, assign_group
 from groupnb.engine import _BLOCK, load_bundle, route, save_bundle, train_bundle
 
 from helpers import deadline, grouped, kill_worker_lanes, two_class_group
@@ -343,6 +343,21 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert not paths["bundle"].exists()
 
+    def test_alpha_too_small_for_a_likelihood_exits_one(self, tmp_path, capsys):
+        """Classes that share no opcode: a smoothed likelihood of 5e-324 / total underflows."""
+        corpus = tmp_path / "disjoint.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"{label}{i}", "label": label, "size_bytes": 100 + i,
+                        "opcodes": {"evil": 5, "bad": 2} if label == "malware" else {"mov": 4}})
+            + "\n" for label in ("malware", "benign") for i in range(6)))
+        bundle = tmp_path / "bundle.json"
+        assert _run("train", "--in", str(corpus), "--k", "3", "--alpha", "5e-324",
+                    "--out", str(bundle)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("groupnb: config error: alpha 5e-324 is too small")
+        assert len(err.splitlines()) == 1
+        assert not bundle.exists()
+
     def test_data_errors_exit_two(self, tmp_path):
         corrupt = tmp_path / "corrupt.jsonl"
         corrupt.write_text('{"id":"a"...\n')
@@ -465,6 +480,36 @@ class TestExitCodes:
         assert _run(*map(str, argv)) == 2
         err = capsys.readouterr().err
         assert err == f"groupnb: data error: {bad}: line {line_no}: byte 0xff is not valid UTF-8\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block", ["first", "second"])
+    @pytest.mark.parametrize("command", ["train", "classify"])
+    def test_earlier_bad_record_is_reported_before_a_later_bad_byte(self, pipeline_files,
+                                                                    tmp_path, capsys, command,
+                                                                    block):
+        """The parser reads ahead a block of lines, but reports errors in line order."""
+        paths = pipeline_files
+        assert _run("train", "--in", str(paths["train"]), "--k", "8",
+                    "--out", str(paths["bundle"])) == 0
+        good = paths_lines(paths["train"])
+        pad = []
+        if block == "second":  # good lines that fill the first block
+            pad = [json.dumps({**json.loads(line), "id": f"pad{i}", "pad": "x" * 4096})
+                   for i, line in enumerate(good * (_BLOCK_CHARS // (4096 * len(good)) + 1))]
+            assert sum(map(len, pad)) >= _BLOCK_CHARS
+        bad_label = json.dumps({**json.loads(good[0]), "label": "spyware"})
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes("".join(line + "\n" for line in pad + [good[1], bad_label, good[2]])
+                        .encode() + b'{"id": "\xff"}\n')
+        out = tmp_path / "out"
+        argv = {
+            "train": ("train", "--in", bad, "--k", "8", "--out", out),
+            "classify": ("classify", "--bundle", paths["bundle"], "--in", bad, "--out", out),
+        }[command]
+        capsys.readouterr()
+        assert _run(*map(str, argv)) == 2
+        err = capsys.readouterr().err
+        assert err == f"groupnb: data error: {bad}: line {len(pad) + 2}: unknown label 'spyware'\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("reader", [

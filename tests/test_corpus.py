@@ -2,15 +2,19 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupnb import corpus
 from groupnb.corpus import (
     GroupingConfig,
     Label,
     OpcodeHistogram,
+    SampleRecord,
     _fold_counts,
     assign_group,
     parse_corpus,
@@ -61,6 +65,52 @@ def _outcome(parse, lines, allow_unlabeled=False):
     except GroupNBError as exc:
         return "error", type(exc), str(exc), getattr(exc, "line_no", None)
     return "ok", records, [list(r.histogram.entries.items()) for r in records]
+
+
+def _oracle_parse(stream, allow_unlabeled=False):
+    """parse_corpus as one json.loads and one OpcodeHistogram.from_counts call per line."""
+    if isinstance(stream, str):
+        stream = stream.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    records, seen = [], set()
+    for line_no, line in enumerate(stream, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(line_no, f"invalid JSON: {exc.msg}") from None
+        except RecursionError:
+            raise ParseError(line_no, "invalid JSON: nested too deeply") from None
+        except ValueError as exc:  # an integer past the int-to-str digit limit
+            raise ParseError(line_no, f"invalid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ParseError(line_no, "record must be a JSON object")
+        rid = obj.get("id")
+        if not isinstance(rid, str) or not rid:
+            raise ParseError(line_no, "missing or empty 'id'")
+        if rid in seen:
+            raise IntegrityError(f"duplicate id {rid!r} at line {line_no}")
+        labels = {"malware": Label.MALWARE, "benign": Label.BENIGN}
+        if "label" not in obj and allow_unlabeled:
+            label = Label.UNKNOWN
+        elif "label" not in obj:
+            raise ParseError(line_no, "missing 'label'")
+        elif isinstance(obj["label"], str) and obj["label"] in labels:
+            label = labels[obj["label"]]
+        else:
+            raise ParseError(line_no, f"unknown label {obj['label']!r}")
+        size = obj.get("size_bytes")
+        if type(size) is not int or size < 0:
+            raise ParseError(line_no, "'size_bytes' must be a non-negative integer")
+        if not isinstance(obj.get("opcodes"), dict):
+            raise ParseError(line_no, "'opcodes' must be an object")
+        try:
+            histogram = OpcodeHistogram.from_counts(obj["opcodes"])
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
+        seen.add(rid)
+        records.append(SampleRecord(rid, label, size, histogram))
+    return records
 
 
 def _line(sid, opcodes):
@@ -252,19 +302,11 @@ class TestSharedNames:
     """parse_corpus keys every histogram of one call by one string per mnemonic."""
 
     @staticmethod
-    def _per_line_from_counts(monkeypatch):
-        """parse_corpus with one OpcodeHistogram.from_counts call per line, no shared names."""
-        monkeypatch.setattr(corpus, "_shared_histogram",
-                            lambda ops, names: OpcodeHistogram.from_counts(ops))
-        return lambda lines, allow_unlabeled=False: corpus.parse_corpus(
-            list(lines), allow_unlabeled=allow_unlabeled)
-
-    def _assert_same(self, monkeypatch, corpora):
-        outcomes = [(_outcome(parse_corpus, lines, allow), lines, allow)
-                    for lines in corpora for allow in (False, True)]
-        reference = self._per_line_from_counts(monkeypatch)
-        for got, lines, allow in outcomes:
-            assert got == _outcome(reference, lines, allow), lines
+    def _assert_same(corpora):
+        for lines in corpora:
+            for allow in (False, True):
+                got = _outcome(parse_corpus, lines, allow)
+                assert got == _outcome(_oracle_parse, lines, allow), lines
 
     def test_one_string_per_distinct_mnemonic(self):
         samples = generate_synthetic(SyntheticSpec(6, 8, 40, 0.5, 3))
@@ -283,12 +325,12 @@ class TestSharedNames:
         keys = [key for r in records for key in r.histogram.entries]
         assert len({*map(id, keys)}) == len({*keys}) == 3
 
-    def test_mutations_match_one_from_counts_per_line(self, monkeypatch):
+    def test_mutations_match_one_from_counts_per_line(self):
         """Each mutated line alone, and after a clean line that makes its names known."""
         clean = _line("c", {"mov": 5, "add": 6})
         corpora = [[line] for line in _mutated_lines()]
         corpora += [[clean, line] for line in _mutated_lines()]
-        self._assert_same(monkeypatch, corpora)
+        self._assert_same(corpora)
 
     @pytest.mark.parametrize("corpus_lines", [
         [_line("a", {"mov": 1}), _line("b", {"MOV": 2}), _line("c", {"mOv": 1, "mov": 1})],
@@ -312,17 +354,181 @@ class TestSharedNames:
             "float_known", "bool_known", "null_known", "sum_past_float_known", "huge_known",
             "bad_count_new", "empty_name_line_4", "empty_name_first", "empty_opcodes",
             "empty_opcodes_first", "new_name_later"])
-    def test_ordered_cases_match_one_from_counts_per_line(self, monkeypatch, corpus_lines):
+    def test_ordered_cases_match_one_from_counts_per_line(self, corpus_lines):
         got = _outcome(parse_corpus, corpus_lines)
         if got[0] == "ok":  # one key object per distinct mnemonic
             keys = [key for r in got[1] for key in r.histogram.entries]
             assert len({*map(id, keys)}) == len({*keys})
-        self._assert_same(monkeypatch, [corpus_lines])
+        self._assert_same([corpus_lines])
 
     def test_each_call_starts_a_new_table(self):
         first = parse_corpus(_line("a", {"mov": 1}))
         second = parse_corpus(_line("a", {"mov": 1}))
         assert [*first[0].histogram.entries][0] is not [*second[0].histogram.entries][0]
+
+
+# Flaws a record line may carry: (field, raw JSON value), the value None
+# deleting the field; ("opcodes", name, count) adds an opcode entry.
+# Case variants of a name are not flaws: they fold.
+_HUGE = "9" * 5000  # past the int-to-str digit limit
+_FLAWS = [("id", '""'), ("id", "7"), ("id", None), ("label", '"spyware"'), ("label", "null"),
+          ("label", None), ("size_bytes", "-1"), ("size_bytes", "1.5"), ("size_bytes", "true"),
+          ("size_bytes", None), ("opcodes", "null"), ("opcodes", None), ("x", "NaN")]
+_FLAWS += [("opcodes", name, "1") for name in ('"MOV"', '"Add"', '""')]
+_FLAWS += [("opcodes", '"mov"', count) for count in (
+    "0", "-2", "1.5", "1e2", "true", "null", "NaN", "-Infinity", '"3"', "{}", str(2**1024))]
+# Rough flaws also stop a block from being decoded as one: "[", a
+# character JSON does not allow around a document, or a huge integer.
+_ROUGH_FLAWS = [("id", '"f[1]"'), ("size_bytes", _HUGE), ("opcodes", '"mov"', _HUGE),
+                ("x", "[1, 2]"), ("x", '"["'), ("opcodes", "[]"), ("lead", "\ufeff"),
+                ("lead", "\x0c"), ("lead", "\xa0"), ("trail", "\x0c")]
+_RAW_LINES = ["", "   ", "{}"]
+_ROUGH_LINES = ["\x0c", "[]", "[1]", '"a"', "null", "1e999", "{nope", "{", "}", '{"a":' * 2000]
+# Runs of lines whose joined text decodes to the same count of other
+# documents: a line of two documents, then a pair that merges into one
+# (the comma lands in a nested object, or in a nested array).
+_OPEN = '{"id":"q","label":"benign","size_bytes":1,"opcodes":{"mov":1},"x":'
+_MERGE_RUNS = st.sampled_from([
+    ['{"id":"y"},{"id":"z"}', _OPEN + '{"a":1', '"b":2}}'],
+    ['{"id":"y"},{"id":"z"}', _OPEN + "[1", '{"b":2}]}'],
+    [_OPEN + '{"a":1', '  {"b":2}}', '{"id":"y"} , {"id":"z"}'],
+    [_OPEN + "[1", '"b"]}', '{"id":"y"},{"id":"z"}'],
+])
+
+
+@st.composite
+def _record_line(draw, flaws):
+    """A record line, often valid; it may carry one flaw, case variants and JSON whitespace."""
+    names = st.sampled_from(['"mov"', '"add"', '"xor"', '"jmp"', '"MOV"'])
+    ops = draw(st.lists(st.tuples(names, st.sampled_from(["1", "7", "0", str(2**1023)])),
+                        max_size=5))
+    fields = {"lead": draw(st.sampled_from(["", " ", "\t"])),
+              "id": draw(st.sampled_from([f'"{c}"' for c in "abcdefghijklmnopqrstuvwxyz"])),
+              "label": draw(st.sampled_from(['"malware"', '"benign"'])),
+              "size_bytes": draw(st.sampled_from(["10", "0", "4000"])),
+              "trail": draw(st.sampled_from(["", " "]))}
+    flaw = draw(st.sampled_from([None] * 3 + flaws))
+    if flaw and len(flaw) == 3:
+        ops.append(flaw[1:])
+    elif flaw:
+        fields[flaw[0]] = flaw[1]
+    fields.setdefault("opcodes", "{%s}" % ",".join(map(":".join, ops)))
+    lead, trail = fields.pop("lead"), fields.pop("trail")
+    items = draw(st.permutations([f'"{key}":{value}' for key, value in fields.items()
+                                  if value is not None]))
+    return lead + "{" + ("," + draw(st.sampled_from(["", " ", "\t"]))).join(items) + "}" + trail
+
+
+@st.composite
+def _corpus_input(draw, modes=("flawed", "rough")):
+    """(stream, block bound) with the bound near the size of a prefix of the lines.
+
+    A clean input holds valid records and blank lines, so its blocks are
+    decoded as one. A flawed one adds record-level flaws, a "{}" line and
+    merge runs; a rough one adds rough flaws and lines too.
+    """
+    mode = draw(st.sampled_from(modes))
+    flaws = {"clean": [], "flawed": _FLAWS, "rough": _FLAWS + _ROUGH_FLAWS}[mode]
+    raw = {"clean": _RAW_LINES[:2], "flawed": _RAW_LINES, "rough": _RAW_LINES + _ROUGH_LINES}[mode]
+    runs = [_record_line(flaws).map(lambda line: [line])] * 4
+    runs.append(st.sampled_from(raw).map(lambda line: [line]))
+    if mode != "clean":
+        runs += [_MERGE_RUNS] * 2
+    lines = [line for run in draw(st.lists(st.one_of(runs), max_size=10)) for line in run]
+    if mode == "clean" and draw(st.booleans()):  # every id unique, so no line is an error
+        lines = [line.replace('"id":"', f'"id":"{i}-', 1) for i, line in enumerate(lines)]
+    cut = draw(st.integers(0, len(lines)))
+    bound = sum(len(line) for line in lines[:cut] if line.strip()) + draw(st.integers(-1, 1))
+    ending = draw(st.sampled_from(["list", "\n", "\r\n", "\r"]))
+    stream = lines if ending == "list" else ending.join(lines) + draw(st.sampled_from(["", ending]))
+    return stream, max(1, bound)
+
+
+class TestBlockDecode:
+    """Blocks of lines decoded by one json.loads call give the records of one call per line."""
+
+    @staticmethod
+    def _padded(sid, chars):
+        """A labeled record line of exactly ``chars`` characters."""
+        line = _line(sid, {"mov": 1, "add": 2})[:-1] + ', "pad": ""}'
+        assert chars >= len(line)
+        return line[:-2] + "x" * (chars - len(line)) + '"}'
+
+    def test_kept_dicts_and_one_key_string_per_mnemonic(self, monkeypatch):
+        decoded = []
+
+        def spy(text):
+            decoded.append(json.loads(text))
+            return decoded[-1]
+
+        monkeypatch.setattr(corpus, "_decode_json", spy)
+        lines = [_line("a", {"mov": 1, "add": 2, "xor": 3})]
+        lines += [_line(f"s{i}", {"mov": i + 1, "xor": 2}) for i in range(20)]
+        records = parse_corpus(lines)
+        (docs,) = decoded  # one call for the whole block
+        assert all(r.histogram.entries is doc["opcodes"] for r, doc in zip(records[1:], docs[1:]))
+        keys = [key for r in records for key in r.histogram.entries]
+        assert len({*map(id, keys)}) == len({*keys}) == 3
+        assert records == _oracle_parse(lines)
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("tail", [
+        [_line("p0", {"mov": 1})],
+        ['{"id":"q","label":"benign","size_bytes":1,"opcodes":{"mov":1},"x":{"a":1', '"b":2}}'],
+        [_line("q", {"MOV": 2, "xor": 1}), "[]"],
+    ], ids=["duplicate_id", "merge_pair", "folded_then_array"])
+    def test_the_real_block_bound(self, monkeypatch, delta, tail):
+        """The first block ends with the line that brings it to _BLOCK_CHARS characters."""
+        blocks = []
+        decode_block = corpus._decode_block
+        monkeypatch.setattr(corpus, "_decode_block", lambda lines: blocks.append(len(lines))
+                            or decode_block(lines))
+        third = corpus._BLOCK_CHARS // 3
+        lines = [self._padded("p0", third), "", self._padded("p1", third),
+                 self._padded("p2", corpus._BLOCK_CHARS - 2 * third + delta)] + tail
+        got = _outcome(parse_corpus, lines)
+        assert got == _outcome(_oracle_parse, lines)
+        assert blocks[0] == (3 if delta >= 0 else 4)
+
+    @pytest.mark.parametrize("nested", ['{"a":1', "[1"], ids=["object", "array"])
+    def test_a_split_line_and_a_merged_pair_are_decoded_alone(self, nested):
+        """Joined, these three lines decode to three documents, but not to theirs."""
+        lines = ['{"id":"y"},{"id":"z"}', _OPEN + nested, '"b":2}}' if nested == '{"a":1' else
+                 '{"b":2}]}']
+        with pytest.raises(ParseError, match="^line 1: invalid JSON: Extra data$"):
+            parse_corpus(lines)
+
+    def test_stream_error_waits_for_the_lines_before_it(self):
+        def stream():
+            yield _line("a", {"mov": 1})
+            yield '{"id": "b", "size_bytes": 1, "opcodes": {}}'
+            raise ParseError(3, "byte 0xff is not valid UTF-8")
+
+        with pytest.raises(ParseError, match="^line 2: missing 'label'$"):
+            parse_corpus(stream())
+        with pytest.raises(ParseError, match="^line 3: byte 0xff"):
+            parse_corpus(stream(), allow_unlabeled=True)
+
+
+class TestParseProperty:
+    """parse_corpus against one json.loads and one from_counts call per line, on generated JSONL."""
+
+    @staticmethod
+    def _check(case, allow_unlabeled):
+        stream, bound = case
+        with mock.patch.object(corpus, "_BLOCK_CHARS", bound):
+            got = _outcome(parse_corpus, stream, allow_unlabeled)
+        assert got == _outcome(_oracle_parse, stream, allow_unlabeled)
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(_corpus_input(("clean",)), st.booleans())
+    def test_clean_blocks_decoded_as_one(self, case, allow_unlabeled):
+        self._check(case, allow_unlabeled)
+
+    @settings(derandomize=True, max_examples=250, deadline=None, database=None)
+    @given(_corpus_input(), st.booleans())
+    def test_flawed_and_rough_lines(self, case, allow_unlabeled):
+        self._check(case, allow_unlabeled)
 
 
 class TestLineBreaks:
