@@ -52,7 +52,8 @@ class OpcodeHistogram:
     Canonical form: keys are non-empty lowercase tokens, counts are
     positive integers that convert to float (zero-count entries are
     absent). The histograms of one parse_corpus call share their key
-    strings: at most one per distinct mnemonic per block of lines.
+    strings: per mnemonic, at most the one string json.loads holds for
+    each block of lines, plus the one the call's re-keyed lines share.
     """
 
     entries: dict[str, int]
@@ -127,16 +128,16 @@ def _fold_counts(counts: Mapping[str, int]) -> dict[str, int]:
 
 
 def _shared_histogram(ops: dict, names: dict[str, str], decoded_together: bool) -> OpcodeHistogram:
-    """OpcodeHistogram.from_counts(ops), keyed by the strings of ``names``.
+    """OpcodeHistogram.from_counts(ops), keyed by shared strings.
 
     ``names`` maps every canonical mnemonic met so far in one parse to
     the one string that stands for it. A line of known names needs only
-    the count rule. If its block was ``decoded_together``, its dict is
-    kept as it is, keyed by the decoder's strings; otherwise its dict is
-    rebuilt from the shared strings. Any other line goes through
-    from_counts (folding case, or raising its ValueError); its new names
-    join ``names`` with their own strings, and its entries are re-keyed
-    through ``names``.
+    the count rule: if its block was ``decoded_together``, its dict is
+    kept, keyed by the strings the decoder holds once per block;
+    otherwise it is rebuilt on the strings of ``names``. Any other line
+    goes through from_counts (folding case, or raising its ValueError);
+    its new names join ``names`` with their own strings, and its entries
+    are re-keyed through ``names``.
     """
     values = ops.values()
     if _plain_counts(values):
@@ -144,6 +145,8 @@ def _shared_histogram(ops: dict, names: dict[str, str], decoded_together: bool) 
             if ops.keys() <= names.keys():
                 return OpcodeHistogram(_nonzero(ops))
         else:
+            # The rebuild's own lookups test the names: a subset test
+            # first would add about a tenth to a line-by-line parse.
             try:
                 return OpcodeHistogram(_nonzero(dict(zip(map(names.__getitem__, ops), values))))
             except KeyError:  # a name new to this parse
@@ -333,10 +336,13 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
 
     The histograms share their key strings. A line of a jointly decoded
     block whose names are all known to the call keeps the decoder's
-    dict, whose keys the decoder holds once per mnemonic per block.
-    Any other line is built by OpcodeHistogram.from_counts and re-keyed
-    by the call's one string per mnemonic. Records and error texts are
-    those of one json.loads and one from_counts call per line.
+    dict, whose keys the decoder holds once per mnemonic per block. A
+    line decoded on its own is rebuilt on the call's one string per
+    mnemonic. Any other line is built by OpcodeHistogram.from_counts
+    and re-keyed by that same string. So a mnemonic has at most one
+    string per jointly decoded block plus the call's one. Records and
+    error texts are those of one json.loads and one from_counts call
+    per line.
 
     Raises ParseError (with line number) on a malformed line and
     IntegrityError on a duplicate id, at the first bad line; an error

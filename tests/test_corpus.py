@@ -471,6 +471,30 @@ class TestBlockDecode:
         assert len({*map(id, keys)}) == len({*keys}) == 3
         assert records == _oracle_parse(lines)
 
+    def test_lines_decoded_alone_are_rebuilt_on_the_calls_strings(self, monkeypatch):
+        """One line holding "[" sends its block line by line; those dicts are rebuilt, not kept."""
+        decoded = []
+        monkeypatch.setattr(corpus, "_decode_json", lambda text: decoded.append(text) or json.loads(text))
+        lines = [_line(f"s{i}", {"mov": i + 1, "xor": 2}) for i in range(20)]
+        lines.insert(10, _line("f[1]", {"mov": 1, "add": 2}))
+        records = parse_corpus(lines)
+        assert decoded == lines  # no joined block, one call per line
+        keys = [key for r in records for key in r.histogram.entries]
+        assert len({*map(id, keys)}) == len({*keys}) == 3
+        assert records == _oracle_parse(lines)
+
+    def test_at_most_one_string_per_block_plus_the_calls(self, monkeypatch):
+        """A folded line is re-keyed by the call's string; a kept line keeps its block's."""
+        monkeypatch.setattr(corpus, "_BLOCK_CHARS", 3 * len(_line("s0", {"mov": 1})))
+        lines = [_line(f"s{i}", {"MOV" if i % 4 == 0 else "mov": i + 1}) for i in range(12)]
+        records = parse_corpus(lines)
+        assert records == _oracle_parse(lines)
+        keys = [key for r in records for key in r.histogram.entries]
+        assert len({*map(id, keys)}) <= 4 + 1  # four blocks of three lines
+        assert records[1].histogram.entries.keys() == {"mov"}
+        (kept,) = records[1].histogram.entries
+        assert [*records[2].histogram.entries][0] is kept  # one string in a block's kept lines
+
     @pytest.mark.parametrize("delta", [-1, 0, 1], ids=["below", "at", "above"])
     @pytest.mark.parametrize("tail", [
         [_line("p0", {"mov": 1})],
