@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, TextIO
 
 from . import engine
-from .corpus import SampleRecord, _lines
+from .corpus import SampleRecord, _numbered_lines
 from .engine import ModelBundle, Workload
 from .errors import InvalidConfigError, ParseError, positive_int
 
@@ -157,9 +157,9 @@ def emit_csv(rows: Sequence[BenchRow], sink: TextIO) -> None:
 def parse_csv(text: str) -> tuple[BenchRow, ...]:
     """The rows of an emit_csv text; emit(parse(emit(rows))) == emit(rows).
 
-    Lines break as in parse_corpus; blank ones are skipped but counted.
+    Lines break, and blank ones are skipped but counted, as in parse_corpus.
     """
-    lines = [(line_no, line) for line_no, line in enumerate(_lines(text), start=1) if line]
+    lines = list(_numbered_lines(text))
     if not lines or lines[0][1] != CSV_HEADER:
         raise ParseError(lines[0][0] if lines else 1, f"expected header {CSV_HEADER!r}")
     rows = []

@@ -32,7 +32,8 @@ from .corpus import (
     GroupedCorpus,
     GroupingConfig,
     Label,
-    _decode_json,
+    _documents,
+    _record_header,
     parse_corpus,
     partition_by_group,
     serialize_sample,
@@ -275,28 +276,16 @@ def _cmd_score(args) -> int:
     seen: set[str] = set()
     errors = 0
     with _naming(args.preds):
-        for line_no, line in enumerate(_lines(args.preds), start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = _decode_json(line)
-            except ValueError as exc:
-                raise ParseError(line_no, f"invalid prediction JSON: {exc}") from None
-            if not isinstance(doc, dict) or not isinstance(doc.get("id"), str):
-                raise ParseError(line_no, "prediction must be an object with a string 'id'")
-            if doc["id"] in seen:
-                raise IntegrityError(f"duplicate prediction id {doc['id']!r} at line {line_no}")
-            if doc["id"] not in truth:
-                raise IntegrityError(
-                    f"prediction id {doc['id']!r} at line {line_no} is missing from truth")
-            seen.add(doc["id"])
+        for line_no, doc, _ in _documents(_lines(args.preds)):
+            pid, label = _record_header(line_no, doc, seen, allow_unlabeled=True)
+            if pid not in truth:
+                raise IntegrityError(f"prediction id {pid!r} at line {line_no} is missing from truth")
             if "error" in doc:
                 errors += 1
-                continue
-            raw = doc.get("label")
-            if raw not in (Label.MALWARE.value, Label.BENIGN.value):
-                raise ParseError(line_no, f"bad label {raw!r}")
-            predicted[doc["id"]] = Label(raw)
+            elif label is Label.UNKNOWN:
+                raise ParseError(line_no, "missing 'label'")
+            else:
+                predicted[pid] = label
 
     correct = sum(1 for i, label in predicted.items() if truth[i] is label)
     per_class = {}

@@ -8,6 +8,10 @@ cutoff) and every group later gets its own feature set and model.
 All functions here are pure transformations; returned objects are not
 mutated afterwards and are safe to share across worker processes.
 
+It is the one reader of line files: _numbered_lines (blank lines),
+_documents (JSON) and _record_header (id and label) serve corpus and
+prediction files; bench CSVs take the numbered lines.
+
 parse_corpus decodes a block of JSONL lines with one json.loads call
 over the lines joined as a JSON array, when every line's first
 character that is not JSON whitespace is "{" and no line holds "[".
@@ -52,8 +56,7 @@ class OpcodeHistogram:
     Canonical form: keys are non-empty lowercase tokens, counts are
     positive integers that convert to float (zero-count entries are
     absent). The histograms of one parse_corpus call share their key
-    strings: per mnemonic, at most the one string json.loads holds for
-    each block of lines, plus the one the call's re-keyed lines share.
+    strings; parse_corpus states the bound.
     """
 
     entries: dict[str, int]
@@ -137,7 +140,8 @@ def _shared_histogram(ops: dict, names: dict[str, str], decoded_together: bool) 
     otherwise it is rebuilt on the strings of ``names``. Any other line
     goes through from_counts (folding case, or raising its ValueError);
     its new names join ``names`` with their own strings, and its entries
-    are re-keyed through ``names``.
+    are re-keyed through ``names``. parse_corpus states the bound on
+    strings per mnemonic that this gives.
     """
     values = ops.values()
     if _plain_counts(values):
@@ -247,6 +251,12 @@ def _decode_json(text: str):
 _BLOCK_CHARS = 1 << 20
 
 
+def _numbered_lines(stream: Iterable[str] | str) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line that is not blank (all whitespace), counting from 1."""
+    return ((line_no, line) for line_no, line in enumerate(_lines(stream), start=1)
+            if line.strip())
+
+
 def _line_blocks(stream: Iterable[str] | str) -> Iterator[tuple[list[int], list[str]]]:
     """The numbers and texts of the non-blank lines, in blocks of about _BLOCK_CHARS characters.
 
@@ -259,14 +269,13 @@ def _line_blocks(stream: Iterable[str] | str) -> Iterator[tuple[list[int], list[
     lines: list[str] = []
     size = 0
     try:
-        for line_no, line in enumerate(_lines(stream), start=1):
-            if line.strip():
-                line_nos.append(line_no)
-                lines.append(line)
-                size += len(line)
-                if size >= _BLOCK_CHARS:
-                    yield line_nos, lines
-                    line_nos, lines, size = [], [], 0
+        for line_no, line in _numbered_lines(stream):
+            line_nos.append(line_no)
+            lines.append(line)
+            size += len(line)
+            if size >= _BLOCK_CHARS:
+                yield line_nos, lines
+                line_nos, lines, size = [], [], 0
     except Exception:
         if lines:
             yield line_nos, lines
@@ -316,23 +325,46 @@ def _documents(stream: Iterable[str] | str) -> Iterator[tuple[int, object, bool]
             yield line_no, obj, False
 
 
+def _record_header(line_no: int, obj, seen: set[str], allow_unlabeled: bool) -> tuple[str, Label]:
+    """The id and label of the JSONL record ``obj`` from line ``line_no``.
+
+    The record must be a JSON object whose 'id' is a non-empty string
+    not in ``seen`` (it is added there), and whose 'label' is "malware"
+    or "benign"; with ``allow_unlabeled`` it may have no 'label' and
+    gets Label.UNKNOWN. Raises ParseError, or IntegrityError on a
+    duplicate id.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError(line_no, "record must be a JSON object")
+    rid = obj.get("id")
+    if not isinstance(rid, str) or not rid:
+        raise ParseError(line_no, "missing or empty 'id'")
+    if rid in seen:
+        raise IntegrityError(f"duplicate id {rid!r} at line {line_no}")
+    seen.add(rid)
+    if "label" not in obj:
+        if not allow_unlabeled:
+            raise ParseError(line_no, "missing 'label'")
+        return rid, Label.UNKNOWN
+    raw_label = obj["label"]
+    if raw_label not in (Label.MALWARE.value, Label.BENIGN.value):
+        raise ParseError(line_no, f"unknown label {raw_label!r}")
+    return rid, Label(raw_label)
+
+
 def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) -> list[SampleRecord]:
     """Parse a JSONL corpus: one ``{"id", "label", "size_bytes", "opcodes"}`` object per line.
 
     Unknown top-level keys are ignored; blank lines are skipped. With
     ``allow_unlabeled`` a record may omit the label field and comes back
     as ``Label.UNKNOWN`` (classification input); a label string other
-    than "malware"/"benign" is always a parse error.
+    than "malware"/"benign" is always a parse error (see _record_header).
 
     A text is split into lines at universal newlines only. The lines
     are read in blocks of about 1 MiB of text, and a block whose lines
     all start with "{" and hold no "[" is decoded by one json.loads call
-    over the lines joined as a JSON array ("\n," between lines). That
-    is exact: a raw newline cannot sit inside a JSON string, a comma
-    after a newline cannot sit in an object when the next line starts
-    with "{", and with no "[" it cannot sit in a nested array, so every
-    separator is top-level, and an array of one element per line holds
-    each line's document. Any other block is decoded line by line.
+    (exact, as the module docstring shows); any other block is decoded
+    line by line.
 
     The histograms share their key strings. A line of a jointly decoded
     block whose names are all known to the call keeps the decoder's
@@ -352,27 +384,7 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
     seen: set[str] = set()
     names: dict[str, str] = {}
     for line_no, obj, decoded_together in _documents(stream):
-        if not isinstance(obj, dict):
-            raise ParseError(line_no, "record must be a JSON object")
-
-        rid = obj.get("id")
-        if not isinstance(rid, str) or not rid:
-            raise ParseError(line_no, "missing or empty 'id'")
-        if rid in seen:
-            raise IntegrityError(f"duplicate id {rid!r} at line {line_no}")
-
-        if "label" in obj:
-            raw_label = obj["label"]
-            if raw_label == Label.MALWARE.value:
-                label = Label.MALWARE
-            elif raw_label == Label.BENIGN.value:
-                label = Label.BENIGN
-            else:
-                raise ParseError(line_no, f"unknown label {raw_label!r}")
-        elif allow_unlabeled:
-            label = Label.UNKNOWN
-        else:
-            raise ParseError(line_no, "missing 'label'")
+        rid, label = _record_header(line_no, obj, seen, allow_unlabeled)
 
         size = obj.get("size_bytes")
         if not isinstance(size, int) or isinstance(size, bool) or size < 0:
@@ -386,7 +398,6 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
 
-        seen.add(rid)
         records.append(SampleRecord(rid, label, size, histogram))
     return records
 

@@ -95,8 +95,12 @@ class ModelBundle:
 
     config: GroupingConfig
     models: dict[int, GroupModel]
-    trained_ids: tuple[int, ...]
     meta: BundleMeta
+
+    @cached_property
+    def trained_ids(self) -> tuple[int, ...]:
+        """The groups that have a model, ascending."""
+        return tuple(sorted(self.models))
 
     @cached_property
     def _tables(self) -> "_ScoreTables":
@@ -167,13 +171,7 @@ def build_bundle(
             raise BundleValidationError(
                 f"{where}: {len(model.features.opcodes)} features exceeds k={meta.k}")
         by_group[model.group] = model
-    ids = tuple(sorted(by_group))
-    return ModelBundle(
-        config=config,
-        models={g: by_group[g] for g in ids},
-        trained_ids=ids,
-        meta=meta,
-    )
+    return ModelBundle(config, {g: by_group[g] for g in sorted(by_group)}, meta)
 
 
 def train_bundles(
@@ -570,7 +568,7 @@ def bundle_from_json(text: str) -> ModelBundle:
             f"{where}: 'features' must be an array of strings",
         )
         try:
-            features = FeatureSet(tuple(feature_list), meta.k)
+            features = FeatureSet(tuple(feature_list))
         except InvalidConfigError as exc:
             raise BundleValidationError(f"{where}: {exc}") from None
         log_prior: dict[Label, float] = {}

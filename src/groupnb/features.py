@@ -50,7 +50,6 @@ class FeatureSet:
     """
 
     opcodes: tuple[str, ...]
-    k: int
 
     def __post_init__(self):
         if not self.opcodes or len(set(self.opcodes)) != len(self.opcodes):
@@ -110,4 +109,4 @@ def select_top_k(table: ScoreTable, k: int) -> FeatureSet:
     """
     positive_int("k", k)
     ordered = sorted(table.scores.items(), key=lambda item: (-item[1], item[0]))
-    return FeatureSet(tuple(op for op, _ in ordered[:k]), k)
+    return FeatureSet(tuple(op for op, _ in ordered[:k]))

@@ -1,4 +1,12 @@
 import pytest
+from hypothesis import settings
+
+# Property tests are part of tier-1, so they must be repeatable and leave
+# nothing behind: examples come from a fixed seed, no example database is
+# written, and a slow host does not turn an example into a failure. Each
+# test keeps its own max_examples.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 _ACCEPTANCE_LINES: list[str] = []
 

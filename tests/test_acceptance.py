@@ -82,7 +82,7 @@ def test_c2_nb_posterior_oracle(acceptance):
         for i in range(n_b):
             ops = {o: c for o, c in counts_b.items() if c} if i == 0 else {}
             samples.append(make_sample(f"b{case}-{i}", Label.BENIGN, 20 + i, {**ops, "zzz": 1}))
-        model = train_group(samples, FeatureSet(features, 4), float(alpha))
+        model = train_group(samples, FeatureSet(features), float(alpha))
 
         budget = int(rng.integers(0, 7))
         hist: dict[str, int] = {}

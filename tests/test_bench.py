@@ -241,9 +241,13 @@ class TestLineBreaks:
             parse_csv(text)
         assert info.value.line_no == 2
 
-    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-    def test_line_numbers_count_every_line(self, ending):
-        lines = ["", CSV_HEADER, "2,8,sequential,1,1000,900,", "", "x,8,parallel,2,500,450,2.0"]
+    @pytest.mark.parametrize("ending, blank", [
+        ("\n", ""), ("\r\n", ""), ("\r", ""), ("\n", " \t"), ("\r\n", " \t"), ("\r", " \t"),
+    ], ids=["lf", "crlf", "cr", "lf_whitespace", "crlf_whitespace", "cr_whitespace"])
+    def test_line_numbers_count_every_line(self, ending, blank):
+        """Blank lines, empty or whitespace only, are skipped as parse_corpus skips them."""
+        lines = [blank, CSV_HEADER, "2,8,sequential,1,1000,900,", blank,
+                 "x,8,parallel,2,500,450,2.0"]
         with pytest.raises(ParseError, match="^line 5: ") as info:
             parse_csv(ending.join(lines) + ending)
         assert info.value.line_no == 5

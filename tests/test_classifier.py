@@ -28,7 +28,7 @@ def _example_model(alpha=1.0):
         make_sample("m", Label.MALWARE, 10, {"a": 2}),
         make_sample("b", Label.BENIGN, 11, {"b": 2}),
     ]
-    return train_group(samples, FeatureSet(("a", "b"), 2), alpha, group=3)
+    return train_group(samples, FeatureSet(("a", "b")), alpha, group=3)
 
 
 class TestTrainGroup:
@@ -49,7 +49,7 @@ class TestTrainGroup:
             make_sample("m", Label.MALWARE, 10, {"a": 3, "b": 1}),
             make_sample("b", Label.BENIGN, 11, {"a": 3, "b": 1}),
         ]
-        model = train_group(samples, FeatureSet(("a", "b"), 2), 1.0)
+        model = train_group(samples, FeatureSet(("a", "b")), 1.0)
         assert model.log_likelihood[Label.MALWARE] == model.log_likelihood[Label.BENIGN]
 
     def test_unseen_class_smooths_to_uniform(self):
@@ -58,7 +58,7 @@ class TestTrainGroup:
             make_sample("m", Label.MALWARE, 10, {"zzz": 5}),
             make_sample("b", Label.BENIGN, 11, {"a": 2, "b": 1}),
         ]
-        model = train_group(samples, FeatureSet(("a", "b"), 2), 1.0)
+        model = train_group(samples, FeatureSet(("a", "b")), 1.0)
         assert model.log_likelihood[Label.MALWARE]["a"] == pytest.approx(math.log(0.5))
         assert model.log_likelihood[Label.MALWARE]["b"] == pytest.approx(math.log(0.5))
 
@@ -68,31 +68,31 @@ class TestTrainGroup:
             make_sample("m", Label.MALWARE, 10, {"a": 2, "noise": 100}),
             make_sample("b", Label.BENIGN, 11, {"b": 2}),
         ]
-        model = train_group(samples, FeatureSet(("a", "b"), 2), 1.0)
+        model = train_group(samples, FeatureSet(("a", "b")), 1.0)
         assert model.log_likelihood[Label.MALWARE]["a"] == pytest.approx(math.log(3 / 4))
 
     def test_prior_follows_class_counts(self):
         samples = [
             make_sample(f"m{i}", Label.MALWARE, 10 + i, {"a": 1}) for i in range(3)
         ] + [make_sample("b0", Label.BENIGN, 20, {"b": 1})]
-        model = train_group(samples, FeatureSet(("a", "b"), 2), 1.0)
+        model = train_group(samples, FeatureSet(("a", "b")), 1.0)
         assert model.log_prior[Label.MALWARE] == pytest.approx(math.log(3 / 4))
         assert model.log_prior[Label.BENIGN] == pytest.approx(math.log(1 / 4))
 
     def test_error_cases(self):
         only_malware = [make_sample("m", Label.MALWARE, 10, {"a": 1})]
         with pytest.raises(InsufficientClassError):
-            train_group(only_malware, FeatureSet(("a",), 1), 1.0)
+            train_group(only_malware, FeatureSet(("a",)), 1.0)
         both = [
             make_sample("m", Label.MALWARE, 10, {"a": 1}),
             make_sample("b", Label.BENIGN, 11, {"a": 1}),
         ]
         with pytest.raises(InvalidConfigError):
-            train_group(both, FeatureSet((), 1), 1.0)
+            train_group(both, FeatureSet(()), 1.0)
         with pytest.raises(InvalidConfigError):
-            train_group(both, FeatureSet(("a",), 1), 0.0)
+            train_group(both, FeatureSet(("a",)), 0.0)
         with pytest.raises(InvalidConfigError):
-            train_group(both, FeatureSet(("a",), 1), -1.0)
+            train_group(both, FeatureSet(("a",)), -1.0)
 
     @pytest.mark.parametrize(
         "alpha",
@@ -106,7 +106,7 @@ class TestTrainGroup:
         ]
         # 1e308 alone is finite; alpha * |features| = 2e308 is not.
         with pytest.raises(InvalidConfigError, match="alpha"):
-            train_group(both, FeatureSet(("a", "b"), 2), alpha)
+            train_group(both, FeatureSet(("a", "b")), alpha)
 
     def test_alpha_too_small_for_a_likelihood(self):
         # 5e-324 / 3 rounds to 0.0 for the opcode the malware class lacks.
@@ -116,14 +116,14 @@ class TestTrainGroup:
         ]
         with pytest.raises(InvalidConfigError, match="^alpha 5e-324 is too small: a smoothed "
                                                      "malware likelihood of group 7 underflows"):
-            train_group(both, FeatureSet(("a", "b"), 2), 5e-324, group=7)
+            train_group(both, FeatureSet(("a", "b")), 5e-324, group=7)
 
     def test_class_total_must_fit_a_float(self):
         # Each count converts to float; their malware total (6e308) does not.
         samples = [make_sample(f"m{i}", Label.MALWARE, 10, {"evil": 10**308}) for i in range(6)]
         samples.append(make_sample("b", Label.BENIGN, 11, {"mov": 3}))
         with pytest.raises(IntegrityError, match="^group 4: malware feature total"):
-            train_group(samples, FeatureSet(("evil", "mov"), 2), group=4)
+            train_group(samples, FeatureSet(("evil", "mov")), group=4)
 
     def test_total_plus_smoothing_must_stay_finite(self):
         # The benign total fits a float, and so does alpha * 2, but not their sum.
@@ -132,14 +132,14 @@ class TestTrainGroup:
             make_sample("b", Label.BENIGN, 11, {"mov": int(1.7e308)}),
         ]
         with pytest.raises(IntegrityError, match="^group 5: benign feature total"):
-            train_group(samples, FeatureSet(("evil", "mov"), 2), 1e307, group=5)
+            train_group(samples, FeatureSet(("evil", "mov")), 1e307, group=5)
 
     def test_matches_double_loop_oracle_exactly(self):
         rng = random.Random(17)
         for _ in range(100):
             samples = seeded_group(rng)
             pool = sorted({op for s in samples for op in s.histogram.entries} | {"absent"})
-            features = FeatureSet(tuple(rng.sample(pool, rng.randint(1, len(pool)))), len(pool))
+            features = FeatureSet(tuple(rng.sample(pool, rng.randint(1, len(pool)))))
             alpha = rng.choice([1, 0.5, 2.0, 1e-3, 3.7])
             model = train_group(samples, features, alpha, group=2)
             expected = _oracle_log_likelihood(samples, features.opcodes, alpha)
@@ -158,7 +158,7 @@ class TestTrainGroup:
         pool = ["a", "b", "c", "d", "e", "f"]
         for _ in range(30):
             features = FeatureSet(
-                tuple(rng.choice(pool, size=int(rng.integers(1, 6)), replace=False)), 6
+                tuple(rng.choice(pool, size=int(rng.integers(1, 6)), replace=False))
             )
             samples = []
             for i in range(int(rng.integers(2, 9))):
@@ -231,7 +231,7 @@ class TestPredict:
             make_sample("m", Label.MALWARE, 10, {"a": 2, "b": 1}),
             make_sample("b", Label.BENIGN, 11, {"b": 1, "c": 2}),
         ]
-        model = train_group(samples, FeatureSet(("a", "b", "c"), 3), 1.0, group=3)
+        model = train_group(samples, FeatureSet(("a", "b", "c")), 1.0, group=3)
         histogram = OpcodeHistogram.from_counts(dict.fromkeys("abc", 10**308))
         assert log_posterior(model, histogram) == {
             Label.MALWARE: -math.inf, Label.BENIGN: -math.inf}
@@ -249,7 +249,7 @@ class TestPredict:
             make_sample("m", Label.MALWARE, 10, {"a": 1, "b": 1}),
             make_sample("b", Label.BENIGN, 11, {"a": 1, "b": 1}),
         ]
-        model = train_group(samples, FeatureSet(("a", "b"), 2), 1.0)
+        model = train_group(samples, FeatureSet(("a", "b")), 1.0)
         prediction = predict(model, OpcodeHistogram.from_counts({"a": 4}))
         assert prediction.log_posterior[Label.MALWARE] == prediction.log_posterior[Label.BENIGN]
         assert prediction.label is Label.BENIGN
@@ -266,7 +266,7 @@ class TestPredict:
             make_sample("m", Label.MALWARE, 10, {"a": 5, "b": 1}),
             make_sample("b", Label.BENIGN, 11, {"a": 1, "b": 7}),
         ]
-        features = FeatureSet(("a", "b"), 2)
+        features = FeatureSet(("a", "b"))
         model_1 = train_group(base, features, 1.0)
         tripled = [
             make_sample(f"{s.id}-{i}", s.label, s.size_bytes, dict(s.histogram.entries))
@@ -290,7 +290,7 @@ class TestPredict:
             make_sample("m", Label.MALWARE, 10, {"a": 5, "b": 1}),
             make_sample("b", Label.BENIGN, 11, {"a": 1, "b": 7}),
         ]
-        features = FeatureSet(("b", "a"), 2)
+        features = FeatureSet(("b", "a"))
         a = train_group(samples, features, 1.0)
         b = train_group(samples, features, 1.0)
         assert a == b

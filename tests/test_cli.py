@@ -156,17 +156,21 @@ class TestPipeline:
         assert outs[0].read_text() == outs[1].read_text()
 
     def test_score_counts_missing_predictions(self, pipeline_files, capsys):
+        """An error line holding "[" sends its block of lines through per-line decoding."""
         paths = pipeline_files
         _run("train", "--in", str(paths["train"]), "--k", "10", "--out", str(paths["bundle"]))
         _run("classify", "--bundle", str(paths["bundle"]), "--in", str(paths["test"]),
              "--out", str(paths["preds"]))
         preds = paths_lines(paths["preds"])
-        error = json.dumps({"id": json.loads(preds[1])["id"], "error": "e"})
-        paths["preds"].write_text("\n".join(preds[3:] + [error]) + "\n")
-        capsys.readouterr()
-        assert _run("score", "--preds", str(paths["preds"]), "--truth", str(paths["test"])) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert (payload["samples"], payload["errors"], payload["missing"]) == (61, 1, 2)
+        for message in ("e", "size_bytes 600000 outside [0, 512000)"):
+            error = json.dumps({"id": json.loads(preds[1])["id"], "error": message})
+            paths["preds"].write_text("\n".join(preds[3:] + [error]) + "\n")
+            capsys.readouterr()
+            assert _run("score", "--preds", str(paths["preds"]),
+                        "--truth", str(paths["test"])) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert (payload["samples"], payload["errors"], payload["missing"]) == (61, 1, 2)
+            assert payload["accuracy"] == 1.0
 
     def test_score_rejects_bundle_alias(self, pipeline_files, capsys):
         paths = pipeline_files
@@ -403,10 +407,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("line", [
         '{"id": "x", "label": "malware", "n": %s}' % ("9" * 5000),
         '{"id": [1], "label": "malware"}',
-    ], ids=["huge_integer", "list_id"])
+        '{"id": "TRUTH_ID", "label": "spyware", "error": "e"}',
+        '{"id": "", "error": "e"}',
+    ], ids=["huge_integer", "list_id", "error_with_unknown_label", "empty_id"])
     def test_score_rejects_malformed_predictions(self, pipeline_files, capsys, line):
         paths = pipeline_files
-        first_id = json.loads(paths_lines(paths["test"])[0])["id"]
+        first_id, second_id = (json.loads(t)["id"] for t in paths_lines(paths["test"])[:2])
+        line = line.replace("TRUTH_ID", second_id)
         paths["preds"].write_text(json.dumps({"id": first_id, "error": "e"}) + "\n" + line + "\n")
         assert _run("score", "--preds", str(paths["preds"]), "--truth", str(paths["test"])) == 2
         err = capsys.readouterr().err
@@ -424,7 +431,7 @@ class TestExitCodes:
         preds.write_text(first + '\n{"id": "a", "label": "malware"}\n')
         assert _run("score", "--preds", str(preds), "--truth", str(truth)) == 2
         err = capsys.readouterr().err
-        assert err == f"groupnb: data error: {preds}: duplicate prediction id 'a' at line 2\n"
+        assert err == f"groupnb: data error: {preds}: duplicate id 'a' at line 2\n"
 
     def test_score_mutations_exit_two_without_a_traceback(self, tmp_path, capsys):
         """Every field score reads, replaced by values of every JSON type or deleted."""
@@ -483,11 +490,14 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("block", ["first", "second"])
-    @pytest.mark.parametrize("command", ["train", "classify"])
+    @pytest.mark.parametrize("command", ["train", "classify", "score"])
     def test_earlier_bad_record_is_reported_before_a_later_bad_byte(self, pipeline_files,
                                                                     tmp_path, capsys, command,
                                                                     block):
-        """The parser reads ahead a block of lines, but reports errors in line order."""
+        """The parser reads ahead a block of lines, but reports errors in line order.
+
+        Corpus lines are also prediction lines, so score reads the same file as predictions.
+        """
         paths = pipeline_files
         assert _run("train", "--in", str(paths["train"]), "--k", "8",
                     "--out", str(paths["bundle"])) == 0
@@ -501,10 +511,13 @@ class TestExitCodes:
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes("".join(line + "\n" for line in pad + [good[1], bad_label, good[2]])
                         .encode() + b'{"id": "\xff"}\n')
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text("".join(line + "\n" for line in pad + good))
         out = tmp_path / "out"
         argv = {
             "train": ("train", "--in", bad, "--k", "8", "--out", out),
             "classify": ("classify", "--bundle", paths["bundle"], "--in", bad, "--out", out),
+            "score": ("score", "--preds", bad, "--truth", truth),
         }[command]
         capsys.readouterr()
         assert _run(*map(str, argv)) == 2
@@ -587,7 +600,7 @@ class TestExitCodes:
             "bundle": (("classify", "--bundle", deep, "--in", paths["test"], "--out", paths["preds"]),
                        "invalid bundle JSON: nested too deeply"),
             "preds": (("score", "--preds", deep, "--truth", paths["test"]),
-                      f"{deep}: line 1: invalid prediction JSON: nested too deeply"),
+                      f"{deep}: line 1: invalid JSON: nested too deeply"),
         }[target]
         capsys.readouterr()
         assert _run(*map(str, argv)) == 2

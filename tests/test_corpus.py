@@ -544,12 +544,12 @@ class TestParseProperty:
             got = _outcome(parse_corpus, stream, allow_unlabeled)
         assert got == _outcome(_oracle_parse, stream, allow_unlabeled)
 
-    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @settings(max_examples=150)
     @given(_corpus_input(("clean",)), st.booleans())
     def test_clean_blocks_decoded_as_one(self, case, allow_unlabeled):
         self._check(case, allow_unlabeled)
 
-    @settings(derandomize=True, max_examples=250, deadline=None, database=None)
+    @settings(max_examples=250)
     @given(_corpus_input(), st.booleans())
     def test_flawed_and_rough_lines(self, case, allow_unlabeled):
         self._check(case, allow_unlabeled)

@@ -10,6 +10,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupnb import engine
 from groupnb.corpus import (
@@ -56,7 +58,7 @@ _META = BundleMeta(k=3, alpha=1.0, seed=0, created_at="2026-01-01T00:00:00+00:00
 
 def _model(group, features=("add", "evil", "mov")):
     samples = two_class_group(group)
-    return train_group(samples, FeatureSet(tuple(features), _META.k), 1.0, group=group)
+    return train_group(samples, FeatureSet(tuple(features)), 1.0, group=group)
 
 
 def _bundle(groups=(0, 1, 2)):
@@ -68,7 +70,7 @@ def _signed_zero_model():
     """A valid model whose malware prior is -0.0 and whose likelihoods include 0.0."""
     return GroupModel(
         group=0,
-        features=FeatureSet(("a", "b"), 3),
+        features=FeatureSet(("a", "b")),
         log_prior={Label.MALWARE: -0.0, Label.BENIGN: -800.0},
         log_likelihood={
             Label.MALWARE: {"a": 0.0, "b": -800.0},
@@ -162,7 +164,7 @@ class TestBuildBundle:
 
     def test_rejects_more_features_than_budget(self):
         samples = two_class_group(0)
-        features = FeatureSet(("add", "evil", "mov"), 3)
+        features = FeatureSet(("add", "evil", "mov"))
         model = train_group(samples, features, 1.0, group=0)
         tight = BundleMeta(k=2, alpha=1.0, seed=0, created_at=_META.created_at)
         with pytest.raises(BundleValidationError):
@@ -451,7 +453,7 @@ class TestArrayKernel:
         for g, features in widths.items():
             samples = two_class_group(g)
             samples.append(make_sample(f"j{g}", Label.BENIGN, g * 5120, {"jmp": 2 + g}))
-            models.append(train_group(samples, FeatureSet(features, 5), 0.5, group=g))
+            models.append(train_group(samples, FeatureSet(features), 0.5, group=g))
         return build_bundle(models, config, meta)
 
     def _samples(self, n, seed):
@@ -714,12 +716,12 @@ def _doc_model(doc):
 # it the same way. Features are ("add", "evil", "mov").
 _INVARIANTS = {
     "features-empty": (
-        lambda good: FeatureSet((), 3),
+        lambda good: FeatureSet(()),
         lambda doc: _doc_model(doc).update(features=[],
                                            log_likelihood={"malware": {}, "benign": {}}),
         InvalidConfigError, "feature set is empty or repeats an opcode"),
     "features-repeated": (
-        lambda good: FeatureSet(("mov", "add", "mov"), 3),
+        lambda good: FeatureSet(("mov", "add", "mov")),
         lambda doc: _doc_model(doc)["features"].append("add"),
         InvalidConfigError, "feature set is empty or repeats an opcode"),
     "model-alpha-zero": (
@@ -843,6 +845,52 @@ class TestRoundTripSweep:
             assert bundle.trained_ids == ()
             self._assert_round_trips(bundle)
         self._assert_round_trips(build_bundle([_signed_zero_model()], GroupingConfig(), _META))
+
+
+@st.composite
+def _training_runs(draw):
+    """A synthetic spec, feature budgets and alpha for one train_bundles call."""
+    spec = SyntheticSpec(
+        group_count=draw(st.integers(1, 4)),
+        samples_per_group_per_class=draw(st.integers(4, 9)),  # some groups untrained
+        vocabulary_size=draw(st.integers(2, 60)),
+        divergence=draw(st.floats(0, 1)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    k_values = draw(st.lists(st.integers(1, 80), min_size=1, max_size=3, unique=True))
+    alpha = draw(st.sampled_from([1, 0.5, 2.5]) | st.floats(1e-3, 1e3))
+    return spec, k_values, alpha
+
+
+class TestBundleProperty:
+    """bundle_to_json -> bundle_from_json gives back the bundle and the same bytes."""
+
+    @staticmethod
+    def _trained(run):
+        spec, k_values, alpha = run
+        return train_bundles(grouped(generate_synthetic(spec)), k_values, alpha,
+                             created_at="t").values()
+
+    @staticmethod
+    def _check(bundle):
+        text = bundle_to_json(bundle)
+        loaded = bundle_from_json(text)
+        assert loaded == bundle
+        assert bundle_to_json(loaded) == text
+
+    @settings(max_examples=60)
+    @given(_training_runs())
+    def test_trained_bundles(self, run):
+        for bundle in self._trained(run):
+            self._check(bundle)
+
+    @settings(max_examples=60)
+    @given(_training_runs(), st.integers(1, 100))
+    def test_models_selected_below_the_bundle_budget(self, run, extra):
+        """Models whose features were selected at k, in a bundle whose meta.k is larger."""
+        for bundle in self._trained(run):
+            meta = dataclasses.replace(bundle.meta, k=bundle.meta.k + extra)
+            self._check(build_bundle(bundle.models.values(), bundle.config, meta))
 
 
 class TestTrainBundle:

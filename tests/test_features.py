@@ -193,7 +193,6 @@ class TestSelectTopK:
         table = ScoreTable({"mov": 0.5, "jmp": 0.25})
         features = select_top_k(table, 10)
         assert features.opcodes == ("mov", "jmp")
-        assert features.k == 10
 
     def test_ties_break_lexicographically(self):
         table = ScoreTable({"bbb": 0.5, "aaa": 0.5})
