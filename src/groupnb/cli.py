@@ -39,7 +39,7 @@ from .corpus import (
     serialize_sample,
     split_train_test,
 )
-from .errors import DataError, EmptyBundleError, IntegrityError, InvalidConfigError, LaneError, ParseError
+from .errors import DataError, IntegrityError, InvalidConfigError, LaneError, ParseError
 from .synth import SyntheticSpec, generate_synthetic
 
 
@@ -207,19 +207,9 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _train(grouped: GroupedCorpus, k_values: Sequence[int],
-           alpha: float = 1.0) -> dict[int, engine.ModelBundle]:
-    """engine.train_bundles, refusing bundles without a model (classify would reject them)."""
-    bundles = engine.train_bundles(grouped, k_values, alpha)
-    if not any(bundle.trained_ids for bundle in bundles.values()):
-        raise EmptyBundleError(f"no size group has {grouped.config.min_per_class} training "
-                               "samples of each class; no bundle written")
-    return bundles
-
-
 def _cmd_train(args) -> int:
     grouped = _grouped(_read_corpus(args.input))
-    bundle = _train(grouped, (args.k,), args.alpha)[args.k]
+    bundle = engine.train_bundles(grouped, (args.k,), args.alpha)[args.k]
     engine.save_bundle(bundle, args.out)
     print(f"trained {len(bundle.trained_ids)} group models (k={args.k}) to {args.out}")
     return 0
@@ -249,7 +239,7 @@ def _cmd_bench(args) -> int:
     train_samples = _read_corpus(args.train)
     test_samples = _read_corpus(args.test)
     grouped = _grouped(train_samples, "train samples")
-    rows = bench_mod.run_bench(_train(grouped, config.k_values), test_samples, config)
+    rows = bench_mod.run_bench(engine.train_bundles(grouped, config.k_values), test_samples, config)
     with open(args.out, "w", encoding="utf-8") as fp:
         bench_mod.emit_csv(rows, fp)
     print(f"wrote {len(rows)} bench rows to {args.out}")

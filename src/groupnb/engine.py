@@ -91,11 +91,15 @@ class BundleMeta:
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """Immutable collection of per-group models; safe for concurrent readers."""
+    """Immutable, non-empty collection of per-group models; safe for concurrent readers."""
 
     config: GroupingConfig
     models: dict[int, GroupModel]
     meta: BundleMeta
+
+    def __post_init__(self):
+        if not self.models:
+            raise EmptyBundleError("bundle has no trained models")
 
     @cached_property
     def trained_ids(self) -> tuple[int, ...]:
@@ -134,7 +138,7 @@ class TimedRun:
 
 
 def _route_row(ids: Sequence[int], group: int) -> int:
-    """Index in the sorted, non-empty ``ids`` of the effective group (see route)."""
+    """Index in the sorted ``ids`` of the effective group (see route)."""
     return min(bisect_left(ids, group), len(ids) - 1)
 
 
@@ -145,8 +149,6 @@ def route(bundle: ModelBundle, group: int) -> int:
     id above it; a file above the highest trained group falls back to
     the largest trained id below it.
     """
-    if not bundle.trained_ids:
-        raise EmptyBundleError("bundle has no trained models")
     ids = bundle.trained_ids
     return ids[_route_row(ids, group)]
 
@@ -187,11 +189,13 @@ def train_bundles(
     its opcode scores and every k's model come from those counts, with
     the results and errors of score_opcodes, select_top_k and train_group.
     Training draws no random numbers, so every bundle's meta.seed is 0.
-    The metas are built last: a training error comes before BundleMeta's.
+    The metas are built last: a training error comes before BundleMeta's,
+    and BundleMeta's before EmptyBundleError (no group is trainable).
     """
     config = train.config
+    groups = sorted(trainable_groups(train, config))
     models: dict[int, list[GroupModel]] = {k: [] for k in k_values}
-    for g in sorted(trainable_groups(train, config)):
+    for g in groups:
         counts = count_group(train.groups[g])
         table = score_counts(counts, group=g)
         for k, group_models in models.items():
@@ -199,10 +203,11 @@ def train_bundles(
             group_models.append(fit_counts(counts, features, alpha, group=g))
     if created_at is None:
         created_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return {
-        k: build_bundle(group_models, config, BundleMeta(k, alpha, 0, created_at))
-        for k, group_models in models.items()
-    }
+    metas = {k: BundleMeta(k, alpha, 0, created_at) for k in models}
+    if not groups:
+        raise EmptyBundleError(f"no size group has {config.min_per_class} training "
+                               "samples of each class; no bundle written")
+    return {k: build_bundle(models[k], config, metas[k]) for k in models}
 
 
 def train_bundle(
@@ -240,7 +245,7 @@ class _ScoreTables:
     def build(cls, bundle: ModelBundle) -> "_ScoreTables":
         ids = bundle.trained_ids
         models = [bundle.models[g] for g in ids]
-        width = max((len(m.features.opcodes) for m in models), default=0)
+        width = max(len(m.features.opcodes) for m in models)
         table = np.zeros((len(models), len(CLASSES), width + 1))
         keys = []
         for row, model in enumerate(models):
@@ -407,8 +412,6 @@ def _classify(
     bundle: ModelBundle, samples: Sequence[SampleRecord], lanes: int, warmup: bool
 ) -> TimedRun:
     """The lane runtime behind classify_sequential and classify_parallel."""
-    if not bundle.trained_ids:
-        raise EmptyBundleError("bundle has no trained models")
     n = len(samples)
     lanes = min(lanes, max(1, n // _BLOCK))
     chunk = -(-n // lanes) if n else 1
@@ -488,7 +491,7 @@ def bundle_to_json(bundle: ModelBundle) -> str:
     config_json = dumps(asdict(bundle.config))
     meta_json = dumps(asdict(bundle.meta))
     model_docs = [dumps(_model_doc(bundle.models[g])) for g in bundle.trained_ids]
-    models_json = "[\n" + ",\n".join(model_docs) + "\n]" if model_docs else "[]"
+    models_json = "[\n" + ",\n".join(model_docs) + "\n]"
     return (f'{{"format": {BUNDLE_FORMAT}, "config": {config_json}, "meta": {meta_json}, '
             f'"models": {models_json}}}\n')
 

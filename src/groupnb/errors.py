@@ -40,8 +40,8 @@ class BundleValidationError(DataError):
     """A model bundle (or a model inside it) violates its invariants."""
 
 
-class EmptyBundleError(DataError):
-    """The operation needs at least one trained model."""
+class EmptyBundleError(BundleValidationError):
+    """A bundle would hold no trained model."""
 
 
 class LaneError(GroupNBError):

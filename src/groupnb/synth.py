@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Label, OpcodeHistogram, SampleRecord
+from .corpus import GroupingConfig, Label, OpcodeHistogram, SampleRecord
 from .errors import InvalidConfigError, positive_int
 
 # Floor plus per-64-bytes growth, so opcode volume tracks file size the
@@ -75,7 +75,9 @@ def class_distributions(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     return malware / malware.sum(), benign / benign.sum()
 
 
-def generate_synthetic(spec: SyntheticSpec, group_size_bytes: int = 5120) -> list[SampleRecord]:
+def generate_synthetic(
+    spec: SyntheticSpec, group_size_bytes: int = GroupingConfig.group_size_bytes
+) -> list[SampleRecord]:
     """Draw a labeled corpus covering groups 0..group_count-1.
 
     Every (group, class) cell gets samples_per_group_per_class records;

@@ -670,6 +670,19 @@ class TestExitCodes:
             "no bundle written\n")
         assert not report.exists()
 
+    def test_classify_with_an_empty_model_array_exits_two(self, pipeline_files, capsys):
+        paths = pipeline_files
+        assert _run("train", "--in", str(paths["train"]), "--k", "8",
+                    "--out", str(paths["bundle"])) == 0
+        doc = json.loads(paths["bundle"].read_text(encoding="utf-8"))
+        doc["models"] = []
+        paths["bundle"].write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert _run("classify", "--bundle", str(paths["bundle"]), "--in", str(paths["test"]),
+                    "--out", str(paths["preds"])) == 2
+        assert capsys.readouterr().err == "groupnb: data error: bundle has no trained models\n"
+        assert not paths["preds"].exists()
+
     @pytest.mark.parametrize("name", [
         name for name in groupnb.__all__
         if isinstance(getattr(groupnb, name), type)

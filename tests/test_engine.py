@@ -6,7 +6,12 @@ import io
 import json
 import math
 import multiprocessing
+import os
+import re
 import statistics
+import tempfile
+from contextlib import redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupnb import engine
+from groupnb.cli import main
 from groupnb.corpus import (
     GroupedCorpus, GroupingConfig, Label, OpcodeHistogram, assign_group, partition_by_group,
 )
@@ -49,7 +55,7 @@ from groupnb.errors import (
 from groupnb.classifier import CLASSES, GroupModel, predict, train_group
 from groupnb.features import FeatureSet, score_opcodes, select_top_k
 
-from groupnb.synth import SyntheticSpec, generate_synthetic
+from groupnb.synth import SyntheticSpec, generate_synthetic, vocabulary
 
 from helpers import deadline, grouped, kill_worker_lanes, make_sample, two_class_group
 
@@ -127,13 +133,13 @@ class TestBuildBundle:
         assert bundle.trained_ids == (1, 2, 3)
         assert list(bundle.models) == [1, 2, 3]
 
-    def test_empty_bundle_is_valid_but_cannot_classify(self):
-        bundle = build_bundle([], GroupingConfig(), _META)
-        assert bundle.trained_ids == ()
-        with pytest.raises(EmptyBundleError):
-            classify_sequential(bundle, Workload(samples=(), lanes=1))
-        with pytest.raises(EmptyBundleError):
-            route(bundle, 0)
+    def test_empty_model_set_rejected(self):
+        """A bundle with no model could route nothing, so the type refuses it."""
+        for build in (lambda: ModelBundle(GroupingConfig(), {}, _META),
+                      lambda: build_bundle([], GroupingConfig(), _META)):
+            with pytest.raises(EmptyBundleError, match="^bundle has no trained models$"):
+                build()
+        assert issubclass(EmptyBundleError, BundleValidationError)
 
     def test_duplicate_group_rejected(self):
         with pytest.raises(IntegrityError):
@@ -592,10 +598,11 @@ class TestBundleSerialization:
             == classify_sequential(bundle, workload).predictions
         )
 
-    def test_empty_bundle_round_trips(self):
-        bundle = build_bundle([], GroupingConfig(), _META)
-        text = bundle_to_json(bundle)
-        assert bundle_from_json(text).trained_ids == ()
+    def test_loader_rejects_an_empty_model_array(self):
+        doc = json.loads(bundle_to_json(_bundle(groups=(0,))))
+        doc["models"] = []
+        with pytest.raises(EmptyBundleError, match="^bundle has no trained models$"):
+            bundle_from_json(json.dumps(doc))
 
     def test_seventeen_digit_floats(self):
         bundle = _bundle(groups=(0,))
@@ -813,6 +820,19 @@ def test_each_invariant_is_checked_once_by_its_type(build, mutate, error, messag
         bundle_from_json(json.dumps(doc))
 
 
+_UNTRAINABLE = "^no size group has 6 training samples of each class; no bundle written$"
+
+
+def _trained_bundles(spec, k_values, alpha):
+    """train_bundles on the spec's corpus; one with too few samples per class is refused."""
+    corpus = grouped(generate_synthetic(spec))
+    if spec.samples_per_group_per_class < GroupingConfig().min_per_class:
+        with pytest.raises(EmptyBundleError, match=_UNTRAINABLE):
+            train_bundles(corpus, k_values, alpha, created_at="t")
+        return []
+    return list(train_bundles(corpus, k_values, alpha, created_at="t").values())
+
+
 class TestRoundTripSweep:
     """Every bundle train_bundles returns survives bundle_to_json -> bundle_from_json."""
 
@@ -826,33 +846,32 @@ class TestRoundTripSweep:
         rng = np.random.default_rng(seed)
         spec = SyntheticSpec(
             group_count=int(rng.integers(1, 5)),
-            samples_per_group_per_class=int(rng.integers(4, 10)),  # some groups untrained
+            samples_per_group_per_class=int(rng.integers(4, 10)),  # below 6: no group trains
             vocabulary_size=int(rng.integers(2, 60)),
             divergence=float(rng.random()),
             seed=seed,
         )
-        corpus = grouped(generate_synthetic(spec))
         for alpha in (0.5, 1, 2.5):
-            bundles = train_bundles(corpus, (1, 5, 40), alpha, created_at="t")
-            for bundle in bundles.values():
+            for bundle in _trained_bundles(spec, (1, 5, 40), alpha):
                 assert bundle.meta.alpha == float(alpha)
                 assert type(bundle.meta.alpha) is float
                 self._assert_round_trips(bundle)
 
-    def test_empty_and_signed_zero_bundles_round_trip(self):
-        empty = train_bundles(grouped([]), (1, 5, 40), 2.5, created_at="t")
-        for bundle in empty.values():
-            assert bundle.trained_ids == ()
-            self._assert_round_trips(bundle)
+    def test_signed_zero_bundle_round_trips(self):
         self._assert_round_trips(build_bundle([_signed_zero_model()], GroupingConfig(), _META))
+
+    def test_empty_corpus_is_refused(self):
+        with pytest.raises(EmptyBundleError, match=_UNTRAINABLE):
+            train_bundles(grouped([]), (1, 5, 40), 2.5, created_at="t")
 
 
 @st.composite
-def _training_runs(draw):
+def _training_runs(draw, least_per_class=4):
     """A synthetic spec, feature budgets and alpha for one train_bundles call."""
     spec = SyntheticSpec(
         group_count=draw(st.integers(1, 4)),
-        samples_per_group_per_class=draw(st.integers(4, 9)),  # some groups untrained
+        # below 6: no group trains
+        samples_per_group_per_class=draw(st.integers(least_per_class, 9)),
         vocabulary_size=draw(st.integers(2, 60)),
         divergence=draw(st.floats(0, 1)),
         seed=draw(st.integers(0, 2**16)),
@@ -866,12 +885,6 @@ class TestBundleProperty:
     """bundle_to_json -> bundle_from_json gives back the bundle and the same bytes."""
 
     @staticmethod
-    def _trained(run):
-        spec, k_values, alpha = run
-        return train_bundles(grouped(generate_synthetic(spec)), k_values, alpha,
-                             created_at="t").values()
-
-    @staticmethod
     def _check(bundle):
         text = bundle_to_json(bundle)
         loaded = bundle_from_json(text)
@@ -881,16 +894,135 @@ class TestBundleProperty:
     @settings(max_examples=60)
     @given(_training_runs())
     def test_trained_bundles(self, run):
-        for bundle in self._trained(run):
+        for bundle in _trained_bundles(*run):
             self._check(bundle)
 
     @settings(max_examples=60)
     @given(_training_runs(), st.integers(1, 100))
     def test_models_selected_below_the_bundle_budget(self, run, extra):
         """Models whose features were selected at k, in a bundle whose meta.k is larger."""
-        for bundle in self._trained(run):
+        for bundle in _trained_bundles(*run):
             meta = dataclasses.replace(bundle.meta, k=bundle.meta.k + extra)
             self._check(build_bundle(bundle.models.values(), bundle.config, meta))
+
+
+def _oracle_lines(bundle_doc, input_lines):
+    """Expected prediction documents, computed from the file formats alone.
+
+    Routing, scoring and the tie rule follow the README: group is
+    size // width; an untrained group routes to the next trained group
+    above, else the nearest below; scores are log prior plus count times
+    log likelihood, summed in feature order; ties go to benign. A size
+    outside the range, or a score that is not a finite float, gives an
+    error line.
+    """
+    config = bundle_doc["config"]
+    width, limit = config["group_size_bytes"], config["max_size_bytes"]
+    models = {m["group"]: m for m in bundle_doc["models"]}
+    trained = sorted(models)
+    out = []
+    for line in input_lines:
+        sample = json.loads(line)
+        size = sample["size_bytes"]
+        if not 0 <= size < limit:
+            out.append({"id": sample["id"], "error": f"size_bytes {size} outside [0, {limit})"})
+            continue
+        group = size // width
+        above = [g for g in trained if g >= group]
+        effective = above[0] if above else trained[-1]
+        model = models[effective]
+        opcodes = sample["opcodes"]
+        scores = {}
+        for c in ("malware", "benign"):
+            score = model["log_prior"][c]
+            row = model["log_likelihood"][c]
+            for op in model["features"]:
+                n = opcodes.get(op)
+                if n is not None:
+                    score += n * row[op]
+            scores[c] = score
+        if not all(map(math.isfinite, scores.values())):
+            out.append({"id": sample["id"], "error": "log-score is not a finite float"})
+            continue
+        label = "malware" if scores["malware"] > scores["benign"] else "benign"
+        out.append({"id": sample["id"], "label": label, "log_posterior": scores,
+                    "effective_group": effective})
+    return out
+
+
+@st.composite
+def _classify_cases(draw):
+    """A trained bundle, maybe with models left out, and classify input lines for it.
+
+    Sizes reach one group past the trained ones and past the size range;
+    a count of 1.7e308 usually overflows its sample's log-score.
+    """
+    spec, k_values, alpha = draw(_training_runs(least_per_class=6))
+    spec = dataclasses.replace(spec, group_count=draw(st.integers(3, 5)))  # room for gaps
+    trained = train_bundles(grouped(generate_synthetic(spec)), k_values[:1], alpha,
+                            created_at="t")[k_values[0]]
+    ids = trained.trained_ids
+    # Every step-th model from a start: gaps below the first and between the kept ones.
+    kept = ids[draw(st.integers(0, len(ids) - 1))::draw(st.integers(1, 3))]
+    bundle = build_bundle([trained.models[g] for g in kept], trained.config, trained.meta)
+    names = st.sampled_from(vocabulary(spec.vocabulary_size))
+    lines = []
+    for i in range(draw(st.integers(0, 20))):
+        size = draw(st.integers(0, (spec.group_count + 1) * 5120) | st.integers(512000, 520000))
+        opcodes = draw(st.dictionaries(names, st.integers(1, 20), max_size=8))
+        huge = draw(st.none() | names)
+        if huge is not None:
+            opcodes[huge] = 17 * 10**307
+        lines.append(json.dumps({"id": f"s{i}", "size_bytes": size, "opcodes": opcodes}))
+    return bundle, lines
+
+
+def test_classify_property():
+    """CLI classify writes the oracle's lines, the same bytes at every lane count.
+
+    The kernel block is cut to 2 samples, so batches of 4 or more start
+    worker lanes.
+    """
+    block = 2
+    seen = {"lanes": set(), "errors": set(), "groups": set()}
+
+    @settings(max_examples=40)
+    @given(_classify_cases())
+    def check(case):
+        bundle, lines = case
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle_path, in_path = os.path.join(tmp, "bundle.json"), os.path.join(tmp, "in.jsonl")
+            save_bundle(bundle, bundle_path)
+            with open(in_path, "w", encoding="utf-8") as fp:
+                fp.writelines(line + "\n" for line in lines)
+            outputs = {}
+            for mode in ["--sequential"] + [f"--parallel --lanes {n}" for n in range(1, 5)]:
+                out_path = os.path.join(tmp, "out.jsonl")
+                summary = io.StringIO()
+                with mock.patch.object(engine, "_BLOCK", block), redirect_stdout(summary):
+                    assert main(["classify", "--bundle", bundle_path, "--in", in_path,
+                                 "--out", out_path, *mode.split()]) == 0
+                with open(out_path, "rb") as fp:
+                    outputs[mode] = fp.read()
+                lanes = int(re.search(r", (\d+) lanes?,", summary.getvalue())[1])
+                want = min(int(mode[-1]), max(1, len(lines) // block)) if "lanes" in mode else 1
+                assert lanes == want, (mode, summary.getvalue())
+                seen["lanes"].add(lanes)
+            assert len(set(outputs.values())) == 1
+            with open(bundle_path, encoding="utf-8") as fp:
+                expected = _oracle_lines(json.load(fp), lines)
+        assert [json.loads(line) for line in outputs["--sequential"].splitlines()] == expected
+        for doc, line in zip(expected, lines):
+            if "error" in doc:
+                seen["errors"].add(doc["error"].split()[0])
+            else:
+                ids, group = bundle.trained_ids, json.loads(line)["size_bytes"] // 5120
+                seen["groups"].add("trained" if group in ids else "below" if group < ids[0]
+                                   else "above" if group > ids[-1] else "between")
+
+    check()
+    assert seen == {"lanes": {1, 2, 3, 4}, "errors": {"size_bytes", "log-score"},
+                    "groups": {"trained", "below", "above", "between"}}
 
 
 class TestTrainBundle:
