@@ -3,8 +3,7 @@
 Workloads are built in multiples of a fixed batch size by cycling the
 test set, classified repeatedly at each feature-budget k in both modes,
 and summarized as median/min elapsed nanoseconds plus the
-median-over-median speedup. The rows serialize to CSV deterministically
-and parse back for self-consistency checks.
+median-over-median speedup. The rows serialize to CSV deterministically.
 """
 
 from __future__ import annotations
@@ -15,9 +14,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, TextIO
 
 from . import engine
-from .corpus import SampleRecord, _numbered_lines
+from .corpus import SampleRecord
 from .engine import ModelBundle, Workload
-from .errors import InvalidConfigError, ParseError, positive_int
+from .errors import InvalidConfigError, positive_int
 
 CSV_HEADER = "k,batch_size,mode,lanes,elapsed_ns_median,elapsed_ns_min,speedup"
 
@@ -26,8 +25,8 @@ MODE_PARALLEL = "parallel"
 
 
 def _check_positive_ints(name: str, values: Sequence[int]) -> None:
-    if not values:
-        raise InvalidConfigError(f"{name} must be non-empty")
+    if not isinstance(values, Sequence) or not values:
+        raise InvalidConfigError(f"{name} must be a non-empty sequence, got {values!r}")
     for value in values:
         positive_int(f"{name} entry", value)
 
@@ -37,14 +36,12 @@ class BenchConfig:
     k_values: tuple[int, ...] = (20, 40, 80, 100, 160, 200)
     batch_multiple: int = 768
     batch_counts: tuple[int, ...] = (1, 2, 4, 8, 16)
-    lanes: int | None = None  # None: detected hardware threads
+    lanes: int = os.cpu_count() or 1  # at most this many lanes per parallel run
     repetitions: int = 5
 
     def __post_init__(self):
         _check_positive_ints("k_values", self.k_values)
         _check_positive_ints("batch_counts", self.batch_counts)
-        if self.lanes is None:
-            object.__setattr__(self, "lanes", os.cpu_count() or 1)
         positive_int("batch_multiple", self.batch_multiple)
         positive_int("lanes", self.lanes)
         positive_int("repetitions", self.repetitions)
@@ -153,35 +150,3 @@ def emit_csv(rows: Sequence[BenchRow], sink: TextIO) -> None:
             f"{row.elapsed_ns_median},{row.elapsed_ns_min},{speedup}\n"
         )
 
-
-def parse_csv(text: str) -> tuple[BenchRow, ...]:
-    """The rows of an emit_csv text; emit(parse(emit(rows))) == emit(rows).
-
-    Lines break, and blank ones are skipped but counted, as in parse_corpus.
-    """
-    lines = list(_numbered_lines(text))
-    if not lines or lines[0][1] != CSV_HEADER:
-        raise ParseError(lines[0][0] if lines else 1, f"expected header {CSV_HEADER!r}")
-    rows = []
-    for line_no, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise ParseError(line_no, f"expected 7 fields, got {len(parts)}")
-        try:
-            k, batch_size, mode, lanes, median, minimum, raw_speedup = parts
-            if mode not in (MODE_SEQUENTIAL, MODE_PARALLEL):
-                raise ValueError(f"unknown mode {mode!r}")
-            rows.append(
-                BenchRow(
-                    k=int(k),
-                    batch_size=int(batch_size),
-                    mode=mode,
-                    lanes=int(lanes),
-                    elapsed_ns_median=int(median),
-                    elapsed_ns_min=int(minimum),
-                    speedup=None if raw_speedup == "" else float(raw_speedup),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
-    return tuple(rows)

@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-multiple", type=int, default=768, dest="batch_multiple")
     p.add_argument("--batch-counts", type=_int_list, default=(1, 2, 4, 8, 16),
                    dest="batch_counts", help="comma-separated batch-size multipliers")
-    p.add_argument("--lanes", type=int, default=None,
+    p.add_argument("--lanes", type=int, default=os.cpu_count() or 1,
                    help="at most this many lanes per parallel run, default: detected "
                         "hardware threads")
     p.add_argument("--reps", type=int, default=5, help="repetitions per cell")
@@ -235,7 +235,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = _bench_config(args)
+    config = bench_mod.BenchConfig(
+        k_values=args.k,
+        batch_multiple=args.batch_multiple,
+        batch_counts=args.batch_counts,
+        lanes=args.lanes,
+        repetitions=args.reps,
+    )
     train_samples = _read_corpus(args.train)
     test_samples = _read_corpus(args.test)
     grouped = _grouped(train_samples, "train samples")
@@ -244,16 +250,6 @@ def _cmd_bench(args) -> int:
         bench_mod.emit_csv(rows, fp)
     print(f"wrote {len(rows)} bench rows to {args.out}")
     return 0
-
-
-def _bench_config(args) -> bench_mod.BenchConfig:
-    return bench_mod.BenchConfig(
-        k_values=tuple(args.k),
-        batch_multiple=args.batch_multiple,
-        batch_counts=tuple(args.batch_counts),
-        lanes=args.lanes,
-        repetitions=args.reps,
-    )
 
 
 def _division(numerator: int, denominator: int) -> float | None:

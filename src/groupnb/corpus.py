@@ -8,9 +8,8 @@ cutoff) and every group later gets its own feature set and model.
 All functions here are pure transformations; returned objects are not
 mutated afterwards and are safe to share across worker processes.
 
-It is the one reader of line files: _numbered_lines (blank lines),
-_documents (JSON) and _record_header (id and label) serve corpus and
-prediction files; bench CSVs take the numbered lines.
+It is the one reader of line files: _documents (blank lines and JSON)
+and _record_header (id and label) serve corpus and prediction files.
 
 parse_corpus decodes a block of JSONL lines with one json.loads call
 over the lines joined as a JSON array, when every line's first
@@ -36,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import IntegrityError, InvalidConfigError, ParseError, SizeRangeError, positive_int
 
@@ -71,12 +70,6 @@ class OpcodeHistogram:
         if _plain_names(counts) and _plain_counts(counts.values()):
             return cls(_nonzero(dict(counts)))
         return cls(_fold_counts(counts))
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def get(self, mnemonic: str, default: int = 0) -> int:
-        return self.entries.get(mnemonic, default)
 
 
 # The canonical-form rules, checked in a few C-level passes; an input
@@ -251,25 +244,23 @@ def _decode_json(text: str):
 _BLOCK_CHARS = 1 << 20
 
 
-def _numbered_lines(stream: Iterable[str] | str) -> Iterator[tuple[int, str]]:
-    """(line number, text) of each line that is not blank (all whitespace), counting from 1."""
-    return ((line_no, line) for line_no, line in enumerate(_lines(stream), start=1)
-            if line.strip())
-
-
 def _line_blocks(stream: Iterable[str] | str) -> Iterator[tuple[list[int], list[str]]]:
     """The numbers and texts of the non-blank lines, in blocks of about _BLOCK_CHARS characters.
 
-    A block ends with the line that brings it to _BLOCK_CHARS. An
-    exception the stream raises (a reader's ParseError for a line that
-    is not UTF-8, say) is held until the block read before it has been
-    yielded, so an error on an earlier line is still raised first.
+    Lines are numbered from 1; a blank line (all whitespace) is counted
+    but skipped. A block ends with the line that brings it to
+    _BLOCK_CHARS. An exception the stream raises (a reader's ParseError
+    for a line that is not UTF-8, say) is held until the block read
+    before it has been yielded, so an error on an earlier line is still
+    raised first.
     """
     line_nos: list[int] = []
     lines: list[str] = []
     size = 0
     try:
-        for line_no, line in _numbered_lines(stream):
+        for line_no, line in enumerate(_lines(stream), start=1):
+            if not line.strip():
+                continue
             line_nos.append(line_no)
             lines.append(line)
             size += len(line)
@@ -472,6 +463,8 @@ def split_train_test(
     r_test)) samples to the training side (rounding favors training)
     and the rest to the test side. Deterministic for a given seed.
     """
+    if not isinstance(ratio, Sequence) or len(ratio) != 2:
+        raise InvalidConfigError(f"ratio must be a (train, test) pair, got {ratio!r}")
     r_train, r_test = (positive_int("ratio part", part) for part in ratio)
 
     rng = random.Random(seed)

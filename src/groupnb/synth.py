@@ -75,16 +75,14 @@ def class_distributions(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     return malware / malware.sum(), benign / benign.sum()
 
 
-def generate_synthetic(
-    spec: SyntheticSpec, group_size_bytes: int = GroupingConfig.group_size_bytes
-) -> list[SampleRecord]:
-    """Draw a labeled corpus covering groups 0..group_count-1.
+def generate_synthetic(spec: SyntheticSpec) -> list[SampleRecord]:
+    """Draw a labeled corpus covering groups 0..group_count-1 of the default GroupingConfig.
 
     Every (group, class) cell gets samples_per_group_per_class records;
     sizes are uniform within the group's byte range and each histogram
     is a multinomial draw whose total count grows with the file size.
     """
-    positive_int("group_size_bytes", group_size_bytes)
+    group_size_bytes = GroupingConfig.group_size_bytes
     vocab = vocabulary(spec.vocabulary_size)
     probs_malware, probs_benign = class_distributions(spec)
     rng = np.random.default_rng(spec.seed)

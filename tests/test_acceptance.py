@@ -104,7 +104,7 @@ def test_c2_nb_posterior_oracle(acceptance):
             prob = Fraction(n_c, n_m + n_b)
             for o in features:
                 theta = Fraction(counts[o] + alpha, total + alpha * len(features))
-                prob *= theta ** histogram.get(o, 0)
+                prob *= theta ** histogram.entries.get(o, 0)
             joint[label] = prob
         expected = joint[Label.MALWARE] / (joint[Label.MALWARE] + joint[Label.BENIGN])
 

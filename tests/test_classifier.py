@@ -328,7 +328,8 @@ def _oracle_log_likelihood(samples, features, alpha):
     out = {}
     for c in (Label.MALWARE, Label.BENIGN):
         counts = {
-            op: sum(s.histogram.get(op) for s in samples if s.label is c) for op in features
+            op: sum(s.histogram.entries.get(op, 0) for s in samples if s.label is c)
+            for op in features
         }
         denom = sum(counts.values()) + alpha * len(features)
         out[c.value] = {op: math.log((counts[op] + alpha) / denom).hex() for op in features}

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface."""
 
+import csv
 import json
 import multiprocessing
 import os
@@ -8,7 +9,6 @@ import pytest
 
 import groupnb
 from groupnb import cli
-from groupnb.bench import parse_csv
 from groupnb.cli import main
 from groupnb.corpus import _BLOCK_CHARS, GroupingConfig, assign_group
 from groupnb.engine import _BLOCK, load_bundle, route, save_bundle, train_bundle
@@ -229,16 +229,19 @@ class TestPipeline:
             )
             == 0
         )
-        report = parse_csv(report_path.read_text())
+        with open(report_path, newline="") as fp:
+            report = list(csv.DictReader(fp))
         assert len(report) == 2 * 2 * 2
         for row in report:
-            if row.mode == "parallel":
+            if row["mode"] == "parallel":
                 sibling = next(
                     r
                     for r in report
-                    if r.mode == "sequential" and (r.k, r.batch_size) == (row.k, row.batch_size)
+                    if r["mode"] == "sequential"
+                    and (r["k"], r["batch_size"]) == (row["k"], row["batch_size"])
                 )
-                assert row.speedup == sibling.elapsed_ns_median / row.elapsed_ns_median
+                assert float(row["speedup"]) == (
+                    int(sibling["elapsed_ns_median"]) / int(row["elapsed_ns_median"]))
 
 
 class TestGeometry:

@@ -121,9 +121,9 @@ class TestOpcodeHistogram:
     def test_canonical_form(self):
         h = OpcodeHistogram.from_counts({"MOV": 2, "mov": 1, "jmp": 4, "add": 0})
         assert h.entries == {"mov": 3, "jmp": 4}
-        assert h.total() == 7
-        assert h.get("mov") == 3
-        assert h.get("absent") == 0
+        assert sum(h.entries.values()) == 7
+        assert h.entries.get("mov") == 3
+        assert h.entries.get("absent", 0) == 0
 
     @pytest.mark.parametrize("bad", [{"": 1}, {3: 1}, {"mov": -1}, {"mov": True}, {"mov": 1.5}])
     def test_rejects_malformed_entries(self, bad):
@@ -581,12 +581,14 @@ class TestLineBreaks:
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_line_numbers_follow_universal_newlines(self, tmp_path, ending):
-        lines = [_line("a", {"mov": 1}), "", _line("b\u2028", {"mov": 1}), "{nope"]
+        """Blank lines, empty or whitespace only, are skipped but counted."""
+        lines = [" \t", _line("a", {"mov": 1}), "", _line("b\u2028", {"mov": 1}), " \t", "{nope"]
         text = ending.join(lines) + ending
         parse = lambda lines: _outcome(parse_corpus, lines)  # noqa: E731
         got = parse(text)
         assert got == self._from_file(tmp_path, text, parse)
-        assert got[0] == "error" and got[3] == 4
+        assert got[0] == "error" and got[3] == 6
+        assert parse(ending.join(lines[:5]) + ending)[0] == "ok"
 
     def test_tokenize_disassembly_breaks_like_a_file(self, tmp_path):
         text = "mov a\u2028b\r\nXOR c\x0cd\rret\n"
@@ -759,6 +761,9 @@ class TestSplitTrainTest:
             split_train_test(labeled, (0, 1), seed=0)
         with pytest.raises(InvalidConfigError):
             split_train_test(labeled, (True, 1), seed=0)
+        for ratio in ((1, 2, 3), (1,)):
+            with pytest.raises(InvalidConfigError):
+                split_train_test(labeled, ratio, seed=0)
 
 
 class TestTrainableGroups:

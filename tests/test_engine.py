@@ -866,12 +866,17 @@ class TestRoundTripSweep:
 
 
 @st.composite
-def _training_runs(draw, least_per_class=4):
-    """A synthetic spec, feature budgets and alpha for one train_bundles call."""
+def _training_runs(draw, always_trainable=False):
+    """A synthetic spec, feature budgets and alpha for one train_bundles call.
+
+    Most specs have 6-9 samples per group and class, so every group
+    trains; unless ``always_trainable``, a minority has 4 or 5, so none
+    does.
+    """
+    untrainable = not always_trainable and draw(st.integers(0, 3)) == 3
     spec = SyntheticSpec(
         group_count=draw(st.integers(1, 4)),
-        # below 6: no group trains
-        samples_per_group_per_class=draw(st.integers(least_per_class, 9)),
+        samples_per_group_per_class=draw(st.integers(4, 5) if untrainable else st.integers(6, 9)),
         vocabulary_size=draw(st.integers(2, 60)),
         divergence=draw(st.floats(0, 1)),
         seed=draw(st.integers(0, 2**16)),
@@ -957,7 +962,7 @@ def _classify_cases(draw):
     Sizes reach one group past the trained ones and past the size range;
     a count of 1.7e308 usually overflows its sample's log-score.
     """
-    spec, k_values, alpha = draw(_training_runs(least_per_class=6))
+    spec, k_values, alpha = draw(_training_runs(always_trainable=True))
     spec = dataclasses.replace(spec, group_count=draw(st.integers(3, 5)))  # room for gaps
     trained = train_bundles(grouped(generate_synthetic(spec)), k_values[:1], alpha,
                             created_at="t")[k_values[0]]

@@ -86,7 +86,7 @@ class TestCountGroup:
                 members = [s for s in samples if s.label is label]
                 assert counts.samples[label] == len(members)
                 assert sum(counts.opcodes[label].values()) == sum(
-                    s.histogram.total() for s in members
+                    sum(s.histogram.entries.values()) for s in members
                 )
                 assert set(counts.opcodes[label]) == {
                     op for s in members for op in s.histogram.entries

@@ -1,25 +1,26 @@
-"""The README's Quick start commands and Python API block run as written."""
+"""The README's Quick start commands and Python API block run, or parse, as written."""
 
+import os
 import shlex
 from pathlib import Path
 
 from groupnb import SyntheticSpec, generate_synthetic
-from groupnb.cli import main
+from groupnb.cli import build_parser, main
 from groupnb.corpus import serialize_sample
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _block(heading: str, language: str) -> str:
-    """The first ``language`` code block under ``heading``."""
+def _block(heading: str, language: str, index: int = 0) -> str:
+    """The ``language`` code block number ``index`` (from 0) under ``heading``."""
     section = README.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1]
-    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+    return section.split(f"```{language}\n")[index + 1].split("```", 1)[0]
 
 
-def quick_start_commands():
-    """argv lists of the ``groupnb`` commands in the first sh block under "## Quick start"."""
+def quick_start_commands(index: int = 0):
+    """argv lists of the ``groupnb`` commands in sh block ``index`` under "## Quick start"."""
     commands = []
-    for line in _block("## Quick start", "sh").replace("\\\n", " ").splitlines():
+    for line in _block("## Quick start", "sh", index).replace("\\\n", " ").splitlines():
         argv = shlex.split(line)
         assert argv[0] == "groupnb", line
         commands.append(argv[1:])
@@ -27,8 +28,6 @@ def quick_start_commands():
 
 
 def test_quick_start_runs(tmp_path, monkeypatch, capsys):
-    # The section's second block, the bench sweep, is left out: it runs for
-    # minutes. tests/test_cli.py runs bench with small settings instead.
     commands = quick_start_commands()
     assert [argv[0] for argv in commands] == ["gen", "split", "train", "classify", "score"]
     monkeypatch.chdir(tmp_path)
@@ -43,3 +42,17 @@ def test_python_api_block_runs(capsys):
     exec(compile(_block("## Python API", "python"), "README.md", "exec"), namespace)
     assert capsys.readouterr().out == "1\n"  # 48 test samples: one lane
     assert namespace["bundles"][40].trained_ids == namespace["bundle"].trained_ids
+
+
+def test_quick_start_bench_block_parses():
+    """The bench sweep runs for minutes, so its flags are only parsed; tests/test_cli.py runs
+    bench with small settings."""
+    (argv,) = quick_start_commands(1)
+    assert build_parser().parse_args(argv).command == "bench"
+
+
+def test_bench_lanes_default_as_classify_does():
+    parser = build_parser()
+    bench = parser.parse_args(["bench", "--train", "a", "--test", "b", "--out", "c"])
+    classify = parser.parse_args(["classify", "--bundle", "a", "--in", "b", "--out", "c"])
+    assert bench.lanes == classify.lanes == (os.cpu_count() or 1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from groupnb.corpus import Label
+from groupnb.corpus import GroupingConfig, Label
 from groupnb.errors import InvalidConfigError
 from groupnb.synth import (
     SyntheticSpec,
@@ -99,7 +99,8 @@ class TestGenerateSynthetic:
 
     def test_covers_every_cell(self):
         spec = _spec(group_count=3, samples_per_group_per_class=4)
-        samples = generate_synthetic(spec, group_size_bytes=1000)
+        samples = generate_synthetic(spec)
+        width = GroupingConfig().group_size_bytes
         assert len(samples) == 3 * 4 * 2
         assert len({s.id for s in samples}) == len(samples)
         for g in range(3):
@@ -107,13 +108,13 @@ class TestGenerateSynthetic:
                 cell = [
                     s
                     for s in samples
-                    if s.label is label and g * 1000 <= s.size_bytes < (g + 1) * 1000
+                    if s.label is label and g * width <= s.size_bytes < (g + 1) * width
                 ]
                 assert len(cell) == 4
 
     def test_histogram_totals_track_file_size(self):
         for sample in generate_synthetic(_spec()):
-            assert sample.histogram.total() == 64 + sample.size_bytes // 64
+            assert sum(sample.histogram.entries.values()) == 64 + sample.size_bytes // 64
 
     def test_disjoint_supports_at_full_divergence(self):
         spec = _spec(divergence=1.0, vocabulary_size=10)
@@ -126,9 +127,3 @@ class TestGenerateSynthetic:
                 assert support <= first_half
             else:
                 assert support <= second_half
-
-    def test_rejects_bad_group_width(self):
-        with pytest.raises(InvalidConfigError):
-            generate_synthetic(_spec(), group_size_bytes=0)
-        with pytest.raises(InvalidConfigError):
-            generate_synthetic(_spec(), group_size_bytes=True)
