@@ -4,138 +4,26 @@ Executables are bucketed into fixed-width file-size groups; each group
 gets its own top-k opcode feature set and multinomial Naive Bayes
 model, and batches are classified either sequentially or across
 worker-process lanes with bit-identical results.
+
+Each module lists its public names in its own __all__; this package
+exports all of them.
 """
 
-from .bench import (
-    BenchConfig,
-    BenchRow,
-    emit_csv,
-    make_batches,
-    run_bench,
-)
-from .classifier import (
-    GroupModel,
-    Prediction,
-    log_posterior,
-    normalized_posterior,
-    predict,
-    train_group,
-)
-from .corpus import (
-    GroupedCorpus,
-    GroupingConfig,
-    Label,
-    OpcodeHistogram,
-    SampleRecord,
-    SplitResult,
-    assign_group,
-    parse_corpus,
-    partition_by_group,
-    serialize_sample,
-    split_train_test,
-    tokenize_disassembly,
-    trainable_groups,
-)
-from .engine import (
-    BundleMeta,
-    ModelBundle,
-    TimedRun,
-    Workload,
-    build_bundle,
-    bundle_from_json,
-    bundle_to_json,
-    classify_parallel,
-    classify_sequential,
-    load_bundle,
-    route,
-    save_bundle,
-    speedup,
-    train_bundle,
-    train_bundles,
-    write_predictions,
-)
-from .errors import (
-    BundleValidationError,
-    DataError,
-    EmptyBundleError,
-    GroupNBError,
-    InsufficientClassError,
-    IntegrityError,
-    InvalidConfigError,
-    LaneError,
-    MeasurementError,
-    ParseError,
-    SizeRangeError,
-)
-from .features import (
-    FeatureSet,
-    GroupCounts,
-    ScoreTable,
-    count_group,
-    score_opcodes,
-    select_top_k,
-)
-from .synth import SyntheticSpec, class_distributions, generate_synthetic
+from . import bench, classifier, corpus, engine, errors, features, synth
+from .bench import *
+from .classifier import *
+from .corpus import *
+from .engine import *
+from .errors import *
+from .features import *
+from .synth import *
 
 __all__ = [
-    "BenchConfig",
-    "BenchRow",
-    "BundleMeta",
-    "BundleValidationError",
-    "DataError",
-    "EmptyBundleError",
-    "FeatureSet",
-    "GroupCounts",
-    "GroupModel",
-    "GroupNBError",
-    "GroupedCorpus",
-    "GroupingConfig",
-    "InsufficientClassError",
-    "IntegrityError",
-    "InvalidConfigError",
-    "Label",
-    "LaneError",
-    "MeasurementError",
-    "ModelBundle",
-    "OpcodeHistogram",
-    "ParseError",
-    "Prediction",
-    "SampleRecord",
-    "ScoreTable",
-    "SizeRangeError",
-    "SplitResult",
-    "SyntheticSpec",
-    "TimedRun",
-    "Workload",
-    "assign_group",
-    "build_bundle",
-    "bundle_from_json",
-    "bundle_to_json",
-    "class_distributions",
-    "classify_parallel",
-    "classify_sequential",
-    "count_group",
-    "emit_csv",
-    "generate_synthetic",
-    "load_bundle",
-    "log_posterior",
-    "make_batches",
-    "normalized_posterior",
-    "parse_corpus",
-    "partition_by_group",
-    "predict",
-    "route",
-    "run_bench",
-    "save_bundle",
-    "score_opcodes",
-    "select_top_k",
-    "serialize_sample",
-    "speedup",
-    "split_train_test",
-    "tokenize_disassembly",
-    "train_bundle",
-    "train_bundles",
-    "train_group",
-    "trainable_groups",
-    "write_predictions",
+    *bench.__all__,
+    *classifier.__all__,
+    *corpus.__all__,
+    *engine.__all__,
+    *errors.__all__,
+    *features.__all__,
+    *synth.__all__,
 ]

@@ -18,6 +18,14 @@ from .corpus import SampleRecord
 from .engine import ModelBundle, Workload
 from .errors import InvalidConfigError, positive_int
 
+__all__ = [
+    "BenchConfig",
+    "BenchRow",
+    "emit_csv",
+    "make_batches",
+    "run_bench",
+]
+
 CSV_HEADER = "k,batch_size,mode,lanes,elapsed_ns_median,elapsed_ns_min,speedup"
 
 MODE_SEQUENTIAL = "sequential"

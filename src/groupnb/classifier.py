@@ -16,9 +16,18 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .corpus import Label, OpcodeHistogram, SampleRecord
+from .corpus import CLASSES, Label, OpcodeHistogram, SampleRecord
 from .errors import BundleValidationError, InsufficientClassError, IntegrityError, InvalidConfigError
-from .features import CLASSES, FeatureSet, GroupCounts, count_group
+from .features import FeatureSet, GroupCounts, count_group
+
+__all__ = [
+    "GroupModel",
+    "Prediction",
+    "log_posterior",
+    "normalized_posterior",
+    "predict",
+    "train_group",
+]
 
 
 def valid_alpha(alpha) -> bool:
@@ -103,13 +112,7 @@ def train_group(
     return fit_counts(count_group(samples), features, alpha, group=group)
 
 
-def fit_counts(
-    counts: GroupCounts,
-    features: FeatureSet,
-    alpha: float = 1.0,
-    *,
-    group: int = 0,
-) -> GroupModel:
+def fit_counts(counts: GroupCounts, features: FeatureSet, alpha: float, *, group: int) -> GroupModel:
     """Fit one group's model from its counted training samples.
 
     Priors are sample-count fractions; likelihoods are smoothed count

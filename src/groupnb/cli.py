@@ -24,11 +24,13 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from typing import Iterator, Sequence
 
 from . import bench as bench_mod
 from . import engine
 from .corpus import (
+    CLASSES,
     GroupedCorpus,
     GroupingConfig,
     Label,
@@ -115,18 +117,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="prediction JSONL path")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("bench", help="sequential-vs-parallel timing sweep")
+    # A sweep flag's dest is its BenchConfig field; a flag not given is left
+    # out of the namespace, so BenchConfig's default applies.
+    p = sub.add_parser("bench", help="sequential-vs-parallel timing sweep",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--train", required=True, help="train JSONL path")
     p.add_argument("--test", required=True, help="test JSONL path")
-    p.add_argument("--k", type=_int_list, default=(20, 40, 80, 100, 160, 200),
+    p.add_argument("--k", type=_int_list, dest="k_values", metavar="K",
                    help="comma-separated feature budgets")
-    p.add_argument("--batch-multiple", type=int, default=768, dest="batch_multiple")
-    p.add_argument("--batch-counts", type=_int_list, default=(1, 2, 4, 8, 16),
-                   dest="batch_counts", help="comma-separated batch-size multipliers")
-    p.add_argument("--lanes", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--batch-multiple", type=int, dest="batch_multiple")
+    p.add_argument("--batch-counts", type=_int_list, dest="batch_counts",
+                   help="comma-separated batch-size multipliers")
+    p.add_argument("--lanes", type=int,
                    help="at most this many lanes per parallel run, default: detected "
                         "hardware threads")
-    p.add_argument("--reps", type=int, default=5, help="repetitions per cell")
+    p.add_argument("--reps", type=int, dest="repetitions", metavar="REPS",
+                   help="repetitions per cell")
     p.add_argument("--out", required=True, help="report CSV path")
     p.set_defaults(func=_cmd_bench)
 
@@ -235,13 +241,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    given = vars(args)
     config = bench_mod.BenchConfig(
-        k_values=args.k,
-        batch_multiple=args.batch_multiple,
-        batch_counts=args.batch_counts,
-        lanes=args.lanes,
-        repetitions=args.reps,
-    )
+        **{f.name: given[f.name] for f in fields(bench_mod.BenchConfig) if f.name in given})
     train_samples = _read_corpus(args.train)
     test_samples = _read_corpus(args.test)
     grouped = _grouped(train_samples, "train samples")
@@ -275,7 +277,7 @@ def _cmd_score(args) -> int:
 
     correct = sum(1 for i, label in predicted.items() if truth[i] is label)
     per_class = {}
-    for c in (Label.MALWARE, Label.BENIGN):
+    for c in CLASSES:
         tp = sum(1 for i, label in predicted.items() if label is c and truth[i] is c)
         predicted_c = sum(1 for label in predicted.values() if label is c)
         truth_c = sum(1 for i in predicted if truth[i] is c)

@@ -37,7 +37,25 @@ from enum import Enum
 from itertools import compress, repeat
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from .errors import IntegrityError, InvalidConfigError, ParseError, SizeRangeError, positive_int
+from .errors import (
+    IntegrityError, InvalidConfigError, ParseError, SizeRangeError, non_negative_int, positive_int,
+)
+
+__all__ = [
+    "GroupedCorpus",
+    "GroupingConfig",
+    "Label",
+    "OpcodeHistogram",
+    "SampleRecord",
+    "SplitResult",
+    "assign_group",
+    "parse_corpus",
+    "partition_by_group",
+    "serialize_sample",
+    "split_train_test",
+    "tokenize_disassembly",
+    "trainable_groups",
+]
 
 
 class Label(Enum):
@@ -46,6 +64,10 @@ class Label(Enum):
     # Produced only for unlabeled classification input; never accepted
     # from training corpora.
     UNKNOWN = "unknown"
+
+
+# The two training classes, in the order of every per-class table.
+CLASSES = (Label.MALWARE, Label.BENIGN)
 
 
 @dataclass(frozen=True)
@@ -338,9 +360,10 @@ def _record_header(line_no: int, obj, seen: set[str], allow_unlabeled: bool) -> 
             raise ParseError(line_no, "missing 'label'")
         return rid, Label.UNKNOWN
     raw_label = obj["label"]
-    if raw_label not in (Label.MALWARE.value, Label.BENIGN.value):
-        raise ParseError(line_no, f"unknown label {raw_label!r}")
-    return rid, Label(raw_label)
+    for label in CLASSES:
+        if raw_label == label.value:
+            return rid, label
+    raise ParseError(line_no, f"unknown label {raw_label!r}")
 
 
 def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) -> list[SampleRecord]:
@@ -461,13 +484,14 @@ def split_train_test(
 
     A stratum of n samples contributes ceil(n * r_train / (r_train +
     r_test)) samples to the training side (rounding favors training)
-    and the rest to the test side. Deterministic for a given seed.
+    and the rest to the test side. Deterministic for a given seed, which
+    must be a non-negative integer (else InvalidConfigError).
     """
     if not isinstance(ratio, Sequence) or len(ratio) != 2:
         raise InvalidConfigError(f"ratio must be a (train, test) pair, got {ratio!r}")
     r_train, r_test = (positive_int("ratio part", part) for part in ratio)
 
-    rng = random.Random(seed)
+    rng = random.Random(non_negative_int("seed", seed))
     train_groups: dict[int, list[SampleRecord]] = {}
     test_groups: dict[int, list[SampleRecord]] = {}
     denom = r_train + r_test
@@ -476,7 +500,7 @@ def split_train_test(
         for sample in bucket:
             if sample.label is Label.UNKNOWN:
                 raise IntegrityError(f"unlabeled sample {sample.id!r} cannot be split")
-        for label in (Label.MALWARE, Label.BENIGN):
+        for label in CLASSES:
             stratum = sorted((s for s in bucket if s.label is label), key=lambda s: s.id)
             if not stratum:
                 continue
@@ -500,8 +524,7 @@ def trainable_groups(train: GroupedCorpus, config: GroupingConfig) -> set[int]:
     """
     out: set[int] = set()
     for g, samples in train.groups.items():
-        malware = sum(1 for s in samples if s.label is Label.MALWARE)
-        benign = sum(1 for s in samples if s.label is Label.BENIGN)
-        if malware >= config.min_per_class and benign >= config.min_per_class:
+        per_class = Counter(s.label for s in samples)
+        if all(per_class[c] >= config.min_per_class for c in CLASSES):
             out.add(g)
     return out

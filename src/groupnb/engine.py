@@ -23,14 +23,15 @@ score-table building or serialization; it starts after a ready/go
 barrier, so process start-up and warm-up are excluded.
 
 The kernel scores a block of samples at once and reproduces
-classifier.log_posterior bit for bit. Each bundle gets one score table
-per class, one row per model: the log prior, then the feature
-log-likelihoods in feature order. A sample's row of products is its
-routed model's row times the sample's counts of those features (1 for
-the prior), each product rounded exactly as the scalar ``n * ll`` is.
-Absent features contribute -0.0, the exact additive identity, so even a
-signed zero survives; np.add.accumulate then adds the products left to
-right, the order of the scalar loop.
+classifier.log_posterior bit for bit. Each classify call builds its
+tables from the bundle once, before any lane starts: one score table
+per class, with one row per model holding the log prior, then the
+feature log-likelihoods in feature order. A sample's row of products
+is its routed model's row times the sample's counts of those features
+(1 for the prior), each product rounded exactly as the scalar
+``n * ll`` is. Absent features contribute -0.0, the exact additive
+identity, so even a signed zero survives; np.add.accumulate then adds
+the products left to right, the order of the scalar loop.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .corpus import (
-    GroupedCorpus, GroupingConfig, Label, SampleRecord, _decode_json, assign_group,
+    CLASSES, GroupedCorpus, GroupingConfig, Label, SampleRecord, _decode_json, assign_group,
     trainable_groups,
 )
-from .classifier import CLASSES, GroupModel, Prediction, fit_counts, valid_alpha
+from .classifier import GroupModel, Prediction, fit_counts, valid_alpha
 from .errors import (
     BundleValidationError,
     EmptyBundleError,
@@ -60,9 +61,29 @@ from .errors import (
     LaneError,
     MeasurementError,
     SizeRangeError,
+    non_negative_int,
     positive_int,
 )
 from .features import FeatureSet, count_group, score_counts, select_top_k
+
+__all__ = [
+    "BundleMeta",
+    "ModelBundle",
+    "TimedRun",
+    "Workload",
+    "build_bundle",
+    "bundle_from_json",
+    "bundle_to_json",
+    "classify_parallel",
+    "classify_sequential",
+    "load_bundle",
+    "route",
+    "save_bundle",
+    "speedup",
+    "train_bundle",
+    "train_bundles",
+    "write_predictions",
+]
 
 
 @dataclass(frozen=True)
@@ -70,7 +91,7 @@ class BundleMeta:
     """How a bundle was trained; alpha is stored as a float.
 
     InvalidConfigError unless k is a positive int, alpha positive and
-    finite, seed an int and created_at a str.
+    finite, seed a non-negative int and created_at a str.
     """
 
     k: int
@@ -83,8 +104,7 @@ class BundleMeta:
         if not valid_alpha(self.alpha):
             raise InvalidConfigError(f"alpha must be positive and finite, got {self.alpha!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise InvalidConfigError(f"seed must be an integer, got {self.seed!r}")
+        non_negative_int("seed", self.seed)
         if not isinstance(self.created_at, str):
             raise InvalidConfigError(f"created_at must be a string, got {self.created_at!r}")
 
@@ -105,10 +125,6 @@ class ModelBundle:
     def trained_ids(self) -> tuple[int, ...]:
         """The groups that have a model, ascending."""
         return tuple(sorted(self.models))
-
-    @cached_property
-    def _tables(self) -> "_ScoreTables":
-        return _ScoreTables.build(self)
 
 
 @dataclass(frozen=True)
@@ -231,13 +247,16 @@ _BLOCK = 512
 
 @dataclass(frozen=True)
 class _ScoreTables:
-    """A bundle's models as arrays, one row per model in trained_ids order.
+    """What the kernel reads of a bundle: its trained_ids, its geometry and its models as arrays.
 
-    table[row, c] is [log_prior(c), ll(c, f_1), ..., ll(c, f_n)]
-    zero-padded to the widest model; keys[row] is (f_1, ..., f_n) padded
-    with None, which no histogram holds.
+    There is one row per model, in ids order. table[row, c] is
+    [log_prior(c), ll(c, f_1), ..., ll(c, f_n)] zero-padded to the
+    widest model; keys[row] is (f_1, ..., f_n) padded with None, which
+    no histogram holds.
     """
 
+    ids: tuple[int, ...]
+    config: GroupingConfig
     keys: tuple[tuple[str | None, ...], ...]
     table: np.ndarray
 
@@ -255,7 +274,7 @@ class _ScoreTables:
                 table[row, c, 0] = model.log_prior[label]
                 table[row, c, 1 : len(features) + 1] = [ll[op] for op in features]
             keys.append(features + (None,) * (width - len(features)))
-        return cls(tuple(keys), table)
+        return cls(ids, bundle.config, tuple(keys), table)
 
 
 def _log_scores(
@@ -283,7 +302,7 @@ def _log_scores(
 
 
 def _classify_slice(
-    bundle: ModelBundle, samples: Sequence[SampleRecord], start: int, end: int
+    tables: _ScoreTables, samples: Sequence[SampleRecord], start: int, end: int
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
     """Classify samples[start:end] into arrays.
 
@@ -292,8 +311,8 @@ def _classify_slice(
     (absolute index, message) pairs in index order. A sample fails when
     its size is out of range or a log-score overflows the float range.
     """
-    ids = bundle.trained_ids
-    config = bundle.config
+    ids = tables.ids
+    config = tables.config
     admitted: list[int] = []
     rows: list[int] = []
     histograms: list[dict[str, int]] = []
@@ -312,7 +331,7 @@ def _classify_slice(
     scores = np.zeros((end - start, len(CLASSES)))
     groups[admitted] = np.array(ids, dtype=np.int64)[rows]
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        scores[admitted] = _log_scores(bundle._tables, histograms, rows)
+        scores[admitted] = _log_scores(tables, histograms, rows)
     non_finite = np.flatnonzero(~np.isfinite(scores).all(axis=1))
     if len(non_finite):
         groups[non_finite] = -1
@@ -339,7 +358,7 @@ def _timed_run(
     return TimedRun(tuple(predictions), tuple(errors), elapsed_ns, len(parts))
 
 
-def _lane(conn, caller_ends, bundle: ModelBundle, samples: Sequence[SampleRecord], start: int,
+def _lane(conn, caller_ends, tables: _ScoreTables, samples: Sequence[SampleRecord], start: int,
           end: int, warmup: bool) -> None:
     """Worker-lane body: classify samples[start:end] between the caller's go and its receive.
 
@@ -353,10 +372,10 @@ def _lane(conn, caller_ends, bundle: ModelBundle, samples: Sequence[SampleRecord
         caller_end.close()
     try:
         if warmup:
-            _classify_slice(bundle, samples, start, end)
+            _classify_slice(tables, samples, start, end)
         conn.send("ready")
         conn.recv()
-        conn.send(_classify_slice(bundle, samples, start, end))
+        conn.send(_classify_slice(tables, samples, start, end))
     except (EOFError, ConnectionError):
         pass
     finally:
@@ -395,7 +414,7 @@ def classify_parallel(
     starts no process. The batch is cut into contiguous chunks of
     ceil(N / lanes) samples. The caller classifies chunk 0 itself; every
     other chunk gets one worker process and one pipe. Workers are forked
-    where the platform can, so they inherit the bundle and the batch;
+    where the platform can, so they inherit the score tables and the batch;
     elsewhere they are spawned and the same arguments are pickled. Lanes
     return arrays, and the predictions built from them are in input order
     and bit-identical (label and log-scores) to classify_sequential on the
@@ -416,7 +435,7 @@ def _classify(
     lanes = min(lanes, max(1, n // _BLOCK))
     chunk = -(-n // lanes) if n else 1
     bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)] or [(0, 0)]
-    bundle._tables  # build once here, so forked lanes inherit them
+    tables = _ScoreTables.build(bundle)  # before any lane starts, so every lane shares it
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     ctx = multiprocessing.get_context(method)
 
@@ -427,19 +446,19 @@ def _classify(
             conn, lane_conn = ctx.Pipe()
             conns.append(conn)
             with lane_conn:  # the worker's copy must be the only one left open
-                args = (lane_conn, tuple(conns), bundle, samples, lo, hi, warmup)
+                args = (lane_conn, tuple(conns), tables, samples, lo, hi, warmup)
                 proc = ctx.Process(target=_lane, args=args, daemon=True)
                 proc.start()
             procs.append(proc)
         lo, hi = bounds[0]
         if warmup:
-            _classify_slice(bundle, samples, lo, hi)
+            _classify_slice(tables, samples, lo, hi)
         for lane, (proc, conn) in enumerate(zip(procs, conns), start=1):
             _receive(lane, proc, conn)
         t0 = time.perf_counter_ns()
         for conn in conns:
             conn.send("go")
-        parts = [_classify_slice(bundle, samples, lo, hi)]
+        parts = [_classify_slice(tables, samples, lo, hi)]
         parts += [_receive(lane, proc, conn)
                   for lane, (proc, conn) in enumerate(zip(procs, conns), start=1)]
         elapsed = time.perf_counter_ns() - t0

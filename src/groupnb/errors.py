@@ -1,7 +1,21 @@
-"""Exception types shared across the package, and the positive-integer rule.
+"""Exception types shared across the package, and the integer rules.
 
 The CLI exits 1 on InvalidConfigError, 2 on any DataError, 3 on LaneError.
 """
+
+__all__ = [
+    "BundleValidationError",
+    "DataError",
+    "EmptyBundleError",
+    "GroupNBError",
+    "InsufficientClassError",
+    "IntegrityError",
+    "InvalidConfigError",
+    "LaneError",
+    "MeasurementError",
+    "ParseError",
+    "SizeRangeError",
+]
 
 
 class GroupNBError(Exception):
@@ -56,4 +70,11 @@ def positive_int(name: str, value) -> int:
     """``value`` if it is an int of at least 1 (bool excluded), else InvalidConfigError."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise InvalidConfigError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def non_negative_int(name: str, value) -> int:
+    """``value`` if it is an int of at least 0 (bool excluded), else InvalidConfigError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise InvalidConfigError(f"{name} must be a non-negative integer, got {value!r}")
     return value

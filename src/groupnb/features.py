@@ -14,10 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import Label, SampleRecord
+from .corpus import CLASSES, Label, SampleRecord
 from .errors import InsufficientClassError, InvalidConfigError, positive_int
 
-CLASSES = (Label.MALWARE, Label.BENIGN)
+__all__ = [
+    "FeatureSet",
+    "GroupCounts",
+    "ScoreTable",
+    "count_group",
+    "score_opcodes",
+    "select_top_k",
+]
 
 
 @dataclass(frozen=True)
@@ -74,7 +81,7 @@ def count_group(samples: Sequence[SampleRecord]) -> GroupCounts:
     return GroupCounts(opcodes, n_samples, unlabeled)
 
 
-def score_counts(counts: GroupCounts, group: int | None = None) -> ScoreTable:
+def score_counts(counts: GroupCounts, group: int | None) -> ScoreTable:
     """Score every opcode counted in either class (see score_opcodes)."""
     malware = counts.opcodes[Label.MALWARE]
     benign = counts.opcodes[Label.BENIGN]

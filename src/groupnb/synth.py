@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import GroupingConfig, Label, OpcodeHistogram, SampleRecord
-from .errors import InvalidConfigError, positive_int
+from .errors import InvalidConfigError, non_negative_int, positive_int
+
+__all__ = [
+    "SyntheticSpec",
+    "class_distributions",
+    "generate_synthetic",
+]
 
 # Floor plus per-64-bytes growth, so opcode volume tracks file size the
 # way instruction counts track binary size.
@@ -35,16 +41,12 @@ class SyntheticSpec:
     def __post_init__(self):
         positive_int("group_count", self.group_count)
         positive_int("samples_per_group_per_class", self.samples_per_group_per_class)
-        for name in ("vocabulary_size", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
-        if self.vocabulary_size < 2:
-            raise InvalidConfigError(
-                f"vocabulary_size must be at least 2, got {self.vocabulary_size}"
-            )
-        if self.seed < 0:
-            raise InvalidConfigError(f"seed must be non-negative, got {self.seed}")
+        vocabulary_size = self.vocabulary_size
+        if not isinstance(vocabulary_size, int) or isinstance(vocabulary_size, bool):
+            raise InvalidConfigError(f"vocabulary_size must be an integer, got {vocabulary_size!r}")
+        if vocabulary_size < 2:
+            raise InvalidConfigError(f"vocabulary_size must be at least 2, got {vocabulary_size}")
+        non_negative_int("seed", self.seed)
         d = self.divergence
         if not isinstance(d, (int, float)) or isinstance(d, bool) or not (0.0 <= d <= 1.0):
             raise InvalidConfigError(f"divergence must be a real in [0, 1], got {d!r}")

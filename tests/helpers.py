@@ -100,9 +100,9 @@ def kill_worker_lanes(monkeypatch, code: int = 9, start: int | None = None) -> N
     test_pid = os.getpid()
     real = engine._classify_slice
 
-    def slice_or_exit(bundle, samples, lo, hi):
+    def slice_or_exit(tables, samples, lo, hi):
         if os.getpid() != test_pid and start in (None, lo):
             os._exit(code)
-        return real(bundle, samples, lo, hi)
+        return real(tables, samples, lo, hi)
 
     monkeypatch.setattr(engine, "_classify_slice", slice_or_exit)

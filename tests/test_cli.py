@@ -338,6 +338,15 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_negative_split_seed_exits_one(self, pipeline_files, tmp_path, capsys):
+        train, test = tmp_path / "t.jsonl", tmp_path / "v.jsonl"
+        capsys.readouterr()
+        assert _run("split", "--in", str(pipeline_files["corpus"]), "--seed", "-1",
+                    "--train", str(train), "--test", str(test)) == 1
+        err = capsys.readouterr().err
+        assert err == "groupnb: config error: seed must be a non-negative integer, got -1\n"
+        assert not train.exists() and not test.exists()
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "1e308"])
     def test_non_finite_alpha_exits_one(self, pipeline_files, capsys, alpha):
         # 1e308 is finite, but alpha * 8 features is not.

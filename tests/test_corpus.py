@@ -764,6 +764,10 @@ class TestSplitTrainTest:
         for ratio in ((1, 2, 3), (1,)):
             with pytest.raises(InvalidConfigError):
                 split_train_test(labeled, ratio, seed=0)
+        # random.Random would seed -7 as 7, and None from the clock.
+        for seed in (-7, -1, None, 1.5, "x", True, [1]):
+            with pytest.raises(InvalidConfigError, match="seed must be a non-negative integer"):
+                split_train_test(labeled, (2, 1), seed=seed)
 
 
 class TestTrainableGroups:

@@ -799,7 +799,11 @@ _INVARIANTS = {
     "meta-seed": (
         lambda good: dataclasses.replace(_META, seed=1.5),
         lambda doc: doc["meta"].update(seed=1.5),
-        InvalidConfigError, "seed must be an integer, got 1.5"),
+        InvalidConfigError, "seed must be a non-negative integer, got 1.5"),
+    "meta-seed-negative": (
+        lambda good: dataclasses.replace(_META, seed=-1),
+        lambda doc: doc["meta"].update(seed=-1),
+        InvalidConfigError, "seed must be a non-negative integer, got -1"),
     "meta-created-at": (
         lambda good: dataclasses.replace(_META, created_at=20260101),
         lambda doc: doc["meta"].update(created_at=20260101),

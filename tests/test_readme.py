@@ -4,7 +4,9 @@ import os
 import shlex
 from pathlib import Path
 
-from groupnb import SyntheticSpec, generate_synthetic
+import pytest
+
+from groupnb import BenchConfig, SyntheticSpec, bench, generate_synthetic
 from groupnb.cli import build_parser, main
 from groupnb.corpus import serialize_sample
 
@@ -52,7 +54,27 @@ def test_quick_start_bench_block_parses():
 
 
 def test_bench_lanes_default_as_classify_does():
-    parser = build_parser()
-    bench = parser.parse_args(["bench", "--train", "a", "--test", "b", "--out", "c"])
-    classify = parser.parse_args(["classify", "--bundle", "a", "--in", "b", "--out", "c"])
-    assert bench.lanes == classify.lanes == (os.cpu_count() or 1)
+    classify = build_parser().parse_args(["classify", "--bundle", "a", "--in", "b", "--out", "c"])
+    assert BenchConfig().lanes == classify.lanes == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ((), BenchConfig()),
+    (("--k", "5", "--reps", "1"), BenchConfig(k_values=(5,), repetitions=1)),
+], ids=["no-sweep-flags", "k-and-reps"])
+def test_bench_flags_not_given_take_the_bench_config_defaults(tmp_path, monkeypatch, flags,
+                                                              expected):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(serialize_sample(s) + "\n"
+                              for s in generate_synthetic(SyntheticSpec(1, 6, 8, 0.8, 0))))
+    configs = []
+
+    def record(bundles, test_samples, config):
+        configs.append(config)
+        return ()
+
+    monkeypatch.setattr(bench, "run_bench", record)
+    argv = ["bench", "--train", str(corpus), "--test", str(corpus), *flags,
+            "--out", str(tmp_path / "bench.csv")]
+    assert main(argv) == 0
+    assert configs == [expected]

@@ -36,6 +36,11 @@ class TestSyntheticSpec:
             {"divergence": 1.5},
             {"seed": -1},
             {"group_count": 2.0},
+            {"seed": None},
+            {"seed": 1.5},
+            {"seed": "x"},
+            {"seed": True},
+            {"seed": [1]},
         ],
     )
     def test_rejects_bad_fields(self, overrides):
