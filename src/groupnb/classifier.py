@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .corpus import CLASSES, Label, OpcodeHistogram, SampleRecord
-from .errors import BundleValidationError, InsufficientClassError, IntegrityError, InvalidConfigError
+from .errors import (BundleValidationError, InsufficientClassError, IntegrityError,
+                     InvalidConfigError, non_negative_int, positive_int)
 from .features import FeatureSet, GroupCounts, count_group
 
 __all__ = [
@@ -59,8 +60,8 @@ class GroupModel:
     log_prior exponentiates to class probabilities summing to 1;
     log_likelihood holds ln theta(class, opcode) for exactly the
     features, and exp of each class's row sums to 1. The constructor
-    checks this, a positive finite alpha and a training sample of each
-    class, and raises BundleValidationError otherwise.
+    checks this, a non-negative integer group, a positive finite alpha and
+    a positive integer training count per class (else BundleValidationError).
     """
 
     group: int
@@ -73,12 +74,16 @@ class GroupModel:
     def __post_init__(self):
         where = f"model for group {self.group}"
         features = self.features.opcodes
+        try:
+            non_negative_int("group", self.group)
+            for c in CLASSES:
+                positive_int(f"{c.value} training count", self.train_counts.get(c))
+        except InvalidConfigError as exc:
+            raise BundleValidationError(f"{where}: {exc}") from None
         if not valid_alpha(self.alpha):
             raise BundleValidationError(f"{where}: alpha must be positive and finite")
         _check_distribution([self.log_prior.get(c, math.nan) for c in CLASSES], where, "priors")
         for c in CLASSES:
-            if self.train_counts.get(c, 0) < 1:
-                raise BundleValidationError(f"{where}: no {c.value} training samples recorded")
             row = self.log_likelihood.get(c, {})
             for op in features:
                 if op not in row:

@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     p = sub.add_parser("gen", help="generate a seeded synthetic corpus")
-    p.add_argument("--groups", type=int, required=True, help="number of size groups to cover")
+    p.add_argument("--groups", type=int, required=True, help="size groups to cover, at most 100")
     p.add_argument("--per-class", type=int, required=True, dest="per_class",
                    help="samples per group per class")
     p.add_argument("--vocab", type=int, default=64, help="opcode vocabulary size")

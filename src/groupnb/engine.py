@@ -6,9 +6,9 @@ histograms once and deriving its feature scores and every k's model
 from those counts. Routing sends files from untrained groups to the
 nearest trained one (upward first). Bundles are saved as JSON, format 2
 (see bundle_to_json); format 1 files still load. Each part of a bundle
-(GroupingConfig, BundleMeta, GroupModel, FeatureSet) checks its own
-invariants when built; build_bundle checks how they fit together, and
-the loader checks only the document's JSON types.
+(GroupingConfig, BundleMeta, GroupModel, FeatureSet, and ModelBundle
+for how they fit together) checks its own invariants when built, and
+the loader checks only the document's shape.
 
 Batches are classified over lanes by one runtime: the caller runs lane 0
 and each further lane is one worker process with its own pipe, forked
@@ -111,7 +111,11 @@ class BundleMeta:
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """Immutable, non-empty collection of per-group models; safe for concurrent readers."""
+    """Immutable, non-empty collection of per-group models; safe for concurrent readers.
+
+    Each model is stored under its own group, inside [0, config.group_count),
+    with at most meta.k features; else BundleValidationError.
+    """
 
     config: GroupingConfig
     models: dict[int, GroupModel]
@@ -120,6 +124,15 @@ class ModelBundle:
     def __post_init__(self):
         if not self.models:
             raise EmptyBundleError("bundle has no trained models")
+        count, k = self.config.group_count, self.meta.k
+        for key, model in self.models.items():
+            where = f"model for group {model.group}"
+            if type(key) is not type(model.group) or key != model.group:
+                raise BundleValidationError(f"{where}: stored under key {key!r}")
+            if model.group >= count:
+                raise BundleValidationError(f"{where}: group id outside [0, {count})")
+            if (n := len(model.features.opcodes)) > k:
+                raise BundleValidationError(f"{where}: {n} features exceeds k={k}")
 
     @cached_property
     def trained_ids(self) -> tuple[int, ...]:
@@ -172,22 +185,11 @@ def route(bundle: ModelBundle, group: int) -> int:
 def build_bundle(
     models: Iterable[GroupModel], config: GroupingConfig, meta: BundleMeta
 ) -> ModelBundle:
-    """Assemble a bundle; trained_ids come out sorted ascending.
-
-    Models, config and meta check themselves; this checks what needs the
-    whole bundle: one model per group (else IntegrityError), each inside
-    the config's range with at most meta.k features (else BundleValidationError).
-    """
+    """Assemble a bundle of one model per group (else IntegrityError), by ascending group."""
     by_group: dict[int, GroupModel] = {}
     for model in models:
-        where = f"model for group {model.group}"
         if model.group in by_group:
             raise IntegrityError(f"duplicate model for group {model.group}")
-        if not 0 <= model.group < config.group_count:
-            raise BundleValidationError(f"{where}: group id outside [0, {config.group_count})")
-        if len(model.features.opcodes) > meta.k:
-            raise BundleValidationError(
-                f"{where}: {len(model.features.opcodes)} features exceeds k={meta.k}")
         by_group[model.group] = model
     return ModelBundle(config, {g: by_group[g] for g in sorted(by_group)}, meta)
 
@@ -525,14 +527,6 @@ def _require(condition: bool, message: str) -> None:
         raise BundleValidationError(message)
 
 
-def _integer(value, where: str) -> int:
-    _require(
-        isinstance(value, int) and not isinstance(value, bool),
-        f"{where} must be an integer, got {type(value).__name__}",
-    )
-    return value
-
-
 def _numbers(values: list, where: str) -> list[float]:
     """JSON numbers as floats; anything else (bool and str included) is rejected."""
     _require(set(map(type, values)) <= {int, float}, f"{where} must hold only numbers")
@@ -548,9 +542,9 @@ def _object(value, where: str) -> dict:
 
 
 def bundle_from_json(text: str) -> ModelBundle:
-    """Parse and re-validate a bundle document of format 1 or 2.
+    """Parse a bundle document of format 1 or 2, checking only its shape and number types.
 
-    Any malformed document raises BundleValidationError.
+    The bundle types check the rest; any malformed document raises BundleValidationError.
     """
     try:
         doc = _decode_json(text)
@@ -577,34 +571,26 @@ def bundle_from_json(text: str) -> ModelBundle:
         where = f"models[{position}]"
         raw = _object(raw, where)
         try:
-            group = _integer(raw["group"], f"{where}.group")
+            group = raw["group"]
             feature_list = raw["features"]
             raw_prior = _object(raw["log_prior"], f"{where}.log_prior")
             raw_ll = _object(raw["log_likelihood"], f"{where}.log_likelihood")
             alpha = _numbers([raw["alpha"]], f"{where}.alpha")[0]
             raw_counts = _object(raw["train_counts"], f"{where}.train_counts")
+            _require(isinstance(feature_list, list), f"{where}: 'features' must be an array")
+            features = FeatureSet(tuple(feature_list))
         except KeyError as exc:
             raise BundleValidationError(f"{where}: missing {exc}") from None
-        _require(
-            isinstance(feature_list, list) and all(isinstance(op, str) for op in feature_list),
-            f"{where}: 'features' must be an array of strings",
-        )
-        try:
-            features = FeatureSet(tuple(feature_list))
         except InvalidConfigError as exc:
             raise BundleValidationError(f"{where}: {exc}") from None
         log_prior: dict[Label, float] = {}
         log_likelihood: dict[Label, dict[str, float]] = {}
-        train_counts: dict[Label, int] = {}
-        for c in CLASSES:
-            _require(c.value in raw_prior, f"{where}: log_prior missing {c.value!r}")
-            log_prior[c] = _numbers([raw_prior[c.value]], f"{where}.log_prior")[0]
-            row = raw_ll.get(c.value)
-            _require(isinstance(row, dict), f"{where}: log_likelihood missing {c.value!r}")
+        for c in CLASSES:  # a class the document lacks gets a value GroupModel refuses
+            log_prior[c] = _numbers([raw_prior.get(c.value, float("nan"))], f"{where}.log_prior")[0]
+            row = _object(raw_ll.get(c.value, {}), f"{where}.log_likelihood.{c.value}")
             values = _numbers(list(row.values()), f"{where}.log_likelihood")
             log_likelihood[c] = dict(zip(row, values))
-            _require(c.value in raw_counts, f"{where}: train_counts missing {c.value!r}")
-            train_counts[c] = _integer(raw_counts[c.value], f"{where}.train_counts")
+        train_counts = {c: raw_counts.get(c.value) for c in CLASSES}
         models.append(GroupModel(group, features, log_prior, log_likelihood, alpha, train_counts))
     return build_bundle(models, config, meta)
 

@@ -6,12 +6,13 @@ difference between its normalized occurrence frequency in the malware
 class and in the benign class (score_counts), the k highest-scoring
 opcodes become the group's feature set (select_top_k), and every k's
 model is fitted from the same counts (classifier.fit_counts). A
-FeatureSet holds at least one opcode and none twice.
+FeatureSet holds one or more distinct opcodes, named as histogram keys are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .corpus import CLASSES, Label, SampleRecord
@@ -53,13 +54,18 @@ class ScoreTable:
 class FeatureSet:
     """Top-k opcodes, ordered by descending score then ascending mnemonic.
 
-    At least one opcode and none twice, else InvalidConfigError.
+    At least one opcode, none twice, each a non-empty lowercase str, else InvalidConfigError.
     """
 
     opcodes: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.opcodes or len(set(self.opcodes)) != len(self.opcodes):
+        names = self.opcodes
+        if not (all(map(isinstance, names, repeat(str))) and all(names)  # before set()
+                and (joined := "\0".join(names)).lower() == joined):
+            bad = next(op for op in names if not (isinstance(op, str) and op and op.lower() == op))
+            raise InvalidConfigError(f"opcode must be a non-empty lowercase string, got {bad!r}")
+        if not names or len(set(names)) != len(names):
             raise InvalidConfigError("feature set is empty or repeats an opcode")
 
 

@@ -40,6 +40,8 @@ class SyntheticSpec:
 
     def __post_init__(self):
         positive_int("group_count", self.group_count)
+        if self.group_count > (most := GroupingConfig().group_count):
+            raise InvalidConfigError(f"group_count must be at most {most}, got {self.group_count}")
         positive_int("samples_per_group_per_class", self.samples_per_group_per_class)
         vocabulary_size = self.vocabulary_size
         if not isinstance(vocabulary_size, int) or isinstance(vocabulary_size, bool):

@@ -347,6 +347,15 @@ class TestExitCodes:
         assert err == "groupnb: config error: seed must be a non-negative integer, got -1\n"
         assert not train.exists() and not test.exists()
 
+    def test_gen_groups_past_the_default_geometry_exits_one(self, tmp_path, capsys):
+        """Group 100 would start at 512,000 bytes, a size every later command skips."""
+        out = tmp_path / "c.jsonl"
+        capsys.readouterr()
+        assert _run("gen", "--groups", "101", "--per-class", "6", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == "groupnb: config error: group_count must be at most 100, got 101\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "1e308"])
     def test_non_finite_alpha_exits_one(self, pipeline_files, capsys, alpha):
         # 1e308 is finite, but alpha * 8 features is not.

@@ -176,6 +176,25 @@ class TestBuildBundle:
         with pytest.raises(BundleValidationError):
             build_bundle([model], GroupingConfig(), tight)
 
+    @pytest.mark.parametrize("models, meta, message", [
+        ({250: _model(0)}, _META, "^model for group 0: stored under key 250$"),
+        ({1: _model(0)}, _META, "^model for group 0: stored under key 1$"),
+        ({False: _model(0)}, _META, "^model for group 0: stored under key False$"),
+        ({0.0: _model(0)}, _META, r"^model for group 0: stored under key 0\.0$"),
+        ({100: _model(100)}, _META, r"^model for group 100: group id outside \[0, 100\)$"),
+        ({0: _model(0)}, dataclasses.replace(_META, k=2),
+         "^model for group 0: 3 features exceeds k=2$"),
+    ], ids=["other-group", "other-small-group", "bool-key", "float-key", "out-of-range",
+            "over-budget"])
+    def test_bundle_checks_how_its_models_fit(self, models, meta, message):
+        """ModelBundle's own rules, given to it directly; no document holds a key apart from its group."""
+        with pytest.raises(BundleValidationError, match=message):
+            ModelBundle(GroupingConfig(), models, meta)
+
+    def test_duplicates_are_reported_before_any_model_that_does_not_fit(self):
+        with pytest.raises(IntegrityError, match="^duplicate model for group 7$"):
+            build_bundle([_model(100), _model(7), _model(7)], GroupingConfig(), _META)
+
 
 class TestRoute:
     @pytest.mark.parametrize("query,expected", [(2, 2), (3, 4), (6, 4), (0, 1), (1, 1)])
@@ -718,6 +737,14 @@ def _doc_model(doc):
     return doc["models"][0]
 
 
+def _rename_feature(doc, name):
+    """Rename the document's feature "mov", in its feature list and its likelihood rows."""
+    model = _doc_model(doc)
+    model["features"] = [name if op == "mov" else op for op in model["features"]]
+    for row in model["log_likelihood"].values():
+        row[name] = row.pop("mov")
+
+
 # One case per invariant that a type checks when built: a constructor call
 # on the good model that breaks it, and a bundle document edit that breaks
 # it the same way. Features are ("add", "evil", "mov").
@@ -754,7 +781,7 @@ _INVARIANTS = {
         lambda good: dataclasses.replace(
             good, train_counts={Label.MALWARE: 0, Label.BENIGN: 6}),
         lambda doc: _doc_model(doc)["train_counts"].update(malware=0),
-        BundleValidationError, "group 0: no malware training samples recorded"),
+        BundleValidationError, "group 0: malware training count must be a positive integer, got 0"),
     "likelihood-missing": (
         lambda good: _with_likelihoods(good, Label.BENIGN, {
             op: v for op, v in good.log_likelihood[Label.BENIGN].items() if op != "mov"}),
@@ -808,6 +835,48 @@ _INVARIANTS = {
         lambda good: dataclasses.replace(_META, created_at=20260101),
         lambda doc: doc["meta"].update(created_at=20260101),
         InvalidConfigError, "created_at must be a string, got 20260101"),
+    "group-bool": (
+        lambda good: dataclasses.replace(good, group=True),
+        lambda doc: _doc_model(doc).update(group=True),
+        BundleValidationError,
+        "^model for group True: group must be a non-negative integer, got True$"),
+    "group-string": (
+        lambda good: dataclasses.replace(good, group="3"),
+        lambda doc: _doc_model(doc).update(group="3"),
+        BundleValidationError,
+        "^model for group 3: group must be a non-negative integer, got '3'$"),
+    "group-negative": (
+        lambda good: dataclasses.replace(good, group=-1),
+        lambda doc: _doc_model(doc).update(group=-1),
+        BundleValidationError,
+        "^model for group -1: group must be a non-negative integer, got -1$"),
+    "train-count-float": (
+        lambda good: dataclasses.replace(good, train_counts={Label.MALWARE: 1.5, Label.BENIGN: 6}),
+        lambda doc: _doc_model(doc)["train_counts"].update(malware=1.5),
+        BundleValidationError,
+        "group 0: malware training count must be a positive integer, got 1.5"),
+    "train-count-string": (
+        lambda good: dataclasses.replace(good, train_counts={Label.MALWARE: 6, Label.BENIGN: "2"}),
+        lambda doc: _doc_model(doc)["train_counts"].update(benign="2"),
+        BundleValidationError,
+        "group 0: benign training count must be a positive integer, got '2'"),
+    "train-count-missing": (
+        lambda good: dataclasses.replace(good, train_counts={Label.BENIGN: 6}),
+        lambda doc: _doc_model(doc)["train_counts"].pop("malware"),
+        BundleValidationError,
+        "group 0: malware training count must be a positive integer, got None"),
+    "features-uppercase": (
+        lambda good: FeatureSet(("add", "evil", "MOV")),
+        lambda doc: _rename_feature(doc, "MOV"),
+        InvalidConfigError, "opcode must be a non-empty lowercase string, got 'MOV'"),
+    "features-empty-name": (
+        lambda good: FeatureSet(("add", "evil", "")),
+        lambda doc: _rename_feature(doc, ""),
+        InvalidConfigError, "opcode must be a non-empty lowercase string, got ''"),
+    "features-not-a-string": (
+        lambda good: FeatureSet(("add", "evil", 3)),
+        lambda doc: _doc_model(doc)["features"].__setitem__(2, 3),
+        InvalidConfigError, "opcode must be a non-empty lowercase string, got 3"),
 }
 
 
@@ -913,6 +982,62 @@ class TestBundleProperty:
         for bundle in _trained_bundles(*run):
             meta = dataclasses.replace(bundle.meta, k=bundle.meta.k + extra)
             self._check(build_bundle(bundle.models.values(), bundle.config, meta))
+
+
+def _mostly(valid, wild):
+    """Draws from ``valid`` seven times in eight, else from ``wild`` (valid or not)."""
+    return st.integers(0, 7).flatmap(lambda r: valid if r else wild)
+
+
+# Fields of every kind a caller might pass. Most draws are valid, so that
+# about a quarter of the bundles below are built and round-trip.
+_ANY_GROUP = (st.integers(-2, 102) | st.booleans() | st.floats(-1, 101)
+              | st.sampled_from(["3", ""]))
+_GROUP = _mostly(st.integers(0, 99), _ANY_GROUP)
+_TRAIN_COUNTS = _mostly(
+    st.fixed_dictionaries({c: st.integers(1, 3) for c in CLASSES}),
+    st.dictionaries(st.sampled_from(CLASSES), st.integers(-1, 3) | st.booleans()
+                    | st.floats(0, 3) | st.sampled_from(["2", None]), max_size=2))
+_FEATURE_NAMES = _mostly(
+    st.lists(st.sampled_from(["add", "mov", "op1", "ß", "a\0b"]), min_size=1, max_size=3,
+             unique=True),
+    st.lists(st.sampled_from(["add", "MOV", "", "İ", 3]) | st.text(max_size=2), max_size=4))
+
+
+def _uniform_model(group, names, train_counts):
+    """A GroupModel over FeatureSet(names) with uniform priors and likelihoods."""
+    features = FeatureSet(names)
+    row = {op: -math.log(len(names)) for op in features.opcodes}
+    return GroupModel(group, features, {c: math.log(0.5) for c in CLASSES},
+                      {c: dict(row) for c in CLASSES}, 1.0, train_counts)
+
+
+@settings(max_examples=50)
+@given(st.lists(st.tuples(_GROUP, _FEATURE_NAMES.map(tuple), _TRAIN_COUNTS),
+                min_size=1, max_size=3),
+       st.integers(1, 3),
+       st.none() | st.lists(_mostly(st.none(), _ANY_GROUP), min_size=3, max_size=3))
+def test_a_bundle_is_refused_when_built_or_round_trips(fields, k, keys):
+    """GroupModel, then build_bundle (keys None) or ModelBundle under the drawn keys.
+
+    A None key stands for the model's own group. Either a constructor
+    raises a GroupNBError, or the bundle saves, loads back equal and
+    saves the same bytes again.
+    """
+    meta = dataclasses.replace(_META, k=k)
+    try:
+        models = [_uniform_model(*f) for f in fields]
+        if keys is None:
+            bundle = build_bundle(models, GroupingConfig(), meta)
+        else:
+            by_key = {m.group if key is None else key: m for key, m in zip(keys, models)}
+            bundle = ModelBundle(GroupingConfig(), by_key, meta)
+    except GroupNBError:
+        return
+    text = bundle_to_json(bundle)
+    loaded = bundle_from_json(text)
+    assert loaded == bundle
+    assert bundle_to_json(loaded) == text
 
 
 def _oracle_lines(bundle_doc, input_lines):

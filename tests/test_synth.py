@@ -41,6 +41,7 @@ class TestSyntheticSpec:
             {"seed": "x"},
             {"seed": True},
             {"seed": [1]},
+            {"group_count": 101},
         ],
     )
     def test_rejects_bad_fields(self, overrides):
