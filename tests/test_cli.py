@@ -197,6 +197,37 @@ class TestPipeline:
         payload = json.loads(capsys.readouterr().out)
         assert (payload["samples"], payload["errors"], payload["accuracy"]) == (1, 0, 1.0)
 
+    @pytest.mark.parametrize("truth, preds, expected", [
+        # Confusion table (truth -> predicted): malware->malware 4, malware->benign 1,
+        # benign->malware 2, benign->benign 3; "e" is an error line, "z" is missing.
+        ("MMMMMBBBBBMM", "MMMMBMMBBB" + "E",
+         '{"accuracy": 0.7, "samples": 10, "errors": 1, "missing": 1, "per_class": '
+         '{"malware": {"precision": 0.6666666666666666, "recall": 0.8}, '
+         '"benign": {"precision": 0.75, "recall": 0.6}}}'),
+        ("MB", "BB",
+         '{"accuracy": 0.5, "samples": 2, "errors": 0, "missing": 0, "per_class": '
+         '{"malware": {"precision": null, "recall": 0.0}, '
+         '"benign": {"precision": 0.5, "recall": 1.0}}}'),
+        ("MB", "EE",
+         '{"accuracy": null, "samples": 0, "errors": 2, "missing": 0, "per_class": '
+         '{"malware": {"precision": null, "recall": null}, '
+         '"benign": {"precision": null, "recall": null}}}'),
+    ], ids=["four_distinct_cells", "class_never_predicted", "only_error_lines"])
+    def test_score_prints_the_full_payload(self, tmp_path, capsys, truth, preds, expected):
+        """Sample i has truth label truth[i] and prediction preds[i]: M, B or an E error line."""
+        names = {"M": "malware", "B": "benign"}
+        truth_path = tmp_path / "truth.jsonl"
+        truth_path.write_text("".join(
+            json.dumps({"id": f"s{i}", "label": names[t], "size_bytes": 7, "opcodes": {}}) + "\n"
+            for i, t in enumerate(truth)))
+        preds_path = tmp_path / "preds.jsonl"
+        preds_path.write_text("".join(
+            json.dumps({"id": f"s{i}", "error": "e"} if p == "E" else
+                       {"id": f"s{i}", "label": names[p]}) + "\n"
+            for i, p in enumerate(preds)))
+        assert _run("score", "--preds", str(preds_path), "--truth", str(truth_path)) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
     def test_gen_is_deterministic(self, tmp_path):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
