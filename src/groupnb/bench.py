@@ -112,39 +112,24 @@ def run_bench(
         bundle = bundles[k]
         for count in counts:
             workload = workloads[count]
-            batch_size = len(workload.samples)
-            seq_ns = [
-                engine.classify_sequential(bundle, workload).elapsed_ns
-                for _ in range(config.repetitions)
-            ]
-            par_runs = [
-                engine.classify_parallel(bundle, workload) for _ in range(config.repetitions)
-            ]
-            par_ns = [run.elapsed_ns for run in par_runs]
-            seq_median = int(round(statistics.median(seq_ns)))
-            par_median = int(round(statistics.median(par_ns)))
-            rows.append(
-                BenchRow(
-                    k=k,
-                    batch_size=batch_size,
-                    mode=MODE_SEQUENTIAL,
-                    lanes=1,
-                    elapsed_ns_median=seq_median,
-                    elapsed_ns_min=min(seq_ns),
-                    speedup=None,
+            seq_median = None  # set by the sequential row; the parallel row's speedup baseline
+            for mode, classify in ((MODE_SEQUENTIAL, engine.classify_sequential),
+                                   (MODE_PARALLEL, engine.classify_parallel)):
+                runs = [classify(bundle, workload) for _ in range(config.repetitions)]
+                elapsed = [run.elapsed_ns for run in runs]
+                median = int(round(statistics.median(elapsed)))
+                rows.append(
+                    BenchRow(
+                        k=k,
+                        batch_size=len(workload.samples),
+                        mode=mode,
+                        lanes=runs[0].lanes,
+                        elapsed_ns_median=median,
+                        elapsed_ns_min=min(elapsed),
+                        speedup=None if seq_median is None else engine.speedup(seq_median, median),
+                    )
                 )
-            )
-            rows.append(
-                BenchRow(
-                    k=k,
-                    batch_size=batch_size,
-                    mode=MODE_PARALLEL,
-                    lanes=par_runs[0].lanes,
-                    elapsed_ns_median=par_median,
-                    elapsed_ns_min=min(par_ns),
-                    speedup=engine.speedup(seq_median, par_median),
-                )
-            )
+                seq_median = median
     return tuple(rows)
 
 

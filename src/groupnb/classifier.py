@@ -60,8 +60,9 @@ class GroupModel:
     log_prior exponentiates to class probabilities summing to 1;
     log_likelihood holds ln theta(class, opcode) for exactly the
     features, and exp of each class's row sums to 1. The constructor
-    checks this, a non-negative integer group, a positive finite alpha and
-    a positive integer training count per class (else BundleValidationError).
+    checks this, a non-negative integer group, a positive finite alpha
+    (stored as a float) and a positive integer training count per class
+    (else BundleValidationError).
     """
 
     group: int
@@ -82,6 +83,7 @@ class GroupModel:
             raise BundleValidationError(f"{where}: {exc}") from None
         if not valid_alpha(self.alpha):
             raise BundleValidationError(f"{where}: alpha must be positive and finite")
+        object.__setattr__(self, "alpha", float(self.alpha))
         _check_distribution([self.log_prior.get(c, math.nan) for c in CLASSES], where, "priors")
         for c in CLASSES:
             row = self.log_likelihood.get(c, {})

@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import fields
 from typing import Iterator, Sequence
@@ -225,10 +226,8 @@ def _cmd_classify(args) -> int:
     bundle = engine.load_bundle(args.bundle)
     samples = _read_corpus(args.input, allow_unlabeled=True)
     workload = engine.Workload(samples=tuple(samples), lanes=args.lanes)
-    if args.parallel:
-        run = engine.classify_parallel(bundle, workload, warmup=False)
-    else:
-        run = engine.classify_sequential(bundle, workload, warmup=False)
+    classify = engine.classify_parallel if args.parallel else engine.classify_sequential
+    run = classify(bundle, workload, warmup=False)
     with open(args.out, "w", encoding="utf-8") as fp:
         engine.write_predictions(run, samples, fp)
     mode = "parallel" if args.parallel else "sequential"
@@ -275,18 +274,16 @@ def _cmd_score(args) -> int:
             else:
                 predicted[pid] = label
 
-    correct = sum(1 for i, label in predicted.items() if truth[i] is label)
-    per_class = {}
-    for c in CLASSES:
-        tp = sum(1 for i, label in predicted.items() if label is c and truth[i] is c)
-        predicted_c = sum(1 for label in predicted.values() if label is c)
-        truth_c = sum(1 for i in predicted if truth[i] is c)
-        per_class[c.value] = {
-            "precision": _division(tp, predicted_c),
-            "recall": _division(tp, truth_c),
+    pairs = Counter((truth[i], label) for i, label in predicted.items())  # (truth, predicted)
+    per_class = {
+        c.value: {
+            "precision": _division(pairs[c, c], sum(pairs[t, c] for t in CLASSES)),
+            "recall": _division(pairs[c, c], sum(pairs[c, p] for p in CLASSES)),
         }
+        for c in CLASSES
+    }
     payload = {
-        "accuracy": _division(correct, len(predicted)),
+        "accuracy": _division(sum(pairs[c, c] for c in CLASSES), len(predicted)),
         "samples": len(predicted),
         "errors": errors,
         "missing": len(truth.keys() - seen),

@@ -54,13 +54,16 @@ class ScoreTable:
 class FeatureSet:
     """Top-k opcodes, ordered by descending score then ascending mnemonic.
 
-    At least one opcode, none twice, each a non-empty lowercase str, else InvalidConfigError.
+    A tuple of at least one opcode, none twice, each a non-empty lowercase
+    str, else InvalidConfigError.
     """
 
     opcodes: tuple[str, ...]
 
     def __post_init__(self):
         names = self.opcodes
+        if not isinstance(names, tuple):
+            raise InvalidConfigError(f"opcodes must be a tuple, got {names!r}")
         if not (all(map(isinstance, names, repeat(str))) and all(names)  # before set()
                 and (joined := "\0".join(names)).lower() == joined):
             bad = next(op for op in names if not (isinstance(op, str) and op and op.lower() == op))

@@ -89,6 +89,9 @@ class TestTrainGroup:
         ]
         with pytest.raises(InvalidConfigError):
             train_group(both, FeatureSet(()), 1.0)
+        for opcodes in ("a", "ab", ["a"], None):  # a str would give one opcode per letter
+            with pytest.raises(InvalidConfigError, match="^opcodes must be a tuple, got "):
+                FeatureSet(opcodes)
         with pytest.raises(InvalidConfigError):
             train_group(both, FeatureSet(("a",)), 0.0)
         with pytest.raises(InvalidConfigError):

@@ -933,6 +933,11 @@ class TestRoundTripSweep:
     def test_signed_zero_bundle_round_trips(self):
         self._assert_round_trips(build_bundle([_signed_zero_model()], GroupingConfig(), _META))
 
+    def test_integer_model_alpha_round_trips(self):
+        model = dataclasses.replace(_signed_zero_model(), alpha=1)
+        assert type(model.alpha) is float
+        self._assert_round_trips(build_bundle([model], GroupingConfig(), _META))
+
     def test_empty_corpus_is_refused(self):
         with pytest.raises(EmptyBundleError, match=_UNTRAINABLE):
             train_bundles(grouped([]), (1, 5, 40), 2.5, created_at="t")

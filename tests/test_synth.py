@@ -42,6 +42,9 @@ class TestSyntheticSpec:
             {"seed": True},
             {"seed": [1]},
             {"group_count": 101},
+            {"vocabulary_size": 1.5},
+            {"vocabulary_size": True},
+            {"vocabulary_size": "8"},
         ],
     )
     def test_rejects_bad_fields(self, overrides):
