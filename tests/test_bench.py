@@ -201,6 +201,23 @@ class TestCsv:
         assert lines[1] == "2,8,sequential,1,1000,900,"
         assert lines[2] == "2,8,parallel,4,500,450,2.0"
 
+    def test_float_and_large_int_bytes(self):
+        """A speedup is written as its shortest round-trip text, an elapsed count in full."""
+        rows = (
+            BenchRow(200, 12288, "parallel", 2, 3 * 10**12, 10**12 + 7, 1 / 3),
+            BenchRow(200, 12288, "parallel", 2, 10**13, 123456789012345, 1e-05),
+            BenchRow(20, 768, "parallel", 4, 2_000_000_000_001, 10**12 + 1, 2.0),
+            BenchRow(20, 768, "parallel", 4, 10**15, 999_999_999_999_999, 1e16),
+        )
+        sink = io.StringIO()
+        emit_csv(rows, sink)
+        assert sink.getvalue().splitlines()[1:] == [
+            "200,12288,parallel,2,3000000000000,1000000000007,0.3333333333333333",
+            "200,12288,parallel,2,10000000000000,123456789012345,1e-05",
+            "20,768,parallel,4,2000000000001,1000000000001,2.0",
+            "20,768,parallel,4,1000000000000000,999999999999999,1e+16",
+        ]
+
     def test_emit_is_deterministic(self):
         report = self._rows()
         a, b = io.StringIO(), io.StringIO()
