@@ -1,8 +1,8 @@
 """Benchmark sweep: sequential vs lane-parallel classification time.
 
-Workloads are built in multiples of a fixed batch size by cycling the
-test set, classified repeatedly at each feature-budget k in both modes,
-and summarized as median/min elapsed nanoseconds plus the
+One bundle is trained per feature budget k. A workload of each listed
+batch size cycles the test set, is classified repeatedly at each k in
+both modes, and is summarized as median/min elapsed nanoseconds plus the
 median-over-median speedup. The rows serialize to CSV deterministically.
 """
 
@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import os
 import statistics
-from dataclasses import dataclass
-from typing import Mapping, Sequence, TextIO
+from dataclasses import astuple, dataclass, fields
+from typing import Sequence, TextIO
 
 from . import engine
-from .corpus import SampleRecord
-from .engine import ModelBundle, Workload
+from .corpus import GroupedCorpus, SampleRecord
+from .engine import Workload
 from .errors import InvalidConfigError, positive_int
 
 __all__ = [
@@ -25,8 +25,6 @@ __all__ = [
     "make_batches",
     "run_bench",
 ]
-
-CSV_HEADER = "k,batch_size,mode,lanes,elapsed_ns_median,elapsed_ns_min,speedup"
 
 MODE_SEQUENTIAL = "sequential"
 MODE_PARALLEL = "parallel"
@@ -42,15 +40,13 @@ def _check_positive_ints(name: str, values: Sequence[int]) -> None:
 @dataclass(frozen=True)
 class BenchConfig:
     k_values: tuple[int, ...] = (20, 40, 80, 100, 160, 200)
-    batch_multiple: int = 768
-    batch_counts: tuple[int, ...] = (1, 2, 4, 8, 16)
+    batch_sizes: tuple[int, ...] = (768, 1536, 3072, 6144, 12288)
     lanes: int = os.cpu_count() or 1  # at most this many lanes per parallel run
     repetitions: int = 5
 
     def __post_init__(self):
         _check_positive_ints("k_values", self.k_values)
-        _check_positive_ints("batch_counts", self.batch_counts)
-        positive_int("batch_multiple", self.batch_multiple)
+        _check_positive_ints("batch_sizes", self.batch_sizes)
         positive_int("lanes", self.lanes)
         positive_int("repetitions", self.repetitions)
 
@@ -66,52 +62,46 @@ class BenchRow:
     speedup: float | None  # None on sequential rows
 
 
+CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
+
+
 def make_batches(
     test_samples: Sequence[SampleRecord],
-    batch_multiple: int,
-    batch_count: int,
+    size: int,
     lanes: int,
 ) -> Workload:
-    """Workload of exactly batch_multiple * batch_count samples.
+    """Workload of exactly size samples.
 
     The test set is cycled round-robin in its given order, so every
-    original sample appears either floor or ceil of total/len times.
+    original sample appears either floor or ceil of size/len times.
     """
     if not test_samples:
         raise InvalidConfigError("no test samples to batch")
-    total = batch_multiple * batch_count
     n = len(test_samples)
-    samples = tuple(test_samples[i % n] for i in range(total))
+    samples = tuple(test_samples[i % n] for i in range(size))
     return Workload(samples=samples, lanes=lanes)
 
 
 def run_bench(
-    bundles: Mapping[int, ModelBundle],
+    train: GroupedCorpus,
     test_samples: Sequence[SampleRecord],
     config: BenchConfig,
 ) -> tuple[BenchRow, ...]:
-    """Time every (k, batch_size) cell in both modes; returns one row per cell and mode.
+    """Train one bundle per k, then time every (k, batch_size) cell in both modes.
 
-    Rows come out ordered k ascending, batch size ascending, sequential
-    before parallel; each mode runs config.repetitions times and the
-    speedup is the ratio of the two stored medians. A parallel row's
-    lanes are the lanes that ran, at most config.lanes (see
-    engine.classify_parallel).
+    Training is engine.train_bundles(train, config.k_values), with its
+    errors. Rows come out one per cell and mode, ordered k ascending,
+    batch size ascending, sequential before parallel; each mode runs
+    config.repetitions times and the speedup is the ratio of the two
+    stored medians. A parallel row's lanes are the lanes that ran, at
+    most config.lanes (see engine.classify_parallel).
     """
-    missing = [k for k in config.k_values if k not in bundles]
-    if missing:
-        raise InvalidConfigError(f"no bundle trained for k={missing}")
-    k_values = sorted(set(config.k_values))
-    counts = sorted(set(config.batch_counts))
-    workloads = {
-        count: make_batches(test_samples, config.batch_multiple, count, config.lanes)
-        for count in counts
-    }
+    bundles = engine.train_bundles(train, config.k_values)
+    workloads = [make_batches(test_samples, size, config.lanes)
+                 for size in sorted(set(config.batch_sizes))]
     rows: list[BenchRow] = []
-    for k in k_values:
-        bundle = bundles[k]
-        for count in counts:
-            workload = workloads[count]
+    for k, bundle in sorted(bundles.items()):
+        for workload in workloads:
             seq_median = None  # set by the sequential row; the parallel row's speedup baseline
             for mode, classify in ((MODE_SEQUENTIAL, engine.classify_sequential),
                                    (MODE_PARALLEL, engine.classify_parallel)):
@@ -137,9 +127,5 @@ def emit_csv(rows: Sequence[BenchRow], sink: TextIO) -> None:
     """Write the rows under CSV_HEADER; emitting the same rows twice is byte-identical."""
     sink.write(CSV_HEADER + "\n")
     for row in rows:
-        speedup = "" if row.speedup is None else repr(row.speedup)
-        sink.write(
-            f"{row.k},{row.batch_size},{row.mode},{row.lanes},"
-            f"{row.elapsed_ns_median},{row.elapsed_ns_min},{speedup}\n"
-        )
+        sink.write(",".join("" if v is None else str(v) for v in astuple(row)) + "\n")
 

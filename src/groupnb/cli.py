@@ -126,9 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True, help="test JSONL path")
     p.add_argument("--k", type=_int_list, dest="k_values", metavar="K",
                    help="comma-separated feature budgets")
-    p.add_argument("--batch-multiple", type=int, dest="batch_multiple")
-    p.add_argument("--batch-counts", type=_int_list, dest="batch_counts",
-                   help="comma-separated batch-size multipliers")
+    p.add_argument("--batch-sizes", type=_int_list, dest="batch_sizes",
+                   help="comma-separated batch sizes, in samples")
     p.add_argument("--lanes", type=int,
                    help="at most this many lanes per parallel run, default: detected "
                         "hardware threads")
@@ -245,8 +244,7 @@ def _cmd_bench(args) -> int:
         **{f.name: given[f.name] for f in fields(bench_mod.BenchConfig) if f.name in given})
     train_samples = _read_corpus(args.train)
     test_samples = _read_corpus(args.test)
-    grouped = _grouped(train_samples, "train samples")
-    rows = bench_mod.run_bench(engine.train_bundles(grouped, config.k_values), test_samples, config)
+    rows = bench_mod.run_bench(_grouped(train_samples, "train samples"), test_samples, config)
     with open(args.out, "w", encoding="utf-8") as fp:
         bench_mod.emit_csv(rows, fp)
     print(f"wrote {len(rows)} bench rows to {args.out}")

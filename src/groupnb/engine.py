@@ -5,7 +5,7 @@ trains one bundle per feature budget k, counting each group's training
 histograms once and deriving its feature scores and every k's model
 from those counts. Routing sends files from untrained groups to the
 nearest trained one (upward first). Bundles are saved as JSON, format 2
-(see bundle_to_json); format 1 files still load. Each part of a bundle
+(see bundle_to_json), and only that format loads. Each part of a bundle
 (GroupingConfig, BundleMeta, GroupModel, FeatureSet, and ModelBundle
 for how they fit together) checks its own invariants when built, and
 the loader checks only the document's shape.
@@ -485,8 +485,7 @@ def speedup(tc_ns: int, tp_ns: int) -> float:
 #
 # Bundle format 2: json.dumps writes every float as its shortest round-trip
 # repr (so -0.0 keeps its sign) and keys in a fixed order, one model per
-# line, so serialize -> load -> serialize is byte-identical. Format 1, with
-# 17-digit floats and no "format" key, is still read.
+# line, so serialize -> load -> serialize is byte-identical.
 
 BUNDLE_FORMAT = 2
 
@@ -508,7 +507,7 @@ def _model_doc(model: GroupModel) -> dict:
 def bundle_to_json(bundle: ModelBundle) -> str:
     """Canonical single-document JSON text for a bundle."""
     dumps = partial(json.dumps, allow_nan=False)
-    # Field order is key order: config and meta keys come out as format 1 wrote them.
+    # asdict keeps field order, so the config and meta keys come out in a fixed order.
     config_json = dumps(asdict(bundle.config))
     meta_json = dumps(asdict(bundle.meta))
     model_docs = [dumps(_model_doc(bundle.models[g])) for g in bundle.trained_ids]
@@ -542,7 +541,7 @@ def _object(value, where: str) -> dict:
 
 
 def bundle_from_json(text: str) -> ModelBundle:
-    """Parse a bundle document of format 1 or 2, checking only its shape and number types.
+    """Parse a format-2 bundle document, checking only its shape and number types.
 
     The bundle types check the rest; any malformed document raises BundleValidationError.
     """
@@ -551,10 +550,9 @@ def bundle_from_json(text: str) -> ModelBundle:
     except ValueError as exc:
         raise BundleValidationError(f"invalid bundle JSON: {exc}") from None
     doc = _object(doc, "bundle")
-    if "format" in doc:  # format 1 files carry no "format" key
-        version = doc["format"]
-        _require(type(version) is int and version == BUNDLE_FORMAT,
-                 f"unsupported bundle format {version!r}")
+    version = doc.get("format")
+    _require(type(version) is int and version == BUNDLE_FORMAT,
+             f"unsupported bundle format {version!r}")
     raw_config = _object(doc.get("config"), "bundle 'config'")
     raw_meta = _object(doc.get("meta"), "bundle 'meta'")
     raw_models = doc.get("models")

@@ -217,7 +217,7 @@ def test_c5_speedup_methodology(acceptance):
     train, _ = partition_by_group(corpus, GroupingConfig())
     bundles = train_bundles(train, (20, 40, 80, 100, 160, 200), created_at="t")
 
-    workload = make_batches(corpus, 768, 10, lanes=threads)
+    workload = make_batches(corpus, 7680, lanes=threads)
     assert len(workload.samples) >= 7680
     seq = classify_sequential(bundles[200], workload)
     par = classify_parallel(bundles[200], workload)
@@ -225,7 +225,7 @@ def test_c5_speedup_methodology(acceptance):
     assert ratio >= 1.5
 
     config = BenchConfig(lanes=threads)
-    report = run_bench(bundles, corpus, config)
+    report = run_bench(train, corpus, config)
     assert len(report) == 6 * 5 * 2
     elapsed = time.perf_counter() - t0
     assert elapsed < 600
@@ -249,15 +249,13 @@ def cost_trend_report():
     )
     corpus = generate_synthetic(spec)
     train, _ = partition_by_group(corpus, GroupingConfig())
-    bundles = train_bundles(train, (20, 200), created_at="t")
     config = BenchConfig(
         k_values=(20, 200),
-        batch_multiple=768,
-        batch_counts=(1,),
+        batch_sizes=(768,),
         lanes=min(4, os.cpu_count() or 1),
         repetitions=3,
     )
-    return run_bench(bundles, corpus, config)
+    return run_bench(train, corpus, config)
 
 
 def test_c6_feature_cost_trend(acceptance, cost_trend_report):

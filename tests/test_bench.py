@@ -48,8 +48,7 @@ class TestBenchConfig:
     def test_defaults(self):
         config = BenchConfig()
         assert config.k_values == (20, 40, 80, 100, 160, 200)
-        assert config.batch_multiple == 768
-        assert config.batch_counts == (1, 2, 4, 8, 16)
+        assert config.batch_sizes == (768, 1536, 3072, 6144, 12288)
         assert config.repetitions == 5
         assert config.lanes == (os.cpu_count() or 1)
 
@@ -58,12 +57,13 @@ class TestBenchConfig:
         [
             {"k_values": ()},
             {"k_values": (20, 0)},
-            {"batch_multiple": 0},
-            {"batch_counts": ()},
+            {"batch_sizes": (768, 0)},
+            {"batch_sizes": ()},
             {"lanes": 0},
             {"repetitions": 0},
             {"k_values": 5},
             {"lanes": None},
+            {"batch_sizes": 768},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -74,7 +74,7 @@ class TestBenchConfig:
 class TestMakeBatches:
     def test_cycles_to_the_exact_size(self):
         samples = _test_samples(100)
-        workload = make_batches(samples, 768, 1, lanes=4)
+        workload = make_batches(samples, 768, lanes=4)
         assert len(workload.samples) == 768
         assert workload.lanes == 4
         counts = {}
@@ -82,24 +82,20 @@ class TestMakeBatches:
             counts[s.id] = counts.get(s.id, 0) + 1
         assert set(counts.values()) <= {7, 8}
 
-    def test_count_multiplies(self):
-        workload = make_batches(_test_samples(100), 768, 2, lanes=1)
-        assert len(workload.samples) == 1536
-
     def test_single_sample_degenerates_to_copies(self):
         (sample,) = _test_samples(1)
-        workload = make_batches([sample], 768, 1, lanes=1)
+        workload = make_batches([sample], 768, lanes=1)
         assert len(workload.samples) == 768
         assert all(s is sample for s in workload.samples)
 
     def test_order_is_round_robin(self):
         samples = _test_samples(4)
-        workload = make_batches(samples, 6, 1, lanes=1)
+        workload = make_batches(samples, 6, lanes=1)
         assert [s.id for s in workload.samples] == ["t0", "t1", "t2", "t3", "t0", "t1"]
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(InvalidConfigError):
-            make_batches([], 768, 1, lanes=1)
+            make_batches([], 768, lanes=1)
 
 
 class TestTrainBundles:
@@ -119,27 +115,22 @@ class TestTrainBundles:
 
 
 class TestRunBench:
-    def _report(self, reps=1, counts=(1,), lanes=2):
-        corpus = _train_corpus()
-        bundles = train_bundles(corpus, (2, 3), created_at="t")
+    def _report(self, reps=1, sizes=(8,), lanes=2):
         config = BenchConfig(
             k_values=(2, 3),
-            batch_multiple=8,
-            batch_counts=counts,
+            batch_sizes=sizes,
             lanes=lanes,
             repetitions=reps,
         )
-        return run_bench(bundles, _test_samples(), config)
+        return run_bench(_train_corpus(), _test_samples(), config)
 
     def test_two_rows_per_cell(self):
-        corpus = _train_corpus()
-        bundles = train_bundles(corpus, (2,), created_at="t")
-        config = BenchConfig(k_values=(2,), batch_multiple=8, batch_counts=(1,), lanes=2, repetitions=1)
-        report = run_bench(bundles, _test_samples(), config)
+        config = BenchConfig(k_values=(2,), batch_sizes=(8,), lanes=2, repetitions=1)
+        report = run_bench(_train_corpus(), _test_samples(), config)
         assert len(report) == 2
 
     def test_cardinality_and_order(self):
-        report = self._report(counts=(1, 2))
+        report = self._report(sizes=(8, 16))
         assert len(report) == 2 * 2 * 2
         shape = [(r.k, r.batch_size, r.mode) for r in report]
         assert shape == [
@@ -154,7 +145,7 @@ class TestRunBench:
         ]
 
     def test_speedup_recomputable_from_rows(self):
-        report = self._report(reps=2, counts=(1, 2))
+        report = self._report(reps=2, sizes=(8, 16))
         by_key = {}
         for row in report:
             by_key.setdefault((row.k, row.batch_size), {})[row.mode] = row
@@ -166,19 +157,12 @@ class TestRunBench:
             assert par.elapsed_ns_min <= par.elapsed_ns_median
 
     def test_parallel_rows_report_the_lanes_that_ran(self):
-        report = self._report(counts=(1, 2 * _BLOCK // 8))  # 8 and 2 * _BLOCK samples
+        report = self._report(sizes=(8, 2 * _BLOCK))
         lanes = {(r.k, r.batch_size): r.lanes for r in report if r.mode == "parallel"}
         assert lanes == {(2, 8): 1, (2, 2 * _BLOCK): 2, (3, 8): 1, (3, 2 * _BLOCK): 2}
         sink = io.StringIO()
         emit_csv(report, sink)
         assert _read_csv(sink.getvalue()) == report
-
-    def test_missing_bundle_fails_before_running(self):
-        corpus = _train_corpus()
-        bundles = train_bundles(corpus, (2,), created_at="t")
-        config = BenchConfig(k_values=(2, 3), batch_multiple=8, batch_counts=(1,), lanes=1, repetitions=1)
-        with pytest.raises(InvalidConfigError, match="k=\\[3\\]"):
-            run_bench(bundles, _test_samples(), config)
 
 
 class TestCsv:
@@ -192,6 +176,7 @@ class TestCsv:
         sink = io.StringIO()
         emit_csv((), sink)
         assert sink.getvalue() == CSV_HEADER + "\n"
+        assert CSV_HEADER == "k,batch_size,mode,lanes,elapsed_ns_median,elapsed_ns_min,speedup"
 
     def test_two_rows_make_three_lines(self):
         sink = io.StringIO()

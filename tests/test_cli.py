@@ -1,14 +1,17 @@
 """End-to-end runs of the command-line interface."""
 
+import argparse
 import csv
 import json
 import multiprocessing
 import os
+from dataclasses import fields
 
 import pytest
 
 import groupnb
 from groupnb import cli
+from groupnb.bench import BenchConfig
 from groupnb.cli import main
 from groupnb.corpus import _BLOCK_CHARS, GroupingConfig, assign_group
 from groupnb.engine import _BLOCK, load_bundle, route, save_bundle, train_bundle
@@ -252,8 +255,7 @@ class TestPipeline:
                 "--train", str(paths["train"]),
                 "--test", str(paths["test"]),
                 "--k", "5,10",
-                "--batch-multiple", "16",
-                "--batch-counts", "1,2",
+                "--batch-sizes", "16,32",
                 "--lanes", "2",
                 "--reps", "1",
                 "--out", str(report_path),
@@ -275,6 +277,15 @@ class TestPipeline:
                     int(sibling["elapsed_ns_median"]) / int(row["elapsed_ns_median"]))
 
 
+def test_bench_sweep_flags_are_the_bench_config_fields():
+    """_cmd_bench keeps only the options named like a BenchConfig field, so a flag
+    without a field would be accepted and then ignored."""
+    (subcommands,) = (action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    dests = {action.dest for action in subcommands.choices["bench"]._actions}
+    assert dests - {"train", "test", "out", "help"} == {f.name for f in fields(BenchConfig)}
+
+
 class TestGeometry:
     """The CLI groups by the default geometry; classify uses the bundle's own."""
 
@@ -291,7 +302,7 @@ class TestGeometry:
             (("split", "--in", corpus, "--train", out, "--test", tmp_path / "out2"), "samples"),
             (("train", "--in", corpus, "--k", "8", "--out", out), "samples"),
             (("bench", "--train", corpus, "--test", paths["test"], "--k", "5",
-              "--batch-multiple", "16", "--batch-counts", "1", "--lanes", "1", "--reps", "1",
+              "--batch-sizes", "16", "--lanes", "1", "--reps", "1",
               "--out", out), "train samples"),
         ]
         for argv, what in runs:
@@ -359,7 +370,7 @@ class TestExitCodes:
         assert _run("split", "--in", "x", "--ratio", "banana", "--train", "a", "--test", "b") == 1
         for ratio in ("1", "a:b", "0:1"):
             assert _run("split", "--in", "x", "--ratio", ratio, "--train", "a", "--test", "b") == 1
-        for flag, value in (("--k", "x"), ("--batch-counts", "1,,2")):
+        for flag, value in (("--k", "x"), ("--batch-sizes", "1,,2")):
             assert _run("bench", "--train", "a", "--test", "b", flag, value, "--out", "c") == 1
 
     def test_config_errors_exit_one(self, tmp_path):
@@ -715,7 +726,7 @@ class TestExitCodes:
             for i in range(per_class) for label in ("malware", "benign")))
         report = tmp_path / "bench.csv"
         assert _run("bench", "--train", str(corpus), "--test", str(corpus), "--k", "2",
-                    "--batch-multiple", "8", "--batch-counts", "1", "--lanes", "1",
+                    "--batch-sizes", "8", "--lanes", "1",
                     "--reps", "1", "--out", str(report)) == 2
         assert capsys.readouterr().err == (
             "groupnb: data error: no size group has 6 training samples of each class; "

@@ -69,7 +69,7 @@ def test_bench_flags_not_given_take_the_bench_config_defaults(tmp_path, monkeypa
                               for s in generate_synthetic(SyntheticSpec(1, 6, 8, 0.8, 0))))
     configs = []
 
-    def record(bundles, test_samples, config):
+    def record(train, test_samples, config):
         configs.append(config)
         return ()
 
