@@ -16,7 +16,7 @@ from typing import Sequence, TextIO
 from . import engine
 from .corpus import GroupedCorpus, SampleRecord
 from .engine import Workload
-from .errors import InvalidConfigError, positive_int
+from .errors import IntegrityError, InvalidConfigError, positive_int
 
 __all__ = [
     "BenchConfig",
@@ -76,7 +76,7 @@ def make_batches(
     original sample appears either floor or ceil of size/len times.
     """
     if not test_samples:
-        raise InvalidConfigError("no test samples to batch")
+        raise IntegrityError("no test samples to batch")
     n = len(test_samples)
     samples = tuple(test_samples[i % n] for i in range(size))
     return Workload(samples=samples, lanes=lanes)
@@ -90,15 +90,16 @@ def run_bench(
     """Train one bundle per k, then time every (k, batch_size) cell in both modes.
 
     Training is engine.train_bundles(train, config.k_values), with its
-    errors. Rows come out one per cell and mode, ordered k ascending,
-    batch size ascending, sequential before parallel; each mode runs
+    errors; an empty test set fails before it. Rows come out one per
+    cell and mode, ordered k ascending, batch size ascending,
+    sequential before parallel; each mode runs
     config.repetitions times and the speedup is the ratio of the two
     stored medians. A parallel row's lanes are the lanes that ran, at
     most config.lanes (see engine.classify_parallel).
     """
-    bundles = engine.train_bundles(train, config.k_values)
     workloads = [make_batches(test_samples, size, config.lanes)
                  for size in sorted(set(config.batch_sizes))]
+    bundles = engine.train_bundles(train, config.k_values)
     rows: list[BenchRow] = []
     for k, bundle in sorted(bundles.items()):
         for workload in workloads:

@@ -42,7 +42,7 @@ from .corpus import (
     serialize_sample,
     split_train_test,
 )
-from .errors import DataError, IntegrityError, InvalidConfigError, LaneError, ParseError
+from .errors import DataError, IntegrityError, InvalidConfigError, LaneError, ParseError, positive_int
 from .synth import SyntheticSpec, generate_synthetic
 
 
@@ -222,6 +222,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    positive_int("lanes", args.lanes)
     bundle = engine.load_bundle(args.bundle)
     samples = _read_corpus(args.input, allow_unlabeled=True)
     workload = engine.Workload(samples=tuple(samples), lanes=args.lanes)

@@ -10,17 +10,13 @@ nearest trained one (upward first). Bundles are saved as JSON, format 2
 for how they fit together) checks its own invariants when built, and
 the loader checks only the document's shape.
 
-Batches are classified over lanes by one runtime: the caller runs lane 0
-and each further lane is one worker process with its own pipe, forked
-where the platform allows and spawned elsewhere, through the same code.
-A batch of N samples runs on at most max(1, N // _BLOCK) lanes, so a
-batch below two kernel blocks runs in the caller alone; TimedRun.lanes
-says how many lanes ran. The sequential baseline is the one-lane case
-and starts no process. Every lane runs the same array kernel over a
-contiguous slice, so predictions are bit-identical at any lane count.
-Elapsed time covers only the classification kernel, not parsing,
-score-table building or serialization; it starts after a ready/go
-barrier, so process start-up and warm-up are excluded.
+Batches are classified over lanes, run by groupnb.lanes. A batch of N
+samples runs on at most max(1, N // _BLOCK) lanes, so a batch below two
+kernel blocks runs in the caller alone; TimedRun.lanes says how many
+lanes ran. Every lane runs the same array kernel over a contiguous
+slice, so predictions are bit-identical at any lane count. Elapsed time
+covers only the kernel, not parsing, score-table building or
+serialization.
 
 The kernel scores a block of samples at once and reproduces
 classifier.log_posterior bit for bit. Each classify call builds its
@@ -37,8 +33,6 @@ the products left to right, the order of the scalar loop.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import time
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
@@ -58,13 +52,13 @@ from .errors import (
     EmptyBundleError,
     IntegrityError,
     InvalidConfigError,
-    LaneError,
     MeasurementError,
     SizeRangeError,
     non_negative_int,
     positive_int,
 )
 from .features import FeatureSet, count_group, score_counts, select_top_k
+from .lanes import run_lanes
 
 __all__ = [
     "BundleMeta",
@@ -360,39 +354,6 @@ def _timed_run(
     return TimedRun(tuple(predictions), tuple(errors), elapsed_ns, len(parts))
 
 
-def _lane(conn, caller_ends, tables: _ScoreTables, samples: Sequence[SampleRecord], start: int,
-          end: int, warmup: bool) -> None:
-    """Worker-lane body: classify samples[start:end] between the caller's go and its receive.
-
-    Sends "ready" after the optional warm-up pass, waits for "go", then
-    sends its chunk's arrays. If the caller has closed the pipe, the lane
-    exits quietly.
-    """
-    # A forked lane inherits the caller's pipe ends; while it holds them,
-    # it would never see the caller close its own.
-    for caller_end in caller_ends:
-        caller_end.close()
-    try:
-        if warmup:
-            _classify_slice(tables, samples, start, end)
-        conn.send("ready")
-        conn.recv()
-        conn.send(_classify_slice(tables, samples, start, end))
-    except (EOFError, ConnectionError):
-        pass
-    finally:
-        conn.close()
-
-
-def _receive(lane: int, proc, conn):
-    try:
-        return conn.recv()
-    except EOFError:
-        proc.join()
-        raise LaneError(f"lane {lane} exited with code {proc.exitcode} "
-                        "before returning its chunk") from None
-
-
 def classify_sequential(
     bundle: ModelBundle, workload: Workload, *, warmup: bool = True
 ) -> TimedRun:
@@ -409,22 +370,16 @@ def classify_sequential(
 def classify_parallel(
     bundle: ModelBundle, workload: Workload, *, warmup: bool = True
 ) -> TimedRun:
-    """Classify over at most ``workload.lanes`` lanes: the caller plus worker processes.
+    """Classify over at most ``workload.lanes`` lanes, run by groupnb.lanes.
 
     A batch of N samples runs on min(workload.lanes, max(1, N // _BLOCK))
     lanes, reported as run.lanes, so a batch below two kernel blocks
-    starts no process. The batch is cut into contiguous chunks of
-    ceil(N / lanes) samples. The caller classifies chunk 0 itself; every
-    other chunk gets one worker process and one pipe. Workers are forked
-    where the platform can, so they inherit the score tables and the batch;
-    elsewhere they are spawned and the same arguments are pickled. Lanes
-    return arrays, and the predictions built from them are in input order
-    and bit-identical (label and log-scores) to classify_sequential on the
-    same workload.
-    elapsed_ns is the wall time of the parallel region only: it starts
-    once every lane has finished its optional warm-up pass and reported
-    ready. A worker that dies before returning its chunk raises
-    LaneError; every worker is joined before this returns or raises.
+    starts no process. Lane i classifies the i-th contiguous chunk of
+    ceil(N / lanes) samples into arrays; the predictions built from them
+    are in input order and bit-identical (label and log-scores) to
+    classify_sequential on the same workload. elapsed_ns is the wall
+    time of the parallel region only. A worker that dies before
+    returning its chunk raises LaneError.
     """
     return _classify(bundle, workload.samples, workload.lanes, warmup)
 
@@ -432,43 +387,14 @@ def classify_parallel(
 def _classify(
     bundle: ModelBundle, samples: Sequence[SampleRecord], lanes: int, warmup: bool
 ) -> TimedRun:
-    """The lane runtime behind classify_sequential and classify_parallel."""
+    """Classify over at most ``lanes`` lanes; see classify_parallel."""
     n = len(samples)
     lanes = min(lanes, max(1, n // _BLOCK))
     chunk = -(-n // lanes) if n else 1
     bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)] or [(0, 0)]
     tables = _ScoreTables.build(bundle)  # before any lane starts, so every lane shares it
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    ctx = multiprocessing.get_context(method)
-
-    procs = []
-    conns = []
-    try:
-        for lo, hi in bounds[1:]:
-            conn, lane_conn = ctx.Pipe()
-            conns.append(conn)
-            with lane_conn:  # the worker's copy must be the only one left open
-                args = (lane_conn, tuple(conns), tables, samples, lo, hi, warmup)
-                proc = ctx.Process(target=_lane, args=args, daemon=True)
-                proc.start()
-            procs.append(proc)
-        lo, hi = bounds[0]
-        if warmup:
-            _classify_slice(tables, samples, lo, hi)
-        for lane, (proc, conn) in enumerate(zip(procs, conns), start=1):
-            _receive(lane, proc, conn)
-        t0 = time.perf_counter_ns()
-        for conn in conns:
-            conn.send("go")
-        parts = [_classify_slice(tables, samples, lo, hi)]
-        parts += [_receive(lane, proc, conn)
-                  for lane, (proc, conn) in enumerate(zip(procs, conns), start=1)]
-        elapsed = time.perf_counter_ns() - t0
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            proc.join()
+    parts, elapsed = run_lanes(_classify_slice, [(tables, samples, lo, hi) for lo, hi in bounds],
+                               warmup)
     return _timed_run(parts, elapsed)
 
 

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 from hypothesis import settings
 
@@ -9,6 +11,20 @@ settings.register_profile("tier1", derandomize=True, database=None, deadline=Non
 settings.load_profile("tier1")
 
 _ACCEPTANCE_LINES: list[str] = []
+
+
+@pytest.fixture(autouse=True)
+def no_lane_left_running():
+    """Fail any test that leaves a worker process alive, whatever path it took.
+
+    The leftovers are killed first, so the next test starts clean.
+    """
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join()
+    assert left == [], "a worker process outlived its test"
 
 
 @pytest.fixture(scope="session")

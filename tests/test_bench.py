@@ -16,7 +16,7 @@ from groupnb.bench import (
 )
 from groupnb.corpus import Label
 from groupnb.engine import _BLOCK, train_bundle, train_bundles
-from groupnb.errors import InvalidConfigError
+from groupnb.errors import IntegrityError, InvalidConfigError
 
 from helpers import grouped, make_sample, two_class_group
 
@@ -94,7 +94,7 @@ class TestMakeBatches:
         assert [s.id for s in workload.samples] == ["t0", "t1", "t2", "t3", "t0", "t1"]
 
     def test_empty_test_set_rejected(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(IntegrityError, match="no test samples to batch"):
             make_batches([], 768, lanes=1)
 
 

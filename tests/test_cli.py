@@ -10,7 +10,7 @@ from dataclasses import fields
 import pytest
 
 import groupnb
-from groupnb import cli
+from groupnb import cli, engine
 from groupnb.bench import BenchConfig
 from groupnb.cli import main
 from groupnb.corpus import _BLOCK_CHARS, GroupingConfig, assign_group
@@ -724,14 +724,44 @@ class TestExitCodes:
             json.dumps({"id": f"{label[0]}{i}", "label": label, "size_bytes": 10,
                         "opcodes": {"mov": 1, label: 2}}) + "\n"
             for i in range(per_class) for label in ("malware", "benign")))
+        test = tmp_path / "test.jsonl"
+        test.write_text(json.dumps({"id": "t0", "label": "malware", "size_bytes": 10,
+                                    "opcodes": {"mov": 1}}) + "\n")
         report = tmp_path / "bench.csv"
-        assert _run("bench", "--train", str(corpus), "--test", str(corpus), "--k", "2",
+        assert _run("bench", "--train", str(corpus), "--test", str(test), "--k", "2",
                     "--batch-sizes", "8", "--lanes", "1",
                     "--reps", "1", "--out", str(report)) == 2
         assert capsys.readouterr().err == (
             "groupnb: data error: no size group has 6 training samples of each class; "
             "no bundle written\n")
         assert not report.exists()
+
+    def test_bench_with_an_empty_test_set_exits_two_before_training(self, pipeline_files,
+                                                                     tmp_path, capsys,
+                                                                     monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("bench trained before it checked its test set")
+
+        monkeypatch.setattr(engine, "train_bundles", refuse)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        report = tmp_path / "bench.csv"
+        for train in (pipeline_files["train"], empty):
+            capsys.readouterr()
+            assert _run("bench", "--train", str(train), "--test", str(empty), "--k", "5",
+                        "--batch-sizes", "8", "--reps", "1", "--out", str(report)) == 2
+            assert capsys.readouterr().err == "groupnb: data error: no test samples to batch\n"
+            assert not report.exists()
+
+    @pytest.mark.parametrize("mode", ["--sequential", "--parallel"])
+    def test_classify_checks_lanes_before_it_opens_a_file(self, tmp_path, capsys, mode):
+        preds = tmp_path / "preds.jsonl"
+        assert _run("classify", "--bundle", str(tmp_path / "missing.json"),
+                    "--in", str(tmp_path / "missing.jsonl"), mode, "--lanes", "0",
+                    "--out", str(preds)) == 1
+        assert capsys.readouterr().err == (
+            "groupnb: config error: lanes must be a positive integer, got 0\n")
+        assert not preds.exists()
 
     def test_classify_with_an_empty_model_array_exits_two(self, pipeline_files, capsys):
         paths = pipeline_files

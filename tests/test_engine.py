@@ -371,6 +371,24 @@ class TestClassifyParallel:
         assert multiprocessing.active_children() == []
         assert "Traceback" not in capfd.readouterr().err
 
+    @pytest.mark.parametrize("warmup", [True, False])
+    def test_failing_caller_lane_joins_every_worker(self, warmup, monkeypatch, capfd):
+        test_pid = os.getpid()
+        real = engine._classify_slice
+
+        def fail_in_the_caller(tables, samples, lo, hi):
+            if os.getpid() == test_pid:
+                raise RuntimeError("lane 0 failed")
+            return real(tables, samples, lo, hi)
+
+        monkeypatch.setattr(engine, "_classify_slice", fail_in_the_caller)
+        bundle = _bundle()
+        workload = _workload(bundle, 3 * _BLOCK + 5, lanes=3)
+        with deadline(30), pytest.raises(RuntimeError, match="lane 0 failed"):
+            classify_parallel(bundle, workload, warmup=warmup)
+        assert multiprocessing.active_children() == []
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_error_entries_survive_parallelism(self):
         bundle = _bundle()
         good = list(_workload(bundle, 3 * _BLOCK + 9, lanes=3).samples)
