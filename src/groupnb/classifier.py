@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .corpus import CLASSES, Label, OpcodeHistogram, SampleRecord
 from .errors import (BundleValidationError, InsufficientClassError, IntegrityError,
-                     InvalidConfigError, non_negative_int, positive_int)
+                     InvalidConfigError, non_negative_int)
 from .features import FeatureSet, GroupCounts, count_group
 
 __all__ = [
@@ -60,30 +60,22 @@ class GroupModel:
     log_prior exponentiates to class probabilities summing to 1;
     log_likelihood holds ln theta(class, opcode) for exactly the
     features, and exp of each class's row sums to 1. The constructor
-    checks this, a non-negative integer group, a positive finite alpha
-    (stored as a float) and a positive integer training count per class
-    (else BundleValidationError).
+    checks this and a non-negative integer group (else
+    BundleValidationError); the smoothing alpha is the bundle's.
     """
 
     group: int
     features: FeatureSet
     log_prior: dict[Label, float]
     log_likelihood: dict[Label, dict[str, float]]
-    alpha: float
-    train_counts: dict[Label, int]
 
     def __post_init__(self):
         where = f"model for group {self.group}"
         features = self.features.opcodes
         try:
             non_negative_int("group", self.group)
-            for c in CLASSES:
-                positive_int(f"{c.value} training count", self.train_counts.get(c))
         except InvalidConfigError as exc:
             raise BundleValidationError(f"{where}: {exc}") from None
-        if not valid_alpha(self.alpha):
-            raise BundleValidationError(f"{where}: alpha must be positive and finite")
-        object.__setattr__(self, "alpha", float(self.alpha))
         _check_distribution([self.log_prior.get(c, math.nan) for c in CLASSES], where, "priors")
         for c in CLASSES:
             row = self.log_likelihood.get(c, {})
@@ -175,7 +167,7 @@ def fit_counts(counts: GroupCounts, features: FeatureSet, alpha: float, *, group
                 f"{group} underflows to 0"
             ) from None
 
-    return GroupModel(group, features, log_prior, log_likelihood, alpha, dict(n_samples))
+    return GroupModel(group, features, log_prior, log_likelihood)
 
 
 def log_posterior(model: GroupModel, histogram: OpcodeHistogram) -> dict[Label, float]:

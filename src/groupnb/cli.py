@@ -201,6 +201,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    if os.path.realpath(args.train) == os.path.realpath(args.test):
+        raise InvalidConfigError(f"--train and --test name the same file: {args.test}")
     grouped = _grouped(_read_corpus(args.input))
     result = split_train_test(grouped, args.ratio, args.seed)
     _write_corpus(args.train, result.train.all_samples())

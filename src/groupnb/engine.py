@@ -4,7 +4,7 @@ A ModelBundle holds one trained model per trainable group; train_bundles
 trains one bundle per feature budget k, counting each group's training
 histograms once and deriving its feature scores and every k's model
 from those counts. Routing sends files from untrained groups to the
-nearest trained one (upward first). Bundles are saved as JSON, format 2
+nearest trained one (upward first). Bundles are saved as JSON, format 3
 (see bundle_to_json), and only that format loads. Each part of a bundle
 (GroupingConfig, BundleMeta, GroupModel, FeatureSet, and ModelBundle
 for how they fit together) checks its own invariants when built, and
@@ -409,11 +409,12 @@ def speedup(tc_ns: int, tp_ns: int) -> float:
 
 # --- bundle serialization --------------------------------------------------
 #
-# Bundle format 2: json.dumps writes every float as its shortest round-trip
+# Bundle format 3: json.dumps writes every float as its shortest round-trip
 # repr (so -0.0 keeps its sign) and keys in a fixed order, one model per
-# line, so serialize -> load -> serialize is byte-identical.
+# line, so serialize -> load -> serialize is byte-identical. A model line
+# holds only what routing and scoring read; meta holds the one alpha.
 
-BUNDLE_FORMAT = 2
+BUNDLE_FORMAT = 3
 
 
 def _model_doc(model: GroupModel) -> dict:
@@ -425,8 +426,6 @@ def _model_doc(model: GroupModel) -> dict:
         "log_likelihood": {
             c.value: {op: model.log_likelihood[c][op] for op in features} for c in CLASSES
         },
-        "alpha": model.alpha,
-        "train_counts": {c.value: model.train_counts[c] for c in CLASSES},
     }
 
 
@@ -467,7 +466,7 @@ def _object(value, where: str) -> dict:
 
 
 def bundle_from_json(text: str) -> ModelBundle:
-    """Parse a format-2 bundle document, checking only its shape and number types.
+    """Parse a format-3 bundle document, checking only its shape and number types.
 
     The bundle types check the rest; any malformed document raises BundleValidationError.
     """
@@ -499,8 +498,6 @@ def bundle_from_json(text: str) -> ModelBundle:
             feature_list = raw["features"]
             raw_prior = _object(raw["log_prior"], f"{where}.log_prior")
             raw_ll = _object(raw["log_likelihood"], f"{where}.log_likelihood")
-            alpha = _numbers([raw["alpha"]], f"{where}.alpha")[0]
-            raw_counts = _object(raw["train_counts"], f"{where}.train_counts")
             _require(isinstance(feature_list, list), f"{where}: 'features' must be an array")
             features = FeatureSet(tuple(feature_list))
         except KeyError as exc:
@@ -514,8 +511,7 @@ def bundle_from_json(text: str) -> ModelBundle:
             row = _object(raw_ll.get(c.value, {}), f"{where}.log_likelihood.{c.value}")
             values = _numbers(list(row.values()), f"{where}.log_likelihood")
             log_likelihood[c] = dict(zip(row, values))
-        train_counts = {c: raw_counts.get(c.value) for c in CLASSES}
-        models.append(GroupModel(group, features, log_prior, log_likelihood, alpha, train_counts))
+        models.append(GroupModel(group, features, log_prior, log_likelihood))
     return build_bundle(models, config, meta)
 
 

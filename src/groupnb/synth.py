@@ -43,11 +43,8 @@ class SyntheticSpec:
         if self.group_count > (most := GroupingConfig().group_count):
             raise InvalidConfigError(f"group_count must be at most {most}, got {self.group_count}")
         positive_int("samples_per_group_per_class", self.samples_per_group_per_class)
-        vocabulary_size = self.vocabulary_size
-        if not isinstance(vocabulary_size, int) or isinstance(vocabulary_size, bool):
-            raise InvalidConfigError(f"vocabulary_size must be an integer, got {vocabulary_size!r}")
-        if vocabulary_size < 2:
-            raise InvalidConfigError(f"vocabulary_size must be at least 2, got {vocabulary_size}")
+        if (size := positive_int("vocabulary_size", self.vocabulary_size)) < 2:
+            raise InvalidConfigError(f"vocabulary_size must be at least 2, got {size}")
         non_negative_int("seed", self.seed)
         d = self.divergence
         if not isinstance(d, (int, float)) or isinstance(d, bool) or not (0.0 <= d <= 1.0):

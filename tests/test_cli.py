@@ -14,7 +14,8 @@ from groupnb import cli, engine
 from groupnb.bench import BenchConfig
 from groupnb.cli import main
 from groupnb.corpus import _BLOCK_CHARS, GroupingConfig, assign_group
-from groupnb.engine import _BLOCK, load_bundle, route, save_bundle, train_bundle
+from groupnb.engine import (_BLOCK, bundle_to_json, load_bundle, route, save_bundle,
+                            train_bundle, train_bundles)
 
 from helpers import deadline, grouped, kill_worker_lanes, two_class_group
 
@@ -99,6 +100,18 @@ class TestPipeline:
         assert payload["errors"] == 0
         assert payload["missing"] == 0
         assert payload["per_class"]["malware"]["recall"] == 1.0
+
+    def test_train_alpha_is_the_bundle_alpha(self, pipeline_files):
+        paths = pipeline_files
+        assert _run("train", "--in", str(paths["train"]), "--k", "12", "--alpha", "0.5",
+                    "--out", str(paths["bundle"])) == 0
+        written = json.loads(paths["bundle"].read_text(encoding="utf-8"))
+        assert written["meta"]["alpha"] == 0.5
+        corpus = grouped(cli._read_corpus(str(paths["train"])))
+        expected = json.loads(bundle_to_json(train_bundles(corpus, (12,), 0.5)[12]))
+        for doc in (written, expected):
+            del doc["meta"]["created_at"]
+        assert written == expected
 
     def test_parallel_classify_matches_sequential(self, pipeline_files, tmp_path, capsys):
         """Byte-identical output below and at two kernel blocks; the summary names the lanes."""
@@ -388,6 +401,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "groupnb: config error: seed must be a non-negative integer, got -1\n"
         assert not train.exists() and not test.exists()
+
+    def test_split_refuses_one_file_for_train_and_test(self, tmp_path, capsys, monkeypatch):
+        """Checked before --in is read, so a missing --in is not reached (exit 1, not 3)."""
+        monkeypatch.chdir(tmp_path)
+        assert _run("split", "--in", "missing.jsonl", "--train", "x", "--test", "./x") == 1
+        assert capsys.readouterr().err == (
+            "groupnb: config error: --train and --test name the same file: ./x\n")
+        assert not (tmp_path / "x").exists()
 
     def test_gen_groups_past_the_default_geometry_exits_one(self, tmp_path, capsys):
         """Group 100 would start at 512,000 bytes, a size every later command skips."""
@@ -774,6 +795,22 @@ class TestExitCodes:
         assert _run("classify", "--bundle", str(paths["bundle"]), "--in", str(paths["test"]),
                     "--out", str(paths["preds"])) == 2
         assert capsys.readouterr().err == "groupnb: data error: bundle has no trained models\n"
+        assert not paths["preds"].exists()
+
+    def test_classify_with_a_format_2_bundle_exits_two(self, pipeline_files, capsys):
+        """A format-2 bundle, whose models also carried alpha and training counts."""
+        paths = pipeline_files
+        assert _run("train", "--in", str(paths["train"]), "--k", "8",
+                    "--out", str(paths["bundle"])) == 0
+        doc = json.loads(paths["bundle"].read_text(encoding="utf-8"))
+        doc["format"] = 2
+        for model in doc["models"]:
+            model.update(alpha=1.0, train_counts={"malware": 6, "benign": 6})
+        paths["bundle"].write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert _run("classify", "--bundle", str(paths["bundle"]), "--in", str(paths["test"]),
+                    "--out", str(paths["preds"])) == 2
+        assert capsys.readouterr().err == "groupnb: data error: unsupported bundle format 2\n"
         assert not paths["preds"].exists()
 
     @pytest.mark.parametrize("name", [

@@ -82,8 +82,6 @@ def _signed_zero_model():
             Label.MALWARE: {"a": 0.0, "b": -800.0},
             Label.BENIGN: {"a": -800.0, "b": 0.0},
         },
-        alpha=1.0,
-        train_counts={Label.MALWARE: 1, Label.BENIGN: 1},
     )
 
 
@@ -93,7 +91,6 @@ def _hex_parameters(bundle):
         g: (
             [model.log_prior[c].hex() for c in CLASSES],
             [model.log_likelihood[c][op].hex() for c in CLASSES for op in model.features.opcodes],
-            model.alpha.hex(),
         )
         for g, model in bundle.models.items()
     }
@@ -111,6 +108,22 @@ _FORMAT_1 = (
     '"mov": -1.455287232606842}, "benign": {"add": -1.0986122886681098, '
     '"evil": -3.4011973816621555, "mov": -0.45675840249571498}}, '
     '"alpha": 1, "train_counts": {"malware": 6, "benign": 6}}\n'
+    ']}\n'
+)
+
+# The same bundle as format 2 wrote it: each model also carried its own alpha and
+# training counts. The loader refuses it too.
+_FORMAT_2 = (
+    '{"format": 2, "config": {"group_size_bytes": 5120, "max_size_bytes": 512000, '
+    '"min_per_class": 6}, '
+    '"meta": {"k": 3, "alpha": 1.0, "seed": 0, "created_at": "2026-01-01T00:00:00+00:00"}, '
+    '"models": [\n'
+    '{"group": 0, "features": ["add", "evil", "mov"], '
+    '"log_prior": {"malware": -0.6931471805599453, "benign": -0.6931471805599453}, '
+    '"log_likelihood": {"malware": {"add": -3.4011973816621555, "evil": -0.3101549283038396, '
+    '"mov": -1.455287232606842}, "benign": {"add": -1.0986122886681098, '
+    '"evil": -3.4011973816621555, "mov": -0.456758402495715}}, '
+    '"alpha": 1.0, "train_counts": {"malware": 6, "benign": 6}}\n'
     ']}\n'
 )
 
@@ -151,12 +164,10 @@ class TestBuildBundle:
         config = GroupingConfig()
         cases = [
             lambda: build_bundle([dataclasses.replace(good, group=100)], config, _META),
-            lambda: dataclasses.replace(good, alpha=-1.0),
             lambda: dataclasses.replace(
                 good,
                 log_prior={Label.MALWARE: math.log(0.6), Label.BENIGN: math.log(0.6)},
             ),
-            lambda: dataclasses.replace(good, train_counts={Label.MALWARE: 0, Label.BENIGN: 6}),
             lambda: dataclasses.replace(
                 good,
                 log_likelihood={
@@ -596,7 +607,7 @@ class TestBundleSerialization:
         signed_zero = build_bundle([_signed_zero_model()], GroupingConfig(), _META)
         for bundle in (_bundle(), signed_zero):
             text = bundle_to_json(bundle)
-            assert text.startswith('{"format": 2, "config": ')
+            assert text.startswith('{"format": 3, "config": ')
             assert len(text.splitlines()) == len(bundle.trained_ids) + 2  # one model per line
             assert bundle_to_json(bundle_from_json(text)) == text
 
@@ -608,13 +619,32 @@ class TestBundleSerialization:
         assert loaded.models[0].log_prior[Label.MALWARE].hex() == "-0x0.0p+0"
         assert _hex_parameters(loaded) == _hex_parameters(bundle)
 
-    @pytest.mark.parametrize("version", [3, "2", True, 2.0, None, [2], "no key"])
+    @pytest.mark.parametrize("version", [4, "3", True, 2.0, None, [3], "no key", 2, 3.0])
     def test_loader_rejects_other_formats(self, version):
         doc = json.loads(bundle_to_json(_bundle(groups=(0,))))
         doc["format"] = version
         text = _FORMAT_1 if version == "no key" else json.dumps(doc)
         with pytest.raises(BundleValidationError, match="format"):
             bundle_from_json(text)
+
+    def test_loader_refuses_format_2(self):
+        # Apart from its version and the two per-model copies, it is today's document.
+        doc = json.loads(_FORMAT_2)
+        doc["format"] = 3
+        for model in doc["models"]:
+            del model["alpha"], model["train_counts"]
+        assert doc == json.loads(bundle_to_json(_bundle(groups=(0,))))
+        with pytest.raises(BundleValidationError, match="^unsupported bundle format 2$"):
+            bundle_from_json(_FORMAT_2)
+
+    def test_model_lines_hold_only_what_routing_and_scoring_read(self):
+        bundle = _bundle()
+        text = bundle_to_json(bundle)
+        for line in text.splitlines()[1:-1]:
+            model = json.loads(line.rstrip(","))
+            assert list(model) == ["group", "features", "log_prior", "log_likelihood"]
+        assert text.count('"alpha"') == 1
+        assert json.loads(text)["meta"]["alpha"] == _META.alpha
 
     def test_round_trip_preserves_predictions(self, tmp_path):
         bundle = _bundle()
@@ -645,7 +675,7 @@ class TestBundleSerialization:
         "mutate",
         [
             lambda doc: doc.pop("config"),
-            lambda doc: doc["models"][0].pop("alpha"),
+            lambda doc: doc["models"][0].pop("log_prior"),
             lambda doc: doc["models"][0]["log_likelihood"].pop("malware"),
             lambda doc: doc["models"][0]["features"].append("extra"),
             lambda doc: doc["models"][0].__setitem__("group", 9999),
@@ -669,8 +699,8 @@ class TestBundleSerialization:
             lambda doc: doc["models"][0]["log_likelihood"]["benign"].update(
                 mov=repr(doc["models"][0]["log_likelihood"]["benign"]["mov"])
             ),
-            lambda doc: doc["models"][0]["train_counts"].__setitem__("benign", "6"),
-            lambda doc: doc["models"][0].__setitem__("train_counts", "malware benign"),
+            lambda doc: doc["models"][0].__setitem__("features", "add evil mov"),
+            lambda doc: doc["models"][0].__setitem__("log_prior", "malware benign"),
             lambda doc: doc["meta"].__setitem__("k", "3"),
             lambda doc: doc["meta"].__setitem__("created_at", 20260101),
             lambda doc: doc["models"][0]["log_prior"].__setitem__("malware", 10**400),
@@ -768,14 +798,6 @@ _INVARIANTS = {
         lambda good: FeatureSet(("mov", "add", "mov")),
         lambda doc: _doc_model(doc)["features"].append("add"),
         InvalidConfigError, "feature set is empty or repeats an opcode"),
-    "model-alpha-zero": (
-        lambda good: dataclasses.replace(good, alpha=0.0),
-        lambda doc: _doc_model(doc).update(alpha=0),
-        BundleValidationError, "group 0: alpha must be positive and finite"),
-    "model-alpha-nan": (
-        lambda good: dataclasses.replace(good, alpha=math.nan),
-        lambda doc: _doc_model(doc).update(alpha=math.nan),
-        BundleValidationError, "group 0: alpha must be positive and finite"),
     "prior-non-finite": (
         lambda good: dataclasses.replace(
             good, log_prior={Label.MALWARE: math.nan, Label.BENIGN: math.log(0.5)}),
@@ -787,11 +809,6 @@ _INVARIANTS = {
         lambda doc: _doc_model(doc)["log_prior"].update(malware=math.log(0.6),
                                                         benign=math.log(0.6)),
         BundleValidationError, "group 0: priors sum to 1.2"),
-    "train-count": (
-        lambda good: dataclasses.replace(
-            good, train_counts={Label.MALWARE: 0, Label.BENIGN: 6}),
-        lambda doc: _doc_model(doc)["train_counts"].update(malware=0),
-        BundleValidationError, "group 0: malware training count must be a positive integer, got 0"),
     "likelihood-missing": (
         lambda good: _with_likelihoods(good, Label.BENIGN, {
             op: v for op, v in good.log_likelihood[Label.BENIGN].items() if op != "mov"}),
@@ -860,21 +877,6 @@ _INVARIANTS = {
         lambda doc: _doc_model(doc).update(group=-1),
         BundleValidationError,
         "^model for group -1: group must be a non-negative integer, got -1$"),
-    "train-count-float": (
-        lambda good: dataclasses.replace(good, train_counts={Label.MALWARE: 1.5, Label.BENIGN: 6}),
-        lambda doc: _doc_model(doc)["train_counts"].update(malware=1.5),
-        BundleValidationError,
-        "group 0: malware training count must be a positive integer, got 1.5"),
-    "train-count-string": (
-        lambda good: dataclasses.replace(good, train_counts={Label.MALWARE: 6, Label.BENIGN: "2"}),
-        lambda doc: _doc_model(doc)["train_counts"].update(benign="2"),
-        BundleValidationError,
-        "group 0: benign training count must be a positive integer, got '2'"),
-    "train-count-missing": (
-        lambda good: dataclasses.replace(good, train_counts={Label.BENIGN: 6}),
-        lambda doc: _doc_model(doc)["train_counts"].pop("malware"),
-        BundleValidationError,
-        "group 0: malware training count must be a positive integer, got None"),
     "features-uppercase": (
         lambda good: FeatureSet(("add", "evil", "MOV")),
         lambda doc: _rename_feature(doc, "MOV"),
@@ -943,11 +945,6 @@ class TestRoundTripSweep:
     def test_signed_zero_bundle_round_trips(self):
         self._assert_round_trips(build_bundle([_signed_zero_model()], GroupingConfig(), _META))
 
-    def test_integer_model_alpha_round_trips(self):
-        model = dataclasses.replace(_signed_zero_model(), alpha=1)
-        assert type(model.alpha) is float
-        self._assert_round_trips(build_bundle([model], GroupingConfig(), _META))
-
     def test_empty_corpus_is_refused(self):
         with pytest.raises(EmptyBundleError, match=_UNTRAINABLE):
             train_bundles(grouped([]), (1, 5, 40), 2.5, created_at="t")
@@ -1009,27 +1006,22 @@ def _mostly(valid, wild):
 _ANY_GROUP = (st.integers(-2, 102) | st.booleans() | st.floats(-1, 101)
               | st.sampled_from(["3", ""]))
 _GROUP = _mostly(st.integers(0, 99), _ANY_GROUP)
-_TRAIN_COUNTS = _mostly(
-    st.fixed_dictionaries({c: st.integers(1, 3) for c in CLASSES}),
-    st.dictionaries(st.sampled_from(CLASSES), st.integers(-1, 3) | st.booleans()
-                    | st.floats(0, 3) | st.sampled_from(["2", None]), max_size=2))
 _FEATURE_NAMES = _mostly(
     st.lists(st.sampled_from(["add", "mov", "op1", "ß", "a\0b"]), min_size=1, max_size=3,
              unique=True),
     st.lists(st.sampled_from(["add", "MOV", "", "İ", 3]) | st.text(max_size=2), max_size=4))
 
 
-def _uniform_model(group, names, train_counts):
+def _uniform_model(group, names):
     """A GroupModel over FeatureSet(names) with uniform priors and likelihoods."""
     features = FeatureSet(names)
     row = {op: -math.log(len(names)) for op in features.opcodes}
     return GroupModel(group, features, {c: math.log(0.5) for c in CLASSES},
-                      {c: dict(row) for c in CLASSES}, 1.0, train_counts)
+                      {c: dict(row) for c in CLASSES})
 
 
 @settings(max_examples=50)
-@given(st.lists(st.tuples(_GROUP, _FEATURE_NAMES.map(tuple), _TRAIN_COUNTS),
-                min_size=1, max_size=3),
+@given(st.lists(st.tuples(_GROUP, _FEATURE_NAMES.map(tuple)), min_size=1, max_size=3),
        st.integers(1, 3),
        st.none() | st.lists(_mostly(st.none(), _ANY_GROUP), min_size=3, max_size=3))
 def test_a_bundle_is_refused_when_built_or_round_trips(fields, k, keys):

@@ -51,6 +51,15 @@ class TestSyntheticSpec:
         with pytest.raises(InvalidConfigError):
             _spec(**overrides)
 
+    @pytest.mark.parametrize("size, message", [
+        (1.5, "^vocabulary_size must be a positive integer, got 1.5$"),
+        (0, "^vocabulary_size must be a positive integer, got 0$"),
+        (1, "^vocabulary_size must be at least 2, got 1$"),
+    ])
+    def test_vocabulary_size_messages(self, size, message):
+        with pytest.raises(InvalidConfigError, match=message):
+            _spec(vocabulary_size=size)
+
     def test_accepts_boundary_divergences(self):
         _spec(divergence=0.0)
         _spec(divergence=1.0)
