@@ -172,6 +172,20 @@ def _read_corpus(path: str, *, allow_unlabeled: bool = False):
         return parse_corpus(_lines(path), allow_unlabeled=allow_unlabeled)
 
 
+def _refuse_clashes(inputs: dict[str, str], outputs: dict[str, str]) -> None:
+    """InvalidConfigError for an output (flag -> path) that names an input or an earlier output."""
+    real = os.path.realpath
+    earlier: dict[str, str] = {}
+    for flag, path in outputs.items():
+        for other, other_path in inputs.items():
+            if real(path) == real(other_path):
+                raise InvalidConfigError(f"{flag} would overwrite {other}: {path}")
+        for other, other_path in earlier.items():
+            if real(path) == real(other_path):
+                raise InvalidConfigError(f"{other} and {flag} name the same file: {path}")
+        earlier[flag] = path
+
+
 def _grouped(samples, what: str = "samples") -> GroupedCorpus:
     """Bucket samples by the default geometry; warn about the ones outside its size range."""
     grouped, rejected = partition_by_group(samples, GroupingConfig())
@@ -201,8 +215,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    if os.path.realpath(args.train) == os.path.realpath(args.test):
-        raise InvalidConfigError(f"--train and --test name the same file: {args.test}")
+    _refuse_clashes({"--in": args.input}, {"--train": args.train, "--test": args.test})
     grouped = _grouped(_read_corpus(args.input))
     result = split_train_test(grouped, args.ratio, args.seed)
     _write_corpus(args.train, result.train.all_samples())
@@ -216,6 +229,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _refuse_clashes({"--in": args.input}, {"--out": args.out})
     grouped = _grouped(_read_corpus(args.input))
     bundle = engine.train_bundles(grouped, (args.k,), args.alpha)[args.k]
     engine.save_bundle(bundle, args.out)
@@ -225,6 +239,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_classify(args) -> int:
     positive_int("lanes", args.lanes)
+    _refuse_clashes({"--bundle": args.bundle, "--in": args.input}, {"--out": args.out})
     bundle = engine.load_bundle(args.bundle)
     samples = _read_corpus(args.input, allow_unlabeled=True)
     workload = engine.Workload(samples=tuple(samples), lanes=args.lanes)
@@ -245,6 +260,7 @@ def _cmd_bench(args) -> int:
     given = vars(args)
     config = bench_mod.BenchConfig(
         **{f.name: given[f.name] for f in fields(bench_mod.BenchConfig) if f.name in given})
+    _refuse_clashes({"--train": args.train, "--test": args.test}, {"--out": args.out})
     train_samples = _read_corpus(args.train)
     test_samples = _read_corpus(args.test)
     rows = bench_mod.run_bench(_grouped(train_samples, "train samples"), test_samples, config)
@@ -264,7 +280,7 @@ def _cmd_score(args) -> int:
     seen: set[str] = set()
     errors = 0
     with _naming(args.preds):
-        for line_no, doc, _ in _documents(_lines(args.preds)):
+        for line_no, doc in _documents(_lines(args.preds)):
             pid, label = _record_header(line_no, doc, seen, allow_unlabeled=True)
             if pid not in truth:
                 raise IntegrityError(f"prediction id {pid!r} at line {line_no} is missing from truth")

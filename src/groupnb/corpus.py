@@ -25,6 +25,10 @@ line holds exactly each line's document:
   is none.
 - So every separator is top-level, and equal counts mean one document
   per line.
+
+Any other block is decoded line by line on key strings shared across the
+call, so a line decoded alone keeps its dict as a block's line does: a
+mnemonic has at most one string per jointly decoded block plus two per call.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, repeat
+from itertools import compress
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -145,31 +149,19 @@ def _fold_counts(counts: Mapping[str, int]) -> dict[str, int]:
     return entries
 
 
-def _shared_histogram(ops: dict, names: dict[str, str], decoded_together: bool) -> OpcodeHistogram:
+def _shared_histogram(ops: dict, names: dict[str, str]) -> OpcodeHistogram:
     """OpcodeHistogram.from_counts(ops), keyed by shared strings.
 
     ``names`` maps every canonical mnemonic met so far in one parse to
     the one string that stands for it. A line of known names needs only
-    the count rule: if its block was ``decoded_together``, its dict is
-    kept, keyed by the strings the decoder holds once per block;
-    otherwise it is rebuilt on the strings of ``names``. Any other line
-    goes through from_counts (folding case, or raising its ValueError);
-    its new names join ``names`` with their own strings, and its entries
-    are re-keyed through ``names``. parse_corpus states the bound on
-    strings per mnemonic that this gives.
+    the count rule and keeps its dict, keyed by the reader's strings.
+    Any other line goes through from_counts (folding case, or raising its
+    ValueError); its new names join ``names`` with their own strings, and
+    its entries are re-keyed through ``names``. parse_corpus states the
+    bound on strings per mnemonic that this gives.
     """
-    values = ops.values()
-    if _plain_counts(values):
-        if decoded_together:
-            if ops.keys() <= names.keys():
-                return OpcodeHistogram(_nonzero(ops))
-        else:
-            # The rebuild's own lookups test the names: a subset test
-            # first would add about a tenth to a line-by-line parse.
-            try:
-                return OpcodeHistogram(_nonzero(dict(zip(map(names.__getitem__, ops), values))))
-            except KeyError:  # a name new to this parse
-                pass
+    if ops.keys() <= names.keys() and _plain_counts(ops.values()):
+        return OpcodeHistogram(_nonzero(ops))
     entries = OpcodeHistogram.from_counts(ops).entries
     return OpcodeHistogram(dict(zip(map(names.setdefault, entries, entries), entries.values())))
 
@@ -247,14 +239,14 @@ def _lines(stream: Iterable[str] | str) -> Iterable[str]:
     return stream
 
 
-def _decode_json(text: str):
+def _decode_json(text: str, object_pairs_hook=None):
     """json.loads, where every document it cannot decode raises ValueError naming the reason.
 
     That covers bad syntax, nesting past the recursion limit and (as
     json.loads raises it) an integer past the int-to-str digit limit.
     """
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise ValueError(exc.msg) from None
     except RecursionError:
@@ -318,24 +310,31 @@ def _decode_block(lines: list[str]) -> list | None:
     return docs if len(docs) == len(lines) else None
 
 
-def _documents(stream: Iterable[str] | str) -> Iterator[tuple[int, object, bool]]:
-    """(line number, JSON document, decoded together) for each non-blank line, in line order.
+def _documents(stream: Iterable[str] | str) -> Iterator[tuple[int, object]]:
+    """(line number, JSON document) for each non-blank line, in line order.
 
     A block that _decode_block cannot decode as one has its lines
     decoded one at a time, each only once the lines before it have been
     taken, so a ParseError for bad JSON comes at its place in the order.
+    Their object keys share one string per key across the call, as the
+    keys of one json.loads call do; each dict is the one json.loads gives.
     """
+    keys: dict[str, str] = {}
+
+    def share_keys(pairs):
+        return {keys.setdefault(key, key): value for key, value in pairs}
+
     for line_nos, lines in _line_blocks(stream):
         docs = _decode_block(lines)
         if docs is not None:
-            yield from zip(line_nos, docs, repeat(True))
+            yield from zip(line_nos, docs)
             continue
         for line_no, line in zip(line_nos, lines):
             try:
-                obj = _decode_json(line)
+                obj = _decode_json(line, share_keys)
             except ValueError as exc:
                 raise ParseError(line_no, f"invalid JSON: {exc}") from None
-            yield line_no, obj, False
+            yield line_no, obj
 
 
 def _record_header(line_no: int, obj, seen: set[str], allow_unlabeled: bool) -> tuple[str, Label]:
@@ -380,15 +379,14 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
     (exact, as the module docstring shows); any other block is decoded
     line by line.
 
-    The histograms share their key strings. A line of a jointly decoded
-    block whose names are all known to the call keeps the decoder's
-    dict, whose keys the decoder holds once per mnemonic per block. A
-    line decoded on its own is rebuilt on the call's one string per
-    mnemonic. Any other line is built by OpcodeHistogram.from_counts
-    and re-keyed by that same string. So a mnemonic has at most one
-    string per jointly decoded block plus the call's one. Records and
-    error texts are those of one json.loads and one from_counts call
-    per line.
+    The histograms share their key strings. A line whose names are all
+    known to the call keeps the decoded dict: the decoder holds its keys
+    once per mnemonic per jointly decoded block, and the reader once per
+    call for the lines decoded alone (see _documents). Any other line is
+    built by OpcodeHistogram.from_counts and re-keyed by the call's one
+    string per mnemonic. So a mnemonic has at most one string per
+    jointly decoded block plus two per call. Records and error texts
+    are those of one json.loads and one from_counts call per line.
 
     Raises ParseError (with line number) on a malformed line and
     IntegrityError on a duplicate id, at the first bad line; an error
@@ -397,7 +395,7 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
     records: list[SampleRecord] = []
     seen: set[str] = set()
     names: dict[str, str] = {}
-    for line_no, obj, decoded_together in _documents(stream):
+    for line_no, obj in _documents(stream):
         rid, label = _record_header(line_no, obj, seen, allow_unlabeled)
 
         size = obj.get("size_bytes")
@@ -408,7 +406,7 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
         if not isinstance(raw_ops, dict):
             raise ParseError(line_no, "'opcodes' must be an object")
         try:
-            histogram = _shared_histogram(raw_ops, names, decoded_together)
+            histogram = _shared_histogram(raw_ops, names)
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
 

@@ -410,6 +410,49 @@ class TestExitCodes:
             "groupnb: config error: --train and --test name the same file: ./x\n")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv, clash", [
+        (["split", "--in", "{corpus}", "--train", "{corpus}", "--test", "{new}"],
+         "--train would overwrite --in: {corpus}"),
+        (["split", "--in", "{corpus}", "--train", "{new}", "--test", "{dot}/corpus.jsonl"],
+         "--test would overwrite --in: {dot}/corpus.jsonl"),
+        (["train", "--in", "{train}", "--k", "8", "--out", "{train}"],
+         "--out would overwrite --in: {train}"),
+        (["classify", "--bundle", "{bundle}", "--in", "{test}", "--out", "{test}"],
+         "--out would overwrite --in: {test}"),
+        (["classify", "--bundle", "{bundle}", "--in", "{test}", "--out", "{bundle}"],
+         "--out would overwrite --bundle: {bundle}"),
+        (["bench", "--train", "{train}", "--test", "{test}", "--k", "8", "--out", "{train}"],
+         "--out would overwrite --train: {train}"),
+        (["bench", "--train", "{train}", "--test", "{test}", "--k", "8", "--out", "{test}"],
+         "--out would overwrite --test: {test}"),
+    ], ids=["split_train", "split_test", "train", "classify_in", "classify_bundle", "bench_train",
+            "bench_test"])
+    def test_no_command_overwrites_a_file_it_reads(self, pipeline_files, tmp_path, capsys, argv,
+                                                   clash):
+        paths = {key: str(path) for key, path in pipeline_files.items()}
+        paths.update(new=str(tmp_path / "new.jsonl"), dot=str(tmp_path / "."))
+        assert _run("train", "--in", paths["train"], "--k", "8", "--out", paths["bundle"]) == 0
+        before = {key: pipeline_files[key].read_bytes() for key in ("corpus", "train", "test",
+                                                                    "bundle")}
+        capsys.readouterr()
+        assert _run(*(arg.format(**paths) for arg in argv)) == 1
+        assert capsys.readouterr().err == f"groupnb: config error: {clash.format(**paths)}\n"
+        assert {key: pipeline_files[key].read_bytes() for key in before} == before
+        assert not (tmp_path / "new.jsonl").exists() and not pipeline_files["preds"].exists()
+
+    def test_a_clash_is_refused_before_any_file_is_opened(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert _run("classify", "--bundle", "b.json", "--in", "x.jsonl", "--out", "./x.jsonl") == 1
+        assert capsys.readouterr().err == (
+            "groupnb: config error: --out would overwrite --in: ./x.jsonl\n")
+        assert not (tmp_path / "x.jsonl").exists()
+
+    def test_inputs_may_share_a_path(self, pipeline_files, tmp_path):
+        train = str(pipeline_files["train"])
+        assert _run("bench", "--train", train, "--test", train, "--k", "8", "--batch-sizes", "8",
+                    "--lanes", "1", "--reps", "1", "--out", str(tmp_path / "b.csv")) == 0
+        assert _run("score", "--preds", train, "--truth", train) == 0
+
     def test_gen_groups_past_the_default_geometry_exits_one(self, tmp_path, capsys):
         """Group 100 would start at 512,000 bytes, a size every later command skips."""
         out = tmp_path / "c.jsonl"

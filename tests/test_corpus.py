@@ -471,10 +471,11 @@ class TestBlockDecode:
         assert len({*map(id, keys)}) == len({*keys}) == 3
         assert records == _oracle_parse(lines)
 
-    def test_lines_decoded_alone_are_rebuilt_on_the_calls_strings(self, monkeypatch):
-        """One line holding "[" sends its block line by line; those dicts are rebuilt, not kept."""
+    def test_lines_decoded_alone_are_kept_on_the_readers_strings(self, monkeypatch):
+        """One line holding "[" sends its block line by line; those dicts are kept, not rebuilt."""
         decoded = []
-        monkeypatch.setattr(corpus, "_decode_json", lambda text: decoded.append(text) or json.loads(text))
+        monkeypatch.setattr(corpus, "_decode_json", lambda text, hook=None: decoded.append(text)
+                            or json.loads(text, object_pairs_hook=hook))
         lines = [_line(f"s{i}", {"mov": i + 1, "xor": 2}) for i in range(20)]
         lines.insert(10, _line("f[1]", {"mov": 1, "add": 2}))
         records = parse_corpus(lines)
@@ -482,6 +483,59 @@ class TestBlockDecode:
         keys = [key for r in records for key in r.histogram.entries]
         assert len({*map(id, keys)}) == len({*keys}) == 3
         assert records == _oracle_parse(lines)
+
+    def test_every_block_line_by_line_keeps_each_dict_of_known_names(self, monkeypatch):
+        """With a "[" line in every block, each line of known names keeps its decoded dict."""
+        decoded = []
+
+        def spy(text, hook=None):
+            decoded.append(json.loads(text, object_pairs_hook=hook))
+            return decoded[-1]
+
+        monkeypatch.setattr(corpus, "_decode_json", spy)
+        monkeypatch.setattr(corpus, "_BLOCK_CHARS", 3 * len(_line("s00", {"mov": 1, "xor": 2})))
+        lines = [_line(f"s{i:02}" if i % 3 else f"[{i:02}", {"mov": i + 1, "xor": 2})
+                 for i in range(12)]
+        records = parse_corpus(lines)
+        assert len(decoded) == len(lines)  # four blocks, each decoded line by line
+        assert all(r.histogram.entries is doc["opcodes"] for r, doc in zip(records[1:], decoded[1:]))
+        keys = [key for r in records for key in r.histogram.entries]
+        assert len({*map(id, keys)}) == len({*keys}) == 2
+        assert records == _oracle_parse(lines)
+
+    def test_mixed_input_at_most_one_string_per_block_plus_two(self, monkeypatch):
+        """Blocks decoded as one, then blocks line by line, with a folded line in each part."""
+        joint = []
+        decode_block = corpus._decode_block
+
+        def spy(lines):
+            docs = decode_block(lines)
+            joint.append(docs is not None)
+            return docs
+
+        monkeypatch.setattr(corpus, "_decode_block", spy)
+        monkeypatch.setattr(corpus, "_BLOCK_CHARS", 3 * len(_line("s00", {"mov": 1, "add": 2})))
+        ops = [{"mov": 1, "add": 2}, {"MOV": 2, "add": 1}, {"mov": 3, "add": 3}]
+        lines = [_line(f"s{i:02}", ops[i % 3]) for i in range(6)]
+        lines += [_line(f"[{i:02}" if i % 3 == 0 else f"s{i:02}", ops[i % 3]) for i in range(6, 12)]
+        records = parse_corpus(lines)
+        assert joint == [True, True, False, False]
+        assert records == _oracle_parse(lines)
+        for name in ("mov", "add"):
+            strings = {id(key) for r in records for key in r.histogram.entries if key == name}
+            assert len(strings) <= sum(joint) + 2
+
+    @pytest.mark.parametrize("line", [
+        '{"id": "[a]", "label": "benign", "size_bytes": 10, "opcodes": {"mov": 1, "add": 2, "mov": 3}}',
+        '{"id": "[a]", "label": "spyware", "size_bytes": 10, "opcodes": {"mov": 1}, "label": "malware"}',
+        '{"size_bytes": 7, "id": "[a]", "label": "benign", "opcodes": {"xor": 1}, "size_bytes": 9}',
+        '{"id": "[a]", "label": "benign", "size_bytes": 10, "opcodes": {"mov": 1}, "opcodes": {"MOV": 0, "add": 4}}',
+        '{"id": "[a]", "label": "benign", "size_bytes": 10, "opcodes": {"mov": 1, "mov": -1}}',
+    ], ids=["opcode", "label", "size_bytes", "opcodes", "bad_last"])
+    def test_repeated_keys_in_a_line_decoded_alone(self, line):
+        """The last of a repeated key wins, at the first one's place, as in plain json.loads."""
+        lines = [_line("known", {"mov": 1, "add": 1, "xor": 1}), line]
+        assert _outcome(parse_corpus, lines) == _outcome(_oracle_parse, lines)
 
     def test_at_most_one_string_per_block_plus_the_calls(self, monkeypatch):
         """A folded line is re-keyed by the call's string; a kept line keeps its block's."""
