@@ -432,13 +432,13 @@ class TestExitCodes:
         paths = {key: str(path) for key, path in pipeline_files.items()}
         paths.update(new=str(tmp_path / "new.jsonl"), dot=str(tmp_path / "."))
         assert _run("train", "--in", paths["train"], "--k", "8", "--out", paths["bundle"]) == 0
-        before = {key: pipeline_files[key].read_bytes() for key in ("corpus", "train", "test",
-                                                                    "bundle")}
+        inputs = ("corpus", "train", "test", "bundle")
+        before = [pipeline_files[key].read_bytes() for key in inputs]
         capsys.readouterr()
         assert _run(*(arg.format(**paths) for arg in argv)) == 1
         assert capsys.readouterr().err == f"groupnb: config error: {clash.format(**paths)}\n"
-        assert {key: pipeline_files[key].read_bytes() for key in before} == before
-        assert not (tmp_path / "new.jsonl").exists() and not pipeline_files["preds"].exists()
+        assert [pipeline_files[key].read_bytes() for key in inputs] == before
+        assert not (tmp_path / "new.jsonl").exists()
 
     def test_a_clash_is_refused_before_any_file_is_opened(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
