@@ -131,8 +131,6 @@ def fit_counts(counts: GroupCounts, features: FeatureSet, alpha: float, *, group
     alpha = float(alpha)
     if not math.isfinite(alpha * n_features):
         raise InvalidConfigError(f"alpha * {n_features} features is not finite, got {alpha!r}")
-    if counts.unlabeled is not None:
-        raise IntegrityError(f"sample {counts.unlabeled!r} has no training label")
 
     n_samples = counts.samples
     for c in CLASSES:
@@ -202,11 +200,13 @@ def predict(model: GroupModel, histogram: OpcodeHistogram) -> Prediction:
     scores = log_posterior(model, histogram)
     if not all(map(math.isfinite, scores.values())):
         raise IntegrityError(f"group {model.group}: log-score is not a finite float")
-    if scores[Label.MALWARE] > scores[Label.BENIGN]:
-        label = Label.MALWARE
-    else:
-        label = Label.BENIGN
-    return Prediction(label=label, log_posterior=scores, effective_group=model.group)
+    return decide(scores[Label.MALWARE], scores[Label.BENIGN], model.group)
+
+
+def decide(score_m: float, score_b: float, group: int) -> Prediction:
+    """The Prediction of predict and the batch kernel: malware iff strictly higher, ties benign."""
+    label = Label.MALWARE if score_m > score_b else Label.BENIGN
+    return Prediction(label, {Label.MALWARE: score_m, Label.BENIGN: score_b}, group)
 
 
 def normalized_posterior(scores: Mapping[Label, float]) -> dict[Label, float]:

@@ -90,23 +90,11 @@ class OpcodeHistogram:
     def from_counts(cls, counts: Mapping[str, int]) -> "OpcodeHistogram":
         """Build a canonical histogram, case-folding mnemonics and dropping zeros.
 
-        Raises ValueError naming the first malformed entry, or the first
-        (merged) count too large to convert to float.
+        One pass over the entries (_fold_counts). Raises ValueError naming
+        the first malformed entry, or the first (merged) count too large to
+        convert to float.
         """
-        if _plain_names(counts) and _plain_counts(counts.values()):
-            return cls(_nonzero(dict(counts)))
         return cls(_fold_counts(counts))
-
-
-# The canonical-form rules, checked in a few C-level passes; an input
-# either rule does not admit goes through _fold_counts, which folds case
-# or names the first bad entry.
-def _plain_names(names: Collection) -> bool:
-    """The key rule: exact str names, none empty, already lowercase."""
-    if not {*map(type, names)} <= {str} or "" in names:
-        return False
-    joined = "\0".join(names)
-    return joined.lower() == joined
 
 
 def _plain_counts(values: Collection) -> bool:
@@ -156,13 +144,16 @@ def _shared_histogram(ops: dict, names: dict[str, str]) -> OpcodeHistogram:
     the one string that stands for it. A line of known names needs only
     the count rule and keeps its dict, keyed by the reader's strings.
     Any other line goes through from_counts (folding case, or raising its
-    ValueError); its new names join ``names`` with their own strings, and
-    its entries are re-keyed through ``names``. parse_corpus states the
-    bound on strings per mnemonic that this gives.
+    ValueError); its new names join ``names``, each with the line's own
+    string where from_counts kept the key unchanged, and its entries are
+    re-keyed through ``names``. parse_corpus states the bound on strings
+    per mnemonic that this gives.
     """
     if ops.keys() <= names.keys() and _plain_counts(ops.values()):
         return OpcodeHistogram(_nonzero(ops))
     entries = OpcodeHistogram.from_counts(ops).entries
+    for name in filter(entries.__contains__, ops):
+        names.setdefault(name, name)
     return OpcodeHistogram(dict(zip(map(names.setdefault, entries, entries), entries.values())))
 
 
@@ -263,16 +254,18 @@ def _line_blocks(stream: Iterable[str] | str) -> Iterator[tuple[list[int], list[
 
     Lines are numbered from 1; a blank line (all whitespace) is counted
     but skipped. A block ends with the line that brings it to
-    _BLOCK_CHARS. An exception the stream raises (a reader's ParseError
-    for a line that is not UTF-8, say) is held until the block read
-    before it has been yielded, so an error on an earlier line is still
-    raised first.
+    _BLOCK_CHARS. A line that is not a str raises ParseError. That error,
+    or one the stream raises (a reader's ParseError for a line that is
+    not UTF-8, say), is held until the block read before it has been
+    yielded, so an error on an earlier line is still raised first.
     """
     line_nos: list[int] = []
     lines: list[str] = []
     size = 0
     try:
         for line_no, line in enumerate(_lines(stream), start=1):
+            if not isinstance(line, str):
+                raise ParseError(line_no, f"line is not text, got {type(line).__name__}")
             if not line.strip():
                 continue
             line_nos.append(line_no)
@@ -296,7 +289,7 @@ def _decode_block(lines: list[str]) -> list | None:
     where the joined text raises or gives another count than one
     element per line; such a block is decoded line by line.
     """
-    if not all(isinstance(line, str) and line.lstrip(" \t\n\r").startswith("{") for line in lines):
+    if not all(line.lstrip(" \t\n\r").startswith("{") for line in lines):
         return None
     parts = ["\n,"] * (2 * len(lines) + 1)
     parts[0], parts[1::2], parts[-1] = "[", lines, "]"

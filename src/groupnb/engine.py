@@ -46,7 +46,7 @@ from .corpus import (
     CLASSES, GroupedCorpus, GroupingConfig, Label, SampleRecord, _decode_json, assign_group,
     trainable_groups,
 )
-from .classifier import GroupModel, Prediction, fit_counts, valid_alpha
+from .classifier import GroupModel, Prediction, decide, fit_counts, valid_alpha
 from .errors import (
     BundleValidationError,
     EmptyBundleError,
@@ -348,8 +348,7 @@ def _timed_run(
             if group < 0:
                 append(None)
                 continue
-            label = Label.MALWARE if score_m > score_b else Label.BENIGN
-            append(Prediction(label, {Label.MALWARE: score_m, Label.BENIGN: score_b}, group))
+            append(decide(score_m, score_b, group))
         errors.extend(slice_errors)
     return TimedRun(tuple(predictions), tuple(errors), elapsed_ns, len(parts))
 

@@ -16,7 +16,7 @@ from itertools import repeat
 from typing import Sequence
 
 from .corpus import CLASSES, Label, SampleRecord
-from .errors import InsufficientClassError, InvalidConfigError, positive_int
+from .errors import InsufficientClassError, IntegrityError, InvalidConfigError, positive_int
 
 __all__ = [
     "FeatureSet",
@@ -34,13 +34,11 @@ class GroupCounts:
 
     opcodes[c] maps every opcode seen in a class-c sample to its total
     count (a key present with count 0 stays); samples[c] is the number
-    of class-c samples; unlabeled is the id of the first sample with no
-    training label, or None.
+    of class-c samples.
     """
 
     opcodes: dict[Label, dict[str, int]]
     samples: dict[Label, int]
-    unlabeled: str | None
 
 
 @dataclass(frozen=True)
@@ -73,21 +71,18 @@ class FeatureSet:
 
 
 def count_group(samples: Sequence[SampleRecord]) -> GroupCounts:
-    """Sum the opcode counts and count the samples of each class."""
+    """Sum the opcode counts and samples of each class; an unlabeled sample raises IntegrityError."""
     opcodes: dict[Label, dict[str, int]] = {c: {} for c in CLASSES}
     n_samples = {c: 0 for c in CLASSES}
-    unlabeled = None
     for sample in samples:
         counts = opcodes.get(sample.label)
         if counts is None:
-            if unlabeled is None:
-                unlabeled = sample.id
-            continue
+            raise IntegrityError(f"sample {sample.id!r} has no training label")
         n_samples[sample.label] += 1
         get = counts.get
         for op, n in sample.histogram.entries.items():
             counts[op] = get(op, 0) + n
-    return GroupCounts(opcodes, n_samples, unlabeled)
+    return GroupCounts(opcodes, n_samples)
 
 
 def score_counts(counts: GroupCounts, group: int | None) -> ScoreTable:
@@ -111,9 +106,8 @@ def score_opcodes(samples: Sequence[SampleRecord], group: int | None = None) -> 
     """Score every opcode seen in either class of one group's training samples.
 
     Requires opcode occurrences from both classes; a class that is absent
-    (or contributes no opcodes at all) raises InsufficientClassError.
-    Samples with no training label are ignored here (train_group rejects
-    them).
+    (or contributes no opcodes at all) raises InsufficientClassError. A
+    sample with no training label raises IntegrityError (see count_group).
     """
     return score_counts(count_group(samples), group)
 

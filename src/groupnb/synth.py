@@ -105,7 +105,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list[SampleRecord]:
                         id=f"{prefix}{g:03d}-{j:04d}",
                         label=label,
                         size_bytes=size,
-                        histogram=OpcodeHistogram.from_counts(entries),
+                        histogram=OpcodeHistogram(entries),
                     )
                 )
     return samples

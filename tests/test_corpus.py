@@ -275,6 +275,16 @@ class TestParseCorpus:
                 except GroupNBError:
                     pass
 
+    @pytest.mark.parametrize("line, kind", [
+        (None, "NoneType"), (5, "int"), (_line("b", {"mov": 1}).encode(), "bytes"),
+    ])
+    def test_a_line_that_is_not_text_is_a_parse_error(self, line, kind):
+        """At its line, after the errors of the lines before it."""
+        with pytest.raises(ParseError, match=f"^line 2: line is not text, got {kind}$"):
+            parse_corpus([_line("a", {"mov": 1}), line])
+        with pytest.raises(ParseError, match="^line 1: invalid JSON: "):
+            parse_corpus(["{nope", line])
+
     def test_unlabeled_records_gated_by_flag(self):
         line = '{"id":"a","size_bytes":7,"opcodes":{"mov":1}}'
         with pytest.raises(ParseError, match="label"):

@@ -440,6 +440,24 @@ class TestClassifyParallel:
             assert par.lanes == min(lanes, max(1, n // _BLOCK)), lanes
         assert multiprocessing.active_children() == []
 
+    def test_benign_on_exact_tie(self):
+        """Both paths decide a tie as predict does."""
+        samples = [
+            make_sample("m", Label.MALWARE, 10, {"a": 1, "b": 1}),
+            make_sample("b", Label.BENIGN, 11, {"a": 1, "b": 1}),
+        ]
+        model = train_group(samples, FeatureSet(("a", "b")), 1.0)
+        bundle = build_bundle([model], GroupingConfig(), _META)
+        batch = [make_sample(f"t{i}", Label.UNKNOWN, i, {"a": 1 + i % 7}) for i in range(2 * _BLOCK)]
+        workload = Workload(tuple(batch), lanes=2)
+        expected = [_exact(predict(model, s.histogram)) for s in batch]
+        assert {p[0] for p in expected} == {Label.BENIGN}
+        assert all(p[2] == p[3] for p in expected)
+        par = classify_parallel(bundle, workload, warmup=False)
+        assert par.lanes == 2
+        for run in (classify_sequential(bundle, workload, warmup=False), par):
+            assert [_exact(p) for p in run.predictions] == expected
+
     def test_lanes_exceeding_samples(self):
         bundle = _bundle()
         workload = _workload(bundle, 3, lanes=8)
@@ -1219,6 +1237,10 @@ def _empty_benign():
     ]
 
 
+def _empty_benign_with_unlabeled():
+    return _empty_benign() + [make_sample("u", Label.UNKNOWN, 3, {"evil": 9})]
+
+
 def _train_by_bundles(samples, k, alpha):
     train_bundles(grouped(samples), (k,), alpha, created_at="t")
 
@@ -1230,14 +1252,16 @@ def _train_by_steps(samples, k, alpha):
 
 @pytest.mark.parametrize("train", [_train_by_bundles, _train_by_steps])
 @pytest.mark.parametrize("samples, k, alpha, error, message", [
-    (_with_unlabeled, 5, 0.0, InvalidConfigError, "alpha must be positive"),
-    (_with_unlabeled, 0, 1.0, InvalidConfigError, "k must be a positive integer"),
+    (_with_unlabeled, 5, 0.0, IntegrityError, "sample 'u' has no training label"),
+    (_with_unlabeled, 0, 1.0, IntegrityError, "sample 'u' has no training label"),
     (_with_unlabeled, 5, 1.0, IntegrityError, "sample 'u' has no training label"),
     (_empty_benign, 0, 0.0, InsufficientClassError,
      "group 0: no benign opcode occurrences to score"),
-], ids=["unlabeled-alpha-0", "unlabeled-k-0", "unlabeled", "empty-benign-k-0-alpha-0"])
+    (_empty_benign_with_unlabeled, 5, 1.0, IntegrityError, "sample 'u' has no training label"),
+], ids=["unlabeled-alpha-0", "unlabeled-k-0", "unlabeled", "empty-benign-k-0-alpha-0",
+        "unlabeled-empty-benign"])
 def test_training_error_precedence(train, samples, k, alpha, error, message):
-    """Scoring errors come first, then k, then alpha, then an unlabeled sample."""
+    """An unlabeled sample comes first, then scoring errors, then k, then alpha."""
     with pytest.raises(error, match=message):
         train(samples(), k, alpha)
 

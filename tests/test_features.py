@@ -1,12 +1,13 @@
 """Per-group opcode scoring and top-k selection."""
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
 from groupnb.corpus import Label, OpcodeHistogram, SampleRecord
-from groupnb.errors import InsufficientClassError, InvalidConfigError
+from groupnb.errors import InsufficientClassError, IntegrityError, InvalidConfigError
 from groupnb.features import (
     ScoreTable,
     count_group,
@@ -40,7 +41,7 @@ class TestCountGroup:
         counts = count_group(samples)
         assert counts.opcodes == {Label.MALWARE: {"mov": 3, "jmp": 1}, Label.BENIGN: {}}
         assert counts.samples == {Label.MALWARE: 1, Label.BENIGN: 0}
-        assert counts.unlabeled is None
+        assert [field.name for field in dataclasses.fields(counts)] == ["opcodes", "samples"]
 
     def test_absent_class(self):
         samples = [make_sample("m", Label.MALWARE, 10, {"mov": 3})]
@@ -66,16 +67,28 @@ class TestCountGroup:
         # The zero-count key is still scored: |0/2 - 0/1| = 0.
         assert score_opcodes(samples).scores == {"add": 1.0, "jmp": 1.0, "mov": 0.0}
 
-    def test_records_the_first_unlabeled_sample(self):
+    def test_refuses_the_first_unlabeled_sample(self):
         samples = [
             make_sample("m", Label.MALWARE, 10, {"mov": 1}),
             make_sample("u1", Label.UNKNOWN, 11, {"mov": 5}),
             make_sample("u2", Label.UNKNOWN, 12, {"add": 5}),
         ]
-        counts = count_group(samples)
-        assert counts.unlabeled == "u1"
-        assert counts.opcodes == {Label.MALWARE: {"mov": 1}, Label.BENIGN: {}}
-        assert counts.samples == {Label.MALWARE: 1, Label.BENIGN: 0}
+        with pytest.raises(IntegrityError, match="^sample 'u1' has no training label$"):
+            count_group(samples)
+
+    def test_counts_of_two_halves_sum_to_the_whole(self):
+        rng = random.Random(11)
+        for _ in range(25):
+            samples = seeded_group(rng)
+            cut = rng.randrange(len(samples) + 1)
+            whole = count_group(samples)
+            halves = count_group(samples[:cut]), count_group(samples[cut:])
+            for label in (Label.MALWARE, Label.BENIGN):
+                summed = dict(halves[0].opcodes[label])
+                for op, n in halves[1].opcodes[label].items():
+                    summed[op] = summed.get(op, 0) + n
+                assert summed == whole.opcodes[label]
+                assert halves[0].samples[label] + halves[1].samples[label] == whole.samples[label]
 
     def test_totals_match_the_histograms(self):
         rng = random.Random(5)
@@ -145,10 +158,11 @@ class TestScoreOpcodes:
                 op: v.hex() for op, v in oracle.items()
             }
 
-    def test_ignores_unlabeled_samples(self):
+    def test_refuses_unlabeled_samples(self):
         samples = seeded_group(random.Random(3))
         unlabeled = make_sample("u", Label.UNKNOWN, 7, {"mov": 50, "new": 9})
-        assert score_opcodes(samples + [unlabeled]) == score_opcodes(samples)
+        with pytest.raises(IntegrityError, match="^sample 'u' has no training label$"):
+            score_opcodes(samples + [unlabeled])
 
     def test_scale_invariance_of_ranking(self):
         rng = np.random.default_rng(31)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from groupnb.corpus import GroupingConfig, Label
+from groupnb.corpus import GroupingConfig, Label, OpcodeHistogram
 from groupnb.errors import InvalidConfigError
 from groupnb.synth import (
     SyntheticSpec,
@@ -129,6 +129,15 @@ class TestGenerateSynthetic:
                     if s.label is label and g * width <= s.size_bytes < (g + 1) * width
                 ]
                 assert len(cell) == 4
+
+    @pytest.mark.parametrize("overrides", [{}, {"vocabulary_size": 300, "divergence": 1.0}])
+    def test_histograms_are_canonical(self, overrides):
+        """Built directly, each histogram is what from_counts makes of its entries."""
+        for sample in generate_synthetic(_spec(**overrides)):
+            entries = sample.histogram.entries
+            assert list(OpcodeHistogram.from_counts(entries).entries.items()) == list(entries.items())
+            assert {*map(type, entries)} == {str}
+            assert {*map(type, entries.values())} == {int}
 
     def test_histogram_totals_track_file_size(self):
         for sample in generate_synthetic(_spec()):
