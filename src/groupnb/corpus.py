@@ -26,9 +26,8 @@ line holds exactly each line's document:
 - So every separator is top-level, and equal counts mean one document
   per line.
 
-Any other block is decoded line by line on key strings shared across the
-call, so a line decoded alone keeps its dict as a block's line does: a
-mnemonic has at most one string per jointly decoded block plus two per call.
+Any other block is decoded line by line; parse_corpus states how the
+histograms share their key strings either way.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -90,26 +88,20 @@ class OpcodeHistogram:
     def from_counts(cls, counts: Mapping[str, int]) -> "OpcodeHistogram":
         """Build a canonical histogram, case-folding mnemonics and dropping zeros.
 
-        One pass over the entries (_fold_counts). Raises ValueError naming
-        the first malformed entry, or the first (merged) count too large to
-        convert to float.
+        One pass over the entries (_fold_counts); a lowercase mnemonic keeps
+        the caller's string. Raises ValueError naming the first malformed
+        entry, or the first (merged) count too large to convert to float.
         """
         return cls(_fold_counts(counts))
 
 
 def _plain_counts(values: Collection) -> bool:
-    """The count rule: exact int counts (bool excluded), none negative, their sum a float."""
+    """The kept-line rule: exact int counts (bool excluded), all positive, their sum a float."""
     return (
         {*map(type, values)} <= {int}
-        and min(values, default=0) >= 0
+        and min(values, default=1) > 0
         and _fits_float(sum(values))
     )
-
-
-def _nonzero(entries: dict[str, int]) -> dict[str, int]:
-    """``entries`` without its zero counts (``entries`` itself when it has none)."""
-    values = entries.values()
-    return entries if all(values) else dict(compress(entries.items(), values))
 
 
 def _fits_float(n: int) -> bool:
@@ -129,7 +121,7 @@ def _fold_counts(counts: Mapping[str, int]) -> dict[str, int]:
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise ValueError(f"count for {mnemonic!r} must be a non-negative integer, got {count!r}")
         if count:
-            key = mnemonic.lower()
+            key = mnemonic if mnemonic.lower() == mnemonic else mnemonic.lower()
             entries[key] = entries.get(key, 0) + count
     for key, count in entries.items():
         if not _fits_float(count):
@@ -141,19 +133,15 @@ def _shared_histogram(ops: dict, names: dict[str, str]) -> OpcodeHistogram:
     """OpcodeHistogram.from_counts(ops), keyed by shared strings.
 
     ``names`` maps every canonical mnemonic met so far in one parse to
-    the one string that stands for it. A line of known names needs only
-    the count rule and keeps its dict, keyed by the reader's strings.
-    Any other line goes through from_counts (folding case, or raising its
-    ValueError); its new names join ``names``, each with the line's own
-    string where from_counts kept the key unchanged, and its entries are
-    re-keyed through ``names``. parse_corpus states the bound on strings
-    per mnemonic that this gives.
+    the one string that stands for it. A line of known names that passes
+    _plain_counts keeps its dict. Any other line goes through from_counts
+    (folding case, dropping zeros, or raising its ValueError) and is
+    re-keyed through ``names``, which its new names join. parse_corpus
+    states the bound.
     """
     if ops.keys() <= names.keys() and _plain_counts(ops.values()):
-        return OpcodeHistogram(_nonzero(ops))
+        return OpcodeHistogram(ops)
     entries = OpcodeHistogram.from_counts(ops).entries
-    for name in filter(entries.__contains__, ops):
-        names.setdefault(name, name)
     return OpcodeHistogram(dict(zip(map(names.setdefault, entries, entries), entries.values())))
 
 
@@ -303,19 +291,17 @@ def _decode_block(lines: list[str]) -> list | None:
     return docs if len(docs) == len(lines) else None
 
 
-def _documents(stream: Iterable[str] | str) -> Iterator[tuple[int, object]]:
+def _documents(stream: Iterable[str] | str, names: dict[str, str]) -> Iterator[tuple[int, object]]:
     """(line number, JSON document) for each non-blank line, in line order.
 
     A block that _decode_block cannot decode as one has its lines
     decoded one at a time, each only once the lines before it have been
     taken, so a ParseError for bad JSON comes at its place in the order.
-    Their object keys share one string per key across the call, as the
-    keys of one json.loads call do; each dict is the one json.loads gives.
+    Their object keys are mapped through ``names``, read and never added
+    to (see parse_corpus); each dict equals the one json.loads gives.
     """
-    keys: dict[str, str] = {}
-
     def share_keys(pairs):
-        return {keys.setdefault(key, key): value for key, value in pairs}
+        return {names.get(key, key): value for key, value in pairs}
 
     for line_nos, lines in _line_blocks(stream):
         docs = _decode_block(lines)
@@ -372,14 +358,14 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
     (exact, as the module docstring shows); any other block is decoded
     line by line.
 
-    The histograms share their key strings. A line whose names are all
-    known to the call keeps the decoded dict: the decoder holds its keys
-    once per mnemonic per jointly decoded block, and the reader once per
-    call for the lines decoded alone (see _documents). Any other line is
-    built by OpcodeHistogram.from_counts and re-keyed by the call's one
-    string per mnemonic. So a mnemonic has at most one string per
-    jointly decoded block plus two per call. Records and error texts
-    are those of one json.loads and one from_counts call per line.
+    The histograms share key strings through one table per call. A
+    line of known names and positive counts keeps its decoded dict, on
+    the decoder's strings in a jointly decoded block and on the table's
+    for a line decoded alone (see _documents). Any other line is built
+    by from_counts and re-keyed through the table, which its new names
+    join. So a mnemonic has at most one string per jointly decoded block
+    plus one for the call. Records and error texts are those of one
+    json.loads and one from_counts call per line.
 
     Raises ParseError (with line number) on a malformed line and
     IntegrityError on a duplicate id, at the first bad line; an error
@@ -388,7 +374,7 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
     records: list[SampleRecord] = []
     seen: set[str] = set()
     names: dict[str, str] = {}
-    for line_no, obj in _documents(stream):
+    for line_no, obj in _documents(stream, names):
         rid, label = _record_header(line_no, obj, seen, allow_unlabeled)
 
         size = obj.get("size_bytes")
@@ -512,10 +498,14 @@ def trainable_groups(train: GroupedCorpus, config: GroupingConfig) -> set[int]:
 
     Groups failing the threshold get no model of their own; their files
     are classified with a neighboring group's model (see engine.route).
+    An unlabeled sample raises IntegrityError (the first by ascending group).
     """
     out: set[int] = set()
-    for g, samples in train.groups.items():
+    for g, samples in sorted(train.groups.items()):
         per_class = Counter(s.label for s in samples)
+        if per_class[Label.UNKNOWN]:
+            sid = next(s.id for s in samples if s.label is Label.UNKNOWN)
+            raise IntegrityError(f"sample {sid!r} has no training label")
         if all(per_class[c] >= config.min_per_class for c in CLASSES):
             out.add(g)
     return out

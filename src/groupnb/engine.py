@@ -197,12 +197,13 @@ def train_bundles(
 ) -> dict[int, ModelBundle]:
     """One bundle per k: select features and train a model for every trainable group.
 
-    Each group's training samples are counted once (features.count_group);
-    its opcode scores and every k's model come from those counts, with
-    the results and errors of score_opcodes, select_top_k and train_group.
-    Training draws no random numbers, so every bundle's meta.seed is 0.
-    The metas are built last: a training error comes before BundleMeta's,
-    and BundleMeta's before EmptyBundleError (no group is trainable).
+    An unlabeled sample in any group raises first (trainable_groups). Each
+    trainable group is counted once (features.count_group); its opcode
+    scores and every k's model come from those counts, with the results
+    and errors of score_opcodes, select_top_k and train_group. Training
+    draws no random numbers, so every bundle's meta.seed is 0. The metas
+    are built last: a training error comes before BundleMeta's, and
+    BundleMeta's before EmptyBundleError (no group is trainable).
     """
     config = train.config
     groups = sorted(trainable_groups(train, config))

@@ -117,6 +117,28 @@ def _line(sid, opcodes):
     return json.dumps({"id": sid, "label": "malware", "size_bytes": 10, "opcodes": opcodes})
 
 
+def _block_spy():
+    """A stand-in for _decode_block, and the list where it notes whether each block decoded as one."""
+    joint = []
+    decode_block = corpus._decode_block
+
+    def spy(lines):
+        docs = decode_block(lines)
+        joint.append(docs is not None)
+        return docs
+
+    return spy, joint
+
+
+def _strings_per_name(records):
+    """Each mnemonic of the histograms -> how many distinct key objects stand for it."""
+    ids: dict[str, set[int]] = {}
+    for record in records:
+        for key in record.histogram.entries:
+            ids.setdefault(key, set()).add(id(key))
+    return {name: len(objects) for name, objects in ids.items()}
+
+
 class TestOpcodeHistogram:
     def test_canonical_form(self):
         h = OpcodeHistogram.from_counts({"MOV": 2, "mov": 1, "jmp": 4, "add": 0})
@@ -187,6 +209,12 @@ class TestOpcodeHistogram:
                 counts[key] = value
             build = lambda c: OpcodeHistogram.from_counts(c).entries  # noqa: E731
             assert self._outcome(build, counts) == self._outcome(_fold_counts, counts), counts
+
+    def test_a_lowercase_mnemonic_keeps_the_callers_string(self):
+        mov = "mov"
+        entries = OpcodeHistogram.from_counts({mov: 1, "ADD": 2}).entries
+        assert entries == {"mov": 1, "add": 2}
+        assert [*entries][0] is mov
 
     def test_count_too_large_for_a_float_is_rejected(self):
         with pytest.raises(ValueError, match="'mov' is too large"):
@@ -389,9 +417,10 @@ _FLAWS += [("opcodes", '"mov"', count) for count in (
     "0", "-2", "1.5", "1e2", "true", "null", "NaN", "-Infinity", '"3"', "{}", str(2**1024))]
 # Rough flaws also stop a block from being decoded as one: "[", a
 # character JSON does not allow around a document, or a huge integer.
-_ROUGH_FLAWS = [("id", '"f[1]"'), ("size_bytes", _HUGE), ("opcodes", '"mov"', _HUGE),
-                ("x", "[1, 2]"), ("x", '"["'), ("opcodes", "[]"), ("lead", "\ufeff"),
-                ("lead", "\x0c"), ("lead", "\xa0"), ("trail", "\x0c")]
+# The bracket flaws leave the record valid.
+_BRACKETS = [("id", '"f[1]"'), ("x", "[1, 2]"), ("x", '"["')]
+_ROUGH_FLAWS = _BRACKETS + [("size_bytes", _HUGE), ("opcodes", '"mov"', _HUGE), ("opcodes", "[]"),
+                            ("lead", "\ufeff"), ("lead", "\x0c"), ("lead", "\xa0"), ("trail", "\x0c")]
 _RAW_LINES = ["", "   ", "{}"]
 _ROUGH_LINES = ["\x0c", "[]", "[1]", '"a"', "null", "1e999", "{nope", "{", "}", '{"a":' * 2000]
 # Runs of lines whose joined text decodes to the same count of other
@@ -434,18 +463,21 @@ def _corpus_input(draw, modes=("flawed", "rough")):
     """(stream, block bound) with the bound near the size of a prefix of the lines.
 
     A clean input holds valid records and blank lines, so its blocks are
-    decoded as one. A flawed one adds record-level flaws, a "{}" line and
-    merge runs; a rough one adds rough flaws and lines too.
+    decoded as one; a bracketed one adds bracket flaws, so some blocks are
+    decoded line by line. A flawed one adds record-level flaws, a "{}"
+    line and merge runs; a rough one adds rough flaws and lines too.
     """
     mode = draw(st.sampled_from(modes))
-    flaws = {"clean": [], "flawed": _FLAWS, "rough": _FLAWS + _ROUGH_FLAWS}[mode]
-    raw = {"clean": _RAW_LINES[:2], "flawed": _RAW_LINES, "rough": _RAW_LINES + _ROUGH_LINES}[mode]
+    flaws = {"clean": [], "bracketed": _BRACKETS, "flawed": _FLAWS,
+             "rough": _FLAWS + _ROUGH_FLAWS}[mode]
+    raw = {"clean": _RAW_LINES[:2], "bracketed": _RAW_LINES[:2], "flawed": _RAW_LINES,
+           "rough": _RAW_LINES + _ROUGH_LINES}[mode]
     runs = [_record_line(flaws).map(lambda line: [line])] * 4
     runs.append(st.sampled_from(raw).map(lambda line: [line]))
-    if mode != "clean":
+    if mode in ("flawed", "rough"):
         runs += [_MERGE_RUNS] * 2
     lines = [line for run in draw(st.lists(st.one_of(runs), max_size=10)) for line in run]
-    if mode == "clean" and draw(st.booleans()):  # every id unique, so no line is an error
+    if draw(st.booleans()):  # every id unique, so no line is a duplicate
         lines = [line.replace('"id":"', f'"id":"{i}-', 1) for i, line in enumerate(lines)]
     cut = draw(st.integers(0, len(lines)))
     bound = sum(len(line) for line in lines[:cut] if line.strip()) + draw(st.integers(-1, 1))
@@ -513,16 +545,9 @@ class TestBlockDecode:
         assert len({*map(id, keys)}) == len({*keys}) == 2
         assert records == _oracle_parse(lines)
 
-    def test_mixed_input_at_most_one_string_per_block_plus_two(self, monkeypatch):
+    def test_mixed_input_at_most_one_string_per_block_plus_one(self, monkeypatch):
         """Blocks decoded as one, then blocks line by line, with a folded line in each part."""
-        joint = []
-        decode_block = corpus._decode_block
-
-        def spy(lines):
-            docs = decode_block(lines)
-            joint.append(docs is not None)
-            return docs
-
+        spy, joint = _block_spy()
         monkeypatch.setattr(corpus, "_decode_block", spy)
         monkeypatch.setattr(corpus, "_BLOCK_CHARS", 3 * len(_line("s00", {"mov": 1, "add": 2})))
         ops = [{"mov": 1, "add": 2}, {"MOV": 2, "add": 1}, {"mov": 3, "add": 3}]
@@ -531,9 +556,20 @@ class TestBlockDecode:
         records = parse_corpus(lines)
         assert joint == [True, True, False, False]
         assert records == _oracle_parse(lines)
-        for name in ("mov", "add"):
-            strings = {id(key) for r in records for key in r.histogram.entries if key == name}
-            assert len(strings) <= sum(joint) + 2
+        strings = _strings_per_name(records)
+        assert strings.keys() == {"mov", "add"}
+        assert max(strings.values()) <= sum(joint) + 1
+
+    @pytest.mark.parametrize("first", ["[x]", "x"], ids=["alone", "joint"])
+    def test_a_folded_line_then_known_lines(self, monkeypatch, first):
+        """Lines decoded alone share the call's one string; a joint block adds at most its own."""
+        spy, joint = _block_spy()
+        monkeypatch.setattr(corpus, "_decode_block", spy)
+        lines = [_line(first, {"MOV": 1}), _line("b", {"mov": 2}), _line("c", {"mov": 3})]
+        records = parse_corpus(lines)
+        assert records == _oracle_parse(lines)
+        assert joint == [first == "x"]
+        assert _strings_per_name(records) == {"mov": sum(joint) + 1}
 
     @pytest.mark.parametrize("line", [
         '{"id": "[a]", "label": "benign", "size_bytes": 10, "opcodes": {"mov": 1, "add": 2, "mov": 3}}',
@@ -603,14 +639,24 @@ class TestParseProperty:
 
     @staticmethod
     def _check(case, allow_unlabeled):
+        """Also, on success, at most one key string per mnemonic per joint block plus one."""
         stream, bound = case
-        with mock.patch.object(corpus, "_BLOCK_CHARS", bound):
+        spy, joint = _block_spy()
+        with mock.patch.object(corpus, "_BLOCK_CHARS", bound), \
+                mock.patch.object(corpus, "_decode_block", spy):
             got = _outcome(parse_corpus, stream, allow_unlabeled)
         assert got == _outcome(_oracle_parse, stream, allow_unlabeled)
+        if got[0] == "ok":
+            assert max(_strings_per_name(got[1]).values(), default=0) <= sum(joint) + 1
 
     @settings(max_examples=150)
     @given(_corpus_input(("clean",)), st.booleans())
     def test_clean_blocks_decoded_as_one(self, case, allow_unlabeled):
+        self._check(case, allow_unlabeled)
+
+    @settings(max_examples=150)
+    @given(_corpus_input(("bracketed",)), st.booleans())
+    def test_valid_lines_some_decoded_alone(self, case, allow_unlabeled):
         self._check(case, allow_unlabeled)
 
     @settings(max_examples=250)
@@ -849,6 +895,15 @@ class TestTrainableGroups:
         config = GroupingConfig(min_per_class=2)
         corpus = grouped(self._group_with(2, 2, group=3), config)
         assert trainable_groups(corpus, config) == {3}
+
+    def test_refuses_an_unlabeled_sample_in_any_group(self):
+        """The first unlabeled sample by ascending group, trainable group or not."""
+        config = GroupingConfig()
+        for group in (0, 1):
+            unlabeled = [make_sample(f"u{g}", Label.UNKNOWN, g * 5120, {"x": 1}) for g in (2, group)]
+            corpus = grouped(self._group_with(6, 6, group=0) + unlabeled, config)
+            with pytest.raises(IntegrityError, match=f"^sample 'u{group}' has no training label$"):
+                trainable_groups(corpus, config)
 
     @staticmethod
     def _group_with(n_malware, n_benign, group):

@@ -1230,6 +1230,10 @@ def _with_unlabeled():
     return two_class_group(0) + [make_sample("u", Label.UNKNOWN, 3, {"evil": 9})]
 
 
+def _with_unlabeled_in_untrainable_group():
+    return two_class_group(0) + [make_sample("u", Label.UNKNOWN, 35_840, {"evil": 9})]  # group 7
+
+
 def _empty_benign():
     return [
         s if s.label is Label.MALWARE else dataclasses.replace(s, histogram=OpcodeHistogram({}))
@@ -1258,8 +1262,10 @@ def _train_by_steps(samples, k, alpha):
     (_empty_benign, 0, 0.0, InsufficientClassError,
      "group 0: no benign opcode occurrences to score"),
     (_empty_benign_with_unlabeled, 5, 1.0, IntegrityError, "sample 'u' has no training label"),
+    (_with_unlabeled_in_untrainable_group, 5, 1.0, IntegrityError,
+     "sample 'u' has no training label"),
 ], ids=["unlabeled-alpha-0", "unlabeled-k-0", "unlabeled", "empty-benign-k-0-alpha-0",
-        "unlabeled-empty-benign"])
+        "unlabeled-empty-benign", "unlabeled-in-untrainable-group"])
 def test_training_error_precedence(train, samples, k, alpha, error, message):
     """An unlabeled sample comes first, then scoring errors, then k, then alpha."""
     with pytest.raises(error, match=message):
