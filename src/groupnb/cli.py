@@ -110,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", required=True, help="bundle JSON path")
     p.add_argument("--in", dest="input", required=True, help="input JSONL path")
     p.add_argument("--lanes", type=int, default=os.cpu_count() or 1,
-                   help="at most this many lanes for --parallel, default: detected "
-                        "hardware threads; a batch gets one per 512 samples")
+                   help="at most this many lanes for --parallel, capped at the detected "
+                        "hardware threads (the default); a batch gets one per 512 samples")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--parallel", action="store_true", help="use worker-process lanes")
     mode.add_argument("--sequential", action="store_true", help="single-threaded (default)")
@@ -129,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-sizes", type=_int_list, dest="batch_sizes",
                    help="comma-separated batch sizes, in samples")
     p.add_argument("--lanes", type=int,
-                   help="at most this many lanes per parallel run, default: detected "
-                        "hardware threads")
+                   help="at most this many lanes per parallel run, capped at the detected "
+                        "hardware threads (the default)")
     p.add_argument("--reps", type=int, dest="repetitions", metavar="REPS",
                    help="repetitions per cell")
     p.add_argument("--out", required=True, help="report CSV path")
@@ -200,6 +200,11 @@ def _write_corpus(path: str, samples) -> None:
             fp.write(serialize_sample(sample) + "\n")
 
 
+def _host_lanes(lanes: int) -> int:
+    """--lanes capped at the hardware threads, past which a lane only adds a worker process."""
+    return min(lanes, os.cpu_count() or 1)
+
+
 def _cmd_gen(args) -> int:
     spec = SyntheticSpec(
         group_count=args.groups,
@@ -242,7 +247,7 @@ def _cmd_classify(args) -> int:
     _refuse_clashes({"--bundle": args.bundle, "--in": args.input}, {"--out": args.out})
     bundle = engine.load_bundle(args.bundle)
     samples = _read_corpus(args.input, allow_unlabeled=True)
-    workload = engine.Workload(samples=tuple(samples), lanes=args.lanes)
+    workload = engine.Workload(samples=tuple(samples), lanes=_host_lanes(args.lanes))
     classify = engine.classify_parallel if args.parallel else engine.classify_sequential
     run = classify(bundle, workload, warmup=False)
     with open(args.out, "w", encoding="utf-8") as fp:
@@ -258,6 +263,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_bench(args) -> int:
     given = vars(args)
+    if "lanes" in given:
+        given["lanes"] = _host_lanes(given["lanes"])
     config = bench_mod.BenchConfig(
         **{f.name: given[f.name] for f in fields(bench_mod.BenchConfig) if f.name in given})
     _refuse_clashes({"--train": args.train, "--test": args.test}, {"--out": args.out})

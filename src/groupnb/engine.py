@@ -10,11 +10,10 @@ nearest trained one (upward first). Bundles are saved as JSON, format 3
 for how they fit together) checks its own invariants when built, and
 the loader checks only the document's shape.
 
-Batches are classified over lanes, run by groupnb.lanes. A batch of N
-samples runs on at most max(1, N // _BLOCK) lanes, so a batch below two
-kernel blocks runs in the caller alone; TimedRun.lanes says how many
-lanes ran. Every lane runs the same array kernel over a contiguous
-slice, so predictions are bit-identical at any lane count. Elapsed time
+Batches are classified over lanes, run by groupnb.lanes;
+classify_parallel states how many lanes a batch gets, and TimedRun.lanes
+says how many ran. Every lane runs the same array kernel over its own
+chunk, so predictions are bit-identical at any lane count. Elapsed time
 covers only the kernel, not parsing, score-table building or
 serialization.
 
@@ -237,8 +236,8 @@ def train_bundle(
 # --- batch classification --------------------------------------------------
 
 # Samples scored per kernel step; bounds the temporary arrays to a few MB.
-# A batch also gets at most one lane per full block: below that, starting
-# a worker costs more than the lane saves.
+# It is also the least work per lane (classify_parallel): below one block,
+# starting a worker costs more than the lane saves.
 _BLOCK = 512
 
 
@@ -298,14 +297,14 @@ def _log_scores(
     return out
 
 
-def _classify_slice(
-    tables: _ScoreTables, samples: Sequence[SampleRecord], start: int, end: int
+def _classify_chunk(
+    tables: _ScoreTables, chunk: Sequence[SampleRecord], offset: int
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
-    """Classify samples[start:end] into arrays.
+    """Classify one lane's chunk, which starts at batch index ``offset``, into arrays.
 
     Returns the effective group per sample (-1 where it failed), the
     (malware, benign) log-scores per sample, and the failures as
-    (absolute index, message) pairs in index order. A sample fails when
+    (batch index, message) pairs in index order. A sample fails when
     its size is out of range or a log-score overflows the float range.
     """
     ids = tables.ids
@@ -314,25 +313,24 @@ def _classify_slice(
     rows: list[int] = []
     histograms: list[dict[str, int]] = []
     errors: list[tuple[int, str]] = []
-    for i in range(start, end):
-        sample = samples[i]
+    for i, sample in enumerate(chunk):
         try:
             group = assign_group(sample.size_bytes, config)
         except SizeRangeError as exc:
-            errors.append((i, str(exc)))
+            errors.append((offset + i, str(exc)))
             continue
-        admitted.append(i - start)
+        admitted.append(i)
         rows.append(_route_row(ids, group))
         histograms.append(sample.histogram.entries)
-    groups = np.full(end - start, -1, dtype=np.int64)
-    scores = np.zeros((end - start, len(CLASSES)))
+    groups = np.full(len(chunk), -1, dtype=np.int64)
+    scores = np.zeros((len(chunk), len(CLASSES)))
     groups[admitted] = np.array(ids, dtype=np.int64)[rows]
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         scores[admitted] = _log_scores(tables, histograms, rows)
     non_finite = np.flatnonzero(~np.isfinite(scores).all(axis=1))
     if len(non_finite):
         groups[non_finite] = -1
-        errors = sorted(errors + [(start + i, "log-score is not a finite float")
+        errors = sorted(errors + [(offset + i, "log-score is not a finite float")
                                   for i in non_finite.tolist()])
     return groups, scores, errors
 
@@ -340,17 +338,17 @@ def _classify_slice(
 def _timed_run(
     parts: Sequence[tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]], elapsed_ns: int
 ) -> TimedRun:
-    """Assemble predictions, in input order, from consecutive slice results, one per lane."""
+    """Assemble predictions, in input order, from consecutive chunk results, one per lane."""
     predictions: list[Prediction | None] = []
     errors: list[tuple[int, str]] = []
     append = predictions.append
-    for groups, scores, slice_errors in parts:
+    for groups, scores, chunk_errors in parts:
         for group, (score_m, score_b) in zip(groups.tolist(), scores.tolist()):
             if group < 0:
                 append(None)
                 continue
             append(decide(score_m, score_b, group))
-        errors.extend(slice_errors)
+        errors.extend(chunk_errors)
     return TimedRun(tuple(predictions), tuple(errors), elapsed_ns, len(parts))
 
 
@@ -364,7 +362,7 @@ def classify_sequential(
     warmup (the default) one full unmeasured pass runs first; only the
     second pass is timed.
     """
-    return _classify(bundle, workload.samples, 1, warmup)
+    return classify_parallel(bundle, Workload(workload.samples, 1), warmup=warmup)
 
 
 def classify_parallel(
@@ -374,27 +372,21 @@ def classify_parallel(
 
     A batch of N samples runs on min(workload.lanes, max(1, N // _BLOCK))
     lanes, reported as run.lanes, so a batch below two kernel blocks
-    starts no process. Lane i classifies the i-th contiguous chunk of
-    ceil(N / lanes) samples into arrays; the predictions built from them
-    are in input order and bit-identical (label and log-scores) to
-    classify_sequential on the same workload. elapsed_ns is the wall
-    time of the parallel region only. A worker that dies before
+    starts no process. Lane i is handed only the i-th contiguous chunk of
+    ceil(N / lanes) samples and classifies it into arrays; the predictions
+    built from them are in input order and bit-identical (label and
+    log-scores) to classify_sequential on the same workload. elapsed_ns is
+    the wall time of the parallel region only. A worker that dies before
     returning its chunk raises LaneError.
     """
-    return _classify(bundle, workload.samples, workload.lanes, warmup)
-
-
-def _classify(
-    bundle: ModelBundle, samples: Sequence[SampleRecord], lanes: int, warmup: bool
-) -> TimedRun:
-    """Classify over at most ``lanes`` lanes; see classify_parallel."""
+    samples = workload.samples
     n = len(samples)
-    lanes = min(lanes, max(1, n // _BLOCK))
-    chunk = -(-n // lanes) if n else 1
-    bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)] or [(0, 0)]
+    lanes = min(workload.lanes, max(1, n // _BLOCK))
+    chunk = -(-n // lanes) or 1
     tables = _ScoreTables.build(bundle)  # before any lane starts, so every lane shares it
-    parts, elapsed = run_lanes(_classify_slice, [(tables, samples, lo, hi) for lo, hi in bounds],
-                               warmup)
+    # An empty batch still runs one (empty) lane.
+    lane_args = [(tables, samples[lo : lo + chunk], lo) for lo in range(0, max(n, 1), chunk)]
+    parts, elapsed = run_lanes(_classify_chunk, lane_args, warmup)
     return _timed_run(parts, elapsed)
 
 

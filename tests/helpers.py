@@ -98,11 +98,11 @@ def kill_worker_lanes(monkeypatch, code: int = 9, start: int | None = None) -> N
     """Make every worker lane (or only the one whose chunk begins at ``start``)
     exit with ``code`` when it starts classifying; the calling process is spared."""
     test_pid = os.getpid()
-    real = engine._classify_slice
+    real = engine._classify_chunk
 
-    def slice_or_exit(tables, samples, lo, hi):
-        if os.getpid() != test_pid and start in (None, lo):
+    def chunk_or_exit(tables, chunk, offset):
+        if os.getpid() != test_pid and start in (None, offset):
             os._exit(code)
-        return real(tables, samples, lo, hi)
+        return real(tables, chunk, offset)
 
-    monkeypatch.setattr(engine, "_classify_slice", slice_or_exit)
+    monkeypatch.setattr(engine, "_classify_chunk", chunk_or_exit)

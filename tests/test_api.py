@@ -1,4 +1,7 @@
-"""The package's public names."""
+"""The package's public names and its module boundaries."""
+
+import ast
+import pathlib
 
 import pytest
 
@@ -27,3 +30,20 @@ def test_each_module_exports_only_what_it_defines(module):
 
 def test_package_exports_the_module_lists():
     assert groupnb.__all__ == [name for module in MODULES for name in module.__all__]
+
+
+def test_only_the_lane_runtime_imports_multiprocessing():
+    """groupnb.lanes owns every worker process, so it alone imports multiprocessing."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    importers = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "multiprocessing" for name in names):
+                importers.add(path.relative_to(src).as_posix())
+    assert importers == {"groupnb/lanes.py"}

@@ -113,9 +113,11 @@ class TestPipeline:
             del doc["meta"]["created_at"]
         assert written == expected
 
-    def test_parallel_classify_matches_sequential(self, pipeline_files, tmp_path, capsys):
+    def test_parallel_classify_matches_sequential(self, pipeline_files, tmp_path, capsys,
+                                                  monkeypatch):
         """Byte-identical output below and at two kernel blocks; the summary names the lanes."""
         paths = pipeline_files
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # so --lanes 3 is not capped
         _run("train", "--in", str(paths["train"]), "--k", "10", "--out", str(paths["bundle"]))
         big = cycled(paths["test"], 2 * _BLOCK)
         for source, lanes in ((paths["test"], "1 lane"), (big, "2 lanes")):
@@ -141,6 +143,25 @@ class TestPipeline:
                         "--out", str(out)) == 0
         assert "(parallel, 2 lanes, 0 errors)" in capsys.readouterr().out
         assert outs[0].read_text() == outs[1].read_text()
+
+    def test_lanes_flag_is_capped_at_the_hardware_threads(self, pipeline_files, tmp_path,
+                                                          capsys, monkeypatch):
+        """3 * 512 samples would get 3 lanes; the host's 2 threads cap them at 2."""
+        paths = pipeline_files
+        _run("train", "--in", str(paths["train"]), "--k", "10", "--out", str(paths["bundle"]))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        capsys.readouterr()
+        assert _run("classify", "--bundle", str(paths["bundle"]),
+                    "--in", str(cycled(paths["test"], 3 * _BLOCK)), "--parallel",
+                    "--lanes", "4096", "--out", str(paths["preds"])) == 0
+        assert "(parallel, 2 lanes, 0 errors)" in capsys.readouterr().out
+        report = tmp_path / "report.csv"
+        assert _run("bench", "--train", str(paths["train"]), "--test", str(paths["test"]),
+                    "--k", "10", "--batch-sizes", str(3 * _BLOCK), "--lanes", "4096",
+                    "--reps", "1", "--out", str(report)) == 0
+        with open(report, newline="") as fp:
+            lanes = {row["mode"]: row["lanes"] for row in csv.DictReader(fp)}
+        assert lanes == {"sequential": "1", "parallel": "2"}
 
     def test_overflowing_log_score_is_a_per_sample_error(self, pipeline_files, tmp_path, capsys):
         """A sample whose log-score leaves the float range gets an error line, on every lane."""

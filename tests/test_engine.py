@@ -348,6 +348,26 @@ class TestClassifyParallel:
         assert (seq.lanes, par.lanes) == (1, lanes)
         assert multiprocessing.active_children() == []
 
+    def test_a_lane_is_handed_only_its_chunk(self, monkeypatch):
+        handed = []
+        real = engine.run_lanes
+
+        def record(body, lane_args, warmup):
+            handed.extend(lane_args)
+            return real(body, lane_args, warmup)
+
+        monkeypatch.setattr(engine, "run_lanes", record)
+        bundle = _bundle()
+        workload = _workload(bundle, 3 * _BLOCK + 7, lanes=3)
+        samples = workload.samples
+        chunk = -(-len(samples) // 3)
+        par = classify_parallel(bundle, workload, warmup=False)
+        assert par.lanes == len(handed) == 3
+        assert [offset for _, _, offset in handed] == [0, chunk, 2 * chunk]
+        for _, lane_chunk, offset in handed:
+            assert lane_chunk == samples[offset : offset + chunk]
+        assert sum((lane_chunk for _, lane_chunk, _ in handed), ()) == samples
+
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     def test_bit_identical_under_spawn(self, lanes, monkeypatch):
         methods = [m for m in multiprocessing.get_all_start_methods() if m != "fork"]
@@ -385,14 +405,14 @@ class TestClassifyParallel:
     @pytest.mark.parametrize("warmup", [True, False])
     def test_failing_caller_lane_joins_every_worker(self, warmup, monkeypatch, capfd):
         test_pid = os.getpid()
-        real = engine._classify_slice
+        real = engine._classify_chunk
 
-        def fail_in_the_caller(tables, samples, lo, hi):
+        def fail_in_the_caller(tables, chunk, offset):
             if os.getpid() == test_pid:
                 raise RuntimeError("lane 0 failed")
-            return real(tables, samples, lo, hi)
+            return real(tables, chunk, offset)
 
-        monkeypatch.setattr(engine, "_classify_slice", fail_in_the_caller)
+        monkeypatch.setattr(engine, "_classify_chunk", fail_in_the_caller)
         bundle = _bundle()
         workload = _workload(bundle, 3 * _BLOCK + 5, lanes=3)
         with deadline(30), pytest.raises(RuntimeError, match="lane 0 failed"):
@@ -1179,7 +1199,8 @@ def test_classify_property():
                 seen["groups"].add("trained" if group in ids else "below" if group < ids[0]
                                    else "above" if group > ids[-1] else "between")
 
-    check()
+    with mock.patch.object(os, "cpu_count", lambda: 4):  # so --lanes 4 is not capped
+        check()
     assert seen == {"lanes": {1, 2, 3, 4}, "errors": {"size_bytes", "log-score"},
                     "groups": {"trained", "below", "above", "between"}}
 
