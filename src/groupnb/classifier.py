@@ -5,8 +5,9 @@ so no feature/class pair ever scores -inf. Opcodes outside the feature
 set are ignored at both train and predict time. A model is fitted from
 a group's counted samples (fit_counts over features.count_group), so
 one count serves every feature set; train_group counts and fits in one
-call. A GroupModel checks its own invariants when built, so a fitted
-model and a loaded one pass the same checks.
+call. A model holds each class's likelihoods as a row in feature order.
+A GroupModel checks its own invariants when built, so a fitted model
+and a loaded one pass the same checks.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def valid_alpha(alpha) -> bool:
 _SUM_TOLERANCE = 1e-9
 
 
-def _check_distribution(log_values: list[float], where: str, what: str) -> None:
+def _check_distribution(log_values: Sequence[float], where: str, what: str) -> None:
     """BundleValidationError unless every value is finite and their exps sum to 1."""
     if not all(map(math.isfinite, log_values)):
         raise BundleValidationError(f"{where}: non-finite {what}")
@@ -58,33 +59,30 @@ class GroupModel:
     """Trained Naive Bayes parameters for one size group.
 
     log_prior exponentiates to class probabilities summing to 1;
-    log_likelihood holds ln theta(class, opcode) for exactly the
-    features, and exp of each class's row sums to 1. The constructor
-    checks this and a non-negative integer group (else
+    log_likelihood[c] is class c's row of ln theta(c, f), a tuple with
+    one value per feature, in feature order, whose exps sum to 1. The
+    constructor checks this and a non-negative integer group (else
     BundleValidationError); the smoothing alpha is the bundle's.
     """
 
     group: int
     features: FeatureSet
     log_prior: dict[Label, float]
-    log_likelihood: dict[Label, dict[str, float]]
+    log_likelihood: dict[Label, tuple[float, ...]]
 
     def __post_init__(self):
         where = f"model for group {self.group}"
-        features = self.features.opcodes
         try:
             non_negative_int("group", self.group)
         except InvalidConfigError as exc:
             raise BundleValidationError(f"{where}: {exc}") from None
         _check_distribution([self.log_prior.get(c, math.nan) for c in CLASSES], where, "priors")
         for c in CLASSES:
-            row = self.log_likelihood.get(c, {})
-            for op in features:
-                if op not in row:
-                    raise BundleValidationError(f"{where}: log_likelihood missing feature {op!r}")
-            if len(row) != len(features):
-                raise BundleValidationError(f"{where}: {c.value} likelihoods hold a non-feature")
-            _check_distribution([row[op] for op in features], where, f"{c.value} likelihoods")
+            row = self.log_likelihood.get(c)
+            if not isinstance(row, tuple) or len(row) != len(self.features.opcodes):
+                raise BundleValidationError(f"{where}: {c.value} likelihoods are not a tuple "
+                                            "of one value per feature")
+            _check_distribution(row, where, f"{c.value} likelihoods")
 
 
 @dataclass(frozen=True)
@@ -142,12 +140,12 @@ def fit_counts(counts: GroupCounts, features: FeatureSet, alpha: float, *, group
     n_total = n_samples[Label.MALWARE] + n_samples[Label.BENIGN]
     log_prior = {c: math.log(n_samples[c] / n_total) for c in CLASSES}
 
-    log_likelihood: dict[Label, dict[str, float]] = {}
+    log_likelihood: dict[Label, tuple[float, ...]] = {}
     for c in CLASSES:
         class_counts = counts.opcodes[c]
-        feature_counts = {op: class_counts.get(op, 0) for op in features.opcodes}
+        feature_counts = [class_counts.get(op, 0) for op in features.opcodes]
         try:
-            denom = sum(feature_counts.values()) + alpha * n_features
+            denom = sum(feature_counts) + alpha * n_features
         except OverflowError:  # the integer total alone does not fit a float
             denom = math.inf
         if not math.isfinite(denom):
@@ -156,9 +154,7 @@ def fit_counts(counts: GroupCounts, features: FeatureSet, alpha: float, *, group
                 "is not a finite float"
             )
         try:
-            log_likelihood[c] = {
-                op: math.log((feature_counts[op] + alpha) / denom) for op in features.opcodes
-            }
+            log_likelihood[c] = tuple(math.log((n + alpha) / denom) for n in feature_counts)
         except ValueError:  # (count + alpha) / denom underflowed to 0
             raise InvalidConfigError(
                 f"alpha {alpha!r} is too small: a smoothed {c.value} likelihood of group "
@@ -180,14 +176,13 @@ def log_posterior(model: GroupModel, histogram: OpcodeHistogram) -> dict[Label, 
     """
     score_m = model.log_prior[Label.MALWARE]
     score_b = model.log_prior[Label.BENIGN]
-    ll_m = model.log_likelihood[Label.MALWARE]
-    ll_b = model.log_likelihood[Label.BENIGN]
     get = histogram.entries.get
-    for op in model.features.opcodes:
+    for op, ll_m, ll_b in zip(model.features.opcodes, model.log_likelihood[Label.MALWARE],
+                              model.log_likelihood[Label.BENIGN]):
         n = get(op)
         if n is not None:
-            score_m += n * ll_m[op]
-            score_b += n * ll_b[op]
+            score_m += n * ll_m
+            score_b += n * ll_b
     return {Label.MALWARE: score_m, Label.BENIGN: score_b}
 
 

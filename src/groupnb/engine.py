@@ -8,7 +8,9 @@ nearest trained one (upward first). Bundles are saved as JSON, format 3
 (see bundle_to_json), and only that format loads. Each part of a bundle
 (GroupingConfig, BundleMeta, GroupModel, FeatureSet, and ModelBundle
 for how they fit together) checks its own invariants when built, and
-the loader checks only the document's shape.
+the loader checks only the document's shape: format 3 names each
+likelihood by its feature, so a per-class table's keys must be exactly
+the model's features, and the loader reads them in feature order.
 
 Batches are classified over lanes, run by groupnb.lanes;
 classify_parallel states how many lanes a batch gets, and TimedRun.lanes
@@ -266,9 +268,8 @@ class _ScoreTables:
         for row, model in enumerate(models):
             features = model.features.opcodes
             for c, label in enumerate(CLASSES):
-                ll = model.log_likelihood[label]
                 table[row, c, 0] = model.log_prior[label]
-                table[row, c, 1 : len(features) + 1] = [ll[op] for op in features]
+                table[row, c, 1 : len(features) + 1] = model.log_likelihood[label]
             keys.append(features + (None,) * (width - len(features)))
         return cls(ids, bundle.config, tuple(keys), table)
 
@@ -372,20 +373,19 @@ def classify_parallel(
 
     A batch of N samples runs on min(workload.lanes, max(1, N // _BLOCK))
     lanes, reported as run.lanes, so a batch below two kernel blocks
-    starts no process. Lane i is handed only the i-th contiguous chunk of
-    ceil(N / lanes) samples and classifies it into arrays; the predictions
-    built from them are in input order and bit-identical (label and
-    log-scores) to classify_sequential on the same workload. elapsed_ns is
-    the wall time of the parallel region only. A worker that dies before
-    returning its chunk raises LaneError.
+    starts no process. Lane i is handed only the samples [i * N // lanes,
+    (i + 1) * N // lanes), at least one block, and classifies them into
+    arrays; the predictions built from them are in input order and
+    bit-identical (label and log-scores) to classify_sequential on the
+    same workload. elapsed_ns is the wall time of the parallel region
+    only. A worker that dies before returning its chunk raises LaneError.
     """
     samples = workload.samples
     n = len(samples)
     lanes = min(workload.lanes, max(1, n // _BLOCK))
-    chunk = -(-n // lanes) or 1
     tables = _ScoreTables.build(bundle)  # before any lane starts, so every lane shares it
-    # An empty batch still runs one (empty) lane.
-    lane_args = [(tables, samples[lo : lo + chunk], lo) for lo in range(0, max(n, 1), chunk)]
+    cuts = [i * n // lanes for i in range(lanes + 1)]  # an empty batch runs one empty lane
+    lane_args = [(tables, samples[lo:hi], lo) for lo, hi in zip(cuts, cuts[1:])]
     parts, elapsed = run_lanes(_classify_chunk, lane_args, warmup)
     return _timed_run(parts, elapsed)
 
@@ -415,9 +415,7 @@ def _model_doc(model: GroupModel) -> dict:
         "group": model.group,
         "features": list(features),
         "log_prior": {c.value: model.log_prior[c] for c in CLASSES},
-        "log_likelihood": {
-            c.value: {op: model.log_likelihood[c][op] for op in features} for c in CLASSES
-        },
+        "log_likelihood": {c.value: dict(zip(features, model.log_likelihood[c])) for c in CLASSES},
     }
 
 
@@ -497,12 +495,14 @@ def bundle_from_json(text: str) -> ModelBundle:
         except InvalidConfigError as exc:
             raise BundleValidationError(f"{where}: {exc}") from None
         log_prior: dict[Label, float] = {}
-        log_likelihood: dict[Label, dict[str, float]] = {}
-        for c in CLASSES:  # a class the document lacks gets a value GroupModel refuses
+        log_likelihood: dict[Label, tuple[float, ...]] = {}
+        for c in CLASSES:  # a prior the document lacks gets a value GroupModel refuses
             log_prior[c] = _numbers([raw_prior.get(c.value, float("nan"))], f"{where}.log_prior")[0]
             row = _object(raw_ll.get(c.value, {}), f"{where}.log_likelihood.{c.value}")
-            values = _numbers(list(row.values()), f"{where}.log_likelihood")
-            log_likelihood[c] = dict(zip(row, values))
+            _require(row.keys() == set(features.opcodes),
+                     f"{where}: {c.value} likelihoods are not keyed by exactly the features")
+            log_likelihood[c] = tuple(_numbers([row[op] for op in features.opcodes],
+                                               f"{where}.log_likelihood"))
         models.append(GroupModel(group, features, log_prior, log_likelihood))
     return build_bundle(models, config, meta)
 

@@ -38,10 +38,10 @@ class TestTrainGroup:
         assert model.log_prior[Label.MALWARE] == pytest.approx(math.log(0.5))
         assert model.log_prior[Label.BENIGN] == pytest.approx(math.log(0.5))
         # theta(a|M) = (2+1)/(2+2), theta(b|M) = (0+1)/(2+2), mirrored for B
-        assert model.log_likelihood[Label.MALWARE]["a"] == pytest.approx(math.log(3 / 4))
-        assert model.log_likelihood[Label.MALWARE]["b"] == pytest.approx(math.log(1 / 4))
-        assert model.log_likelihood[Label.BENIGN]["a"] == pytest.approx(math.log(1 / 4))
-        assert model.log_likelihood[Label.BENIGN]["b"] == pytest.approx(math.log(3 / 4))
+        assert model.log_likelihood[Label.MALWARE][0] == pytest.approx(math.log(3 / 4))
+        assert model.log_likelihood[Label.MALWARE][1] == pytest.approx(math.log(1 / 4))
+        assert model.log_likelihood[Label.BENIGN][0] == pytest.approx(math.log(1 / 4))
+        assert model.log_likelihood[Label.BENIGN][1] == pytest.approx(math.log(3 / 4))
 
     def test_identical_classes_give_identical_likelihoods(self):
         samples = [
@@ -58,8 +58,8 @@ class TestTrainGroup:
             make_sample("b", Label.BENIGN, 11, {"a": 2, "b": 1}),
         ]
         model = train_group(samples, FeatureSet(("a", "b")), 1.0)
-        assert model.log_likelihood[Label.MALWARE]["a"] == pytest.approx(math.log(0.5))
-        assert model.log_likelihood[Label.MALWARE]["b"] == pytest.approx(math.log(0.5))
+        assert model.log_likelihood[Label.MALWARE][0] == pytest.approx(math.log(0.5))
+        assert model.log_likelihood[Label.MALWARE][1] == pytest.approx(math.log(0.5))
 
     def test_counts_restricted_to_features(self):
         # Off-feature opcodes must not leak into the denominator.
@@ -68,7 +68,7 @@ class TestTrainGroup:
             make_sample("b", Label.BENIGN, 11, {"b": 2}),
         ]
         model = train_group(samples, FeatureSet(("a", "b")), 1.0)
-        assert model.log_likelihood[Label.MALWARE]["a"] == pytest.approx(math.log(3 / 4))
+        assert model.log_likelihood[Label.MALWARE][0] == pytest.approx(math.log(3 / 4))
 
     def test_prior_follows_class_counts(self):
         samples = [
@@ -146,7 +146,7 @@ class TestTrainGroup:
             model = train_group(samples, features, alpha, group=2)
             expected = _oracle_log_likelihood(samples, features.opcodes, alpha)
             assert {
-                c.value: {op: v.hex() for op, v in row.items()}
+                c.value: {op: v.hex() for op, v in zip(features.opcodes, row)}
                 for c, row in model.log_likelihood.items()
             } == expected
             n = {c: sum(1 for s in samples if s.label is c) for c in (Label.MALWARE, Label.BENIGN)}
@@ -173,8 +173,8 @@ class TestTrainGroup:
             model = train_group(samples, features, float(rng.integers(1, 4)))
             assert abs(sum(math.exp(p) for p in model.log_prior.values()) - 1.0) < 1e-9
             for row in model.log_likelihood.values():
-                assert abs(sum(math.exp(v) for v in row.values()) - 1.0) < 1e-9
-                assert all(math.isfinite(v) for v in row.values())
+                assert abs(sum(math.exp(v) for v in row) - 1.0) < 1e-9
+                assert all(math.isfinite(v) for v in row)
 
 
 class TestLogPosterior:
@@ -219,10 +219,22 @@ class TestLogPosterior:
 class TestGroupModel:
     def test_likelihood_rows_must_cover_every_feature(self):
         model = _example_model()
-        partial = {Label.MALWARE: {"a": -0.5}, Label.BENIGN: model.log_likelihood[Label.BENIGN]}
-        with pytest.raises(BundleValidationError,
-                           match="group 3: log_likelihood missing feature 'b'"):
+        partial = {Label.MALWARE: (-0.5,), Label.BENIGN: model.log_likelihood[Label.BENIGN]}
+        with pytest.raises(BundleValidationError, match="^model for group 3: malware likelihoods "
+                                                        "are not a tuple of one value per feature$"):
             dataclasses.replace(model, log_likelihood=partial)
+
+    @pytest.mark.parametrize("row", [
+        (math.log(0.5), math.log(0.25), math.log(0.25)),
+        {"a": math.log(0.5), "b": math.log(0.5)},
+        [math.log(0.5), math.log(0.5)],
+    ], ids=["one-long", "dict", "list"])
+    def test_a_row_is_a_tuple_of_one_value_per_feature(self, row):
+        """Features (a, b): each row is a distribution, but only a 2-tuple is a row."""
+        model = _example_model()
+        with pytest.raises(BundleValidationError, match="^model for group 3: benign likelihoods "
+                                                        "are not a tuple of one value per feature$"):
+            dataclasses.replace(model, log_likelihood={**model.log_likelihood, Label.BENIGN: row})
 
 
 class TestPredict:

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupnb import engine
@@ -79,8 +79,8 @@ def _signed_zero_model():
         features=FeatureSet(("a", "b")),
         log_prior={Label.MALWARE: -0.0, Label.BENIGN: -800.0},
         log_likelihood={
-            Label.MALWARE: {"a": 0.0, "b": -800.0},
-            Label.BENIGN: {"a": -800.0, "b": 0.0},
+            Label.MALWARE: (0.0, -800.0),
+            Label.BENIGN: (-800.0, 0.0),
         },
     )
 
@@ -90,7 +90,7 @@ def _hex_parameters(bundle):
     return {
         g: (
             [model.log_prior[c].hex() for c in CLASSES],
-            [model.log_likelihood[c][op].hex() for c in CLASSES for op in model.features.opcodes],
+            [v.hex() for c in CLASSES for v in model.log_likelihood[c]],
         )
         for g, model in bundle.models.items()
     }
@@ -124,6 +124,21 @@ _FORMAT_2 = (
     '"mov": -1.455287232606842}, "benign": {"add": -1.0986122886681098, '
     '"evil": -3.4011973816621555, "mov": -0.456758402495715}}, '
     '"alpha": 1.0, "train_counts": {"malware": 6, "benign": 6}}\n'
+    ']}\n'
+)
+
+# The same bundle as format 3 writes it, the one format that loads: each class's
+# likelihoods are an object keyed by feature, in feature order.
+_FORMAT_3 = (
+    '{"format": 3, "config": {"group_size_bytes": 5120, "max_size_bytes": 512000, '
+    '"min_per_class": 6}, '
+    '"meta": {"k": 3, "alpha": 1.0, "seed": 0, "created_at": "2026-01-01T00:00:00+00:00"}, '
+    '"models": [\n'
+    '{"group": 0, "features": ["add", "evil", "mov"], '
+    '"log_prior": {"malware": -0.6931471805599453, "benign": -0.6931471805599453}, '
+    '"log_likelihood": {"malware": {"add": -3.4011973816621555, "evil": -0.3101549283038396, '
+    '"mov": -1.455287232606842}, "benign": {"add": -1.0986122886681098, '
+    '"evil": -3.4011973816621555, "mov": -0.456758402495715}}}\n'
     ']}\n'
 )
 
@@ -171,8 +186,8 @@ class TestBuildBundle:
             lambda: dataclasses.replace(
                 good,
                 log_likelihood={
-                    Label.MALWARE: {op: float("-inf") for op in good.features.opcodes},
-                    Label.BENIGN: dict(good.log_likelihood[Label.BENIGN]),
+                    Label.MALWARE: tuple(float("-inf") for op in good.features.opcodes),
+                    Label.BENIGN: good.log_likelihood[Label.BENIGN],
                 },
             ),
         ]
@@ -360,13 +375,23 @@ class TestClassifyParallel:
         bundle = _bundle()
         workload = _workload(bundle, 3 * _BLOCK + 7, lanes=3)
         samples = workload.samples
-        chunk = -(-len(samples) // 3)
+        n = len(samples)
+        cuts = [0, n // 3, 2 * n // 3, n]
         par = classify_parallel(bundle, workload, warmup=False)
         assert par.lanes == len(handed) == 3
-        assert [offset for _, _, offset in handed] == [0, chunk, 2 * chunk]
-        for _, lane_chunk, offset in handed:
-            assert lane_chunk == samples[offset : offset + chunk]
+        assert [offset for _, _, offset in handed] == cuts[:3]
+        for (_, lane_chunk, offset), end in zip(handed, cuts[1:]):
+            assert lane_chunk == samples[offset:end]
         assert sum((lane_chunk for _, lane_chunk, _ in handed), ()) == samples
+
+    def test_a_batch_runs_every_lane_its_blocks_allow(self, monkeypatch):
+        """9 samples in blocks of 2 allow 4 lanes; chunks of ceil(9 / 4) would fill only 3."""
+        monkeypatch.setattr(engine, "_BLOCK", 2)
+        bundle = _bundle()
+        workload = _workload(bundle, 9, lanes=4)
+        par = classify_parallel(bundle, workload, warmup=False)
+        assert par.lanes == 4
+        assert par.predictions == classify_sequential(bundle, workload).predictions
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     def test_bit_identical_under_spawn(self, lanes, monkeypatch):
@@ -675,6 +700,31 @@ class TestBundleSerialization:
         with pytest.raises(BundleValidationError, match="^unsupported bundle format 2$"):
             bundle_from_json(_FORMAT_2)
 
+    def test_format_3_bytes(self):
+        """The writer's bytes; a reader that keys by feature, whatever the key order."""
+        assert bundle_to_json(_bundle(groups=(0,))) == _FORMAT_3
+        assert bundle_to_json(bundle_from_json(_FORMAT_3)) == _FORMAT_3
+        doc = json.loads(_FORMAT_3)
+        for table in doc["models"][0]["log_likelihood"].values():
+            reversed_table = dict(reversed(table.items()))
+            table.clear()
+            table.update(reversed_table)
+        assert list(doc["models"][0]["log_likelihood"]["malware"]) == ["mov", "evil", "add"]
+        assert bundle_to_json(bundle_from_json(json.dumps(doc))) == _FORMAT_3
+
+    @pytest.mark.parametrize("mutate", [
+        lambda table: table.pop("mov"),
+        lambda table: table.update(zzz=-1.0),
+        lambda table: table.update(zzz=table.pop("mov")),
+    ], ids=["missing", "extra", "renamed"])
+    def test_loader_refuses_a_table_not_keyed_by_the_features(self, mutate):
+        """A renamed key keeps the table's length, so only a key rule refuses it."""
+        doc = json.loads(_FORMAT_3)
+        mutate(doc["models"][0]["log_likelihood"]["benign"])
+        with pytest.raises(BundleValidationError, match=r"^models\[0\]: benign likelihoods "
+                                                        "are not keyed by exactly the features$"):
+            bundle_from_json(json.dumps(doc))
+
     def test_model_lines_hold_only_what_routing_and_scoring_read(self):
         bundle = _bundle()
         text = bundle_to_json(bundle)
@@ -706,7 +756,7 @@ class TestBundleSerialization:
         doc = json.loads(bundle_to_json(bundle))
         model = doc["models"][0]
         stored = model["log_likelihood"]["malware"][model["features"][0]]
-        original = bundle.models[0].log_likelihood[Label.MALWARE][model["features"][0]]
+        original = bundle.models[0].log_likelihood[Label.MALWARE][0]
         assert stored == original  # the shortest repr round-trips exactly
 
     @pytest.mark.parametrize(
@@ -811,6 +861,13 @@ def _with_likelihoods(model, label, row):
     return dataclasses.replace(model, log_likelihood={**model.log_likelihood, label: row})
 
 
+def _with_likelihood(model, label, op, value):
+    """The model with ``label``'s likelihood of feature ``op`` set to ``value``."""
+    row = list(model.log_likelihood[label])
+    row[model.features.opcodes.index(op)] = value
+    return _with_likelihoods(model, label, tuple(row))
+
+
 def _doc_model(doc):
     return doc["models"][0]
 
@@ -825,7 +882,9 @@ def _rename_feature(doc, name):
 
 # One case per invariant that a type checks when built: a constructor call
 # on the good model that breaks it, and a bundle document edit that breaks
-# it the same way. Features are ("add", "evil", "mov").
+# it the same way. Features are ("add", "evil", "mov"). A likelihood row's
+# length is the type's rule and its table's keys are the loader's, so those
+# cases give one message for each.
 _INVARIANTS = {
     "features-empty": (
         lambda good: FeatureSet(()),
@@ -848,23 +907,24 @@ _INVARIANTS = {
                                                         benign=math.log(0.6)),
         BundleValidationError, "group 0: priors sum to 1.2"),
     "likelihood-missing": (
-        lambda good: _with_likelihoods(good, Label.BENIGN, {
-            op: v for op, v in good.log_likelihood[Label.BENIGN].items() if op != "mov"}),
+        lambda good: _with_likelihoods(good, Label.BENIGN, good.log_likelihood[Label.BENIGN][:-1]),
         lambda doc: _doc_model(doc)["log_likelihood"]["benign"].pop("mov"),
-        BundleValidationError, "group 0: log_likelihood missing feature 'mov'"),
+        BundleValidationError,
+        ("^model for group 0: benign likelihoods are not a tuple of one value per feature$",
+         r"^models\[0\]: benign likelihoods are not keyed by exactly the features$")),
     "likelihood-extra": (
-        lambda good: _with_likelihoods(good, Label.MALWARE, {
-            **good.log_likelihood[Label.MALWARE], "zzz": -1.0}),
+        lambda good: _with_likelihoods(good, Label.MALWARE,
+                                       good.log_likelihood[Label.MALWARE] + (-1.0,)),
         lambda doc: _doc_model(doc)["log_likelihood"]["malware"].update(zzz=-1.0),
-        BundleValidationError, "group 0: malware likelihoods hold a non-feature"),
+        BundleValidationError,
+        ("^model for group 0: malware likelihoods are not a tuple of one value per feature$",
+         r"^models\[0\]: malware likelihoods are not keyed by exactly the features$")),
     "likelihood-non-finite": (
-        lambda good: _with_likelihoods(good, Label.MALWARE, {
-            **good.log_likelihood[Label.MALWARE], "evil": -math.inf}),
+        lambda good: _with_likelihood(good, Label.MALWARE, "evil", -math.inf),
         lambda doc: _doc_model(doc)["log_likelihood"]["malware"].update(evil=-math.inf),
         BundleValidationError, "group 0: non-finite malware likelihoods"),
     "likelihood-sum": (
-        lambda good: _with_likelihoods(good, Label.BENIGN, {
-            op: -1.0 for op in good.features.opcodes}),
+        lambda good: _with_likelihoods(good, Label.BENIGN, (-1.0,) * len(good.features.opcodes)),
         lambda doc: _doc_model(doc)["log_likelihood"].update(
             benign={"add": -1.0, "evil": -1.0, "mov": -1.0}),
         BundleValidationError, "group 0: benign likelihoods sum to 1.10"),
@@ -934,12 +994,13 @@ _INVARIANTS = {
                          ids=_INVARIANTS.keys())
 def test_each_invariant_is_checked_once_by_its_type(build, mutate, error, message):
     """The constructor rejects a part that breaks it; the loader maps that to a data error."""
+    type_message, doc_message = message if isinstance(message, tuple) else (message, message)
     good = _model(0)
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=type_message):
         build(good)
     doc = json.loads(bundle_to_json(_bundle(groups=(0,))))
     mutate(doc)
-    with pytest.raises(BundleValidationError, match=message):
+    with pytest.raises(BundleValidationError, match=doc_message):
         bundle_from_json(json.dumps(doc))
 
 
@@ -1053,9 +1114,9 @@ _FEATURE_NAMES = _mostly(
 def _uniform_model(group, names):
     """A GroupModel over FeatureSet(names) with uniform priors and likelihoods."""
     features = FeatureSet(names)
-    row = {op: -math.log(len(names)) for op in features.opcodes}
+    row = (-math.log(len(names)),) * len(features.opcodes)
     return GroupModel(group, features, {c: math.log(0.5) for c in CLASSES},
-                      {c: dict(row) for c in CLASSES})
+                      {c: row for c in CLASSES})
 
 
 @settings(max_examples=50)
@@ -1160,13 +1221,33 @@ def test_classify_property():
     """CLI classify writes the oracle's lines, the same bytes at every lane count.
 
     The kernel block is cut to 2 samples, so batches of 4 or more start
-    worker lanes.
+    worker lanes. One fixed example covers every routing case and both
+    errors, whatever the draws are.
     """
     block = 2
     seen = {"lanes": set(), "errors": set(), "groups": set()}
+    spec = SyntheticSpec(group_count=5, samples_per_group_per_class=6, vocabulary_size=12,
+                         divergence=0.5, seed=7)
+    trained = train_bundles(grouped(generate_synthetic(spec)), (4,), 1.0, created_at="t")[4]
+    fixed = build_bundle([trained.models[g] for g in (1, 3)], trained.config, trained.meta)
+    ops = fixed.models[3].features.opcodes
+    fixed_lines = [json.dumps({"id": f"f{i}", "size_bytes": size, "opcodes": opcodes})
+                   for i, (size, opcodes) in enumerate([
+                       (5120 + 7, {ops[0]: 3, "zzz": 1}),  # group 1, trained
+                       (3 * 5120, {ops[1]: 2, ops[2]: 5}),  # group 3, trained
+                       (100, {ops[0]: 1}),  # group 0, below the lowest kept model
+                       (2 * 5120 + 9, {ops[3]: 4}),  # group 2, between the kept models
+                       (4 * 5120 + 1, {ops[1]: 2}),  # group 4, above the highest kept model
+                       (7 * 5120, {}),  # group 7, above as well
+                       (512000, {ops[0]: 1}),  # outside the size range
+                       # Every feature's log-likelihood is negative and one is at most
+                       # -ln 4, so this count sends a log-score to -inf.
+                       (3 * 5120 + 5, dict.fromkeys(ops, 17 * 10**307)),
+                   ])]
 
     @settings(max_examples=40)
     @given(_classify_cases())
+    @example((fixed, fixed_lines))
     def check(case):
         bundle, lines = case
         with tempfile.TemporaryDirectory() as tmp:
