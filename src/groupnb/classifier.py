@@ -43,8 +43,12 @@ _SUM_TOLERANCE = 1e-9
 
 
 def _check_distribution(log_values: Sequence[float], where: str, what: str) -> None:
-    """BundleValidationError unless every value is finite and their exps sum to 1."""
-    if not all(map(math.isfinite, log_values)):
+    """BundleValidationError unless every value is a finite number and their exps sum to 1."""
+    try:
+        finite = all(map(math.isfinite, log_values))
+    except TypeError:
+        raise BundleValidationError(f"{where}: {what} are not all numbers") from None
+    if not finite:
         raise BundleValidationError(f"{where}: non-finite {what}")
     try:
         total = sum(map(math.exp, log_values))
@@ -61,8 +65,9 @@ class GroupModel:
     log_prior exponentiates to class probabilities summing to 1;
     log_likelihood[c] is class c's row of ln theta(c, f), a tuple with
     one value per feature, in feature order, whose exps sum to 1. The
-    constructor checks this and a non-negative integer group (else
-    BundleValidationError); the smoothing alpha is the bundle's.
+    constructor checks this, a non-negative integer group, a FeatureSet
+    and two mappings holding numbers (else BundleValidationError naming
+    the group); the smoothing alpha is the bundle's.
     """
 
     group: int
@@ -76,6 +81,11 @@ class GroupModel:
             non_negative_int("group", self.group)
         except InvalidConfigError as exc:
             raise BundleValidationError(f"{where}: {exc}") from None
+        if not isinstance(self.features, FeatureSet):
+            raise BundleValidationError(f"{where}: features is not a FeatureSet")
+        for name in ("log_prior", "log_likelihood"):
+            if not isinstance(getattr(self, name), Mapping):
+                raise BundleValidationError(f"{where}: {name} is not a mapping of class to values")
         _check_distribution([self.log_prior.get(c, math.nan) for c in CLASSES], where, "priors")
         for c in CLASSES:
             row = self.log_likelihood.get(c)

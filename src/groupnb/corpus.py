@@ -6,7 +6,9 @@ groups (5120 bytes wide by default, 100 groups below the 512000-byte
 cutoff) and every group later gets its own feature set and model.
 
 All functions here are pure transformations; returned objects are not
-mutated afterwards and are safe to share across worker processes.
+mutated afterwards and are safe to share across worker processes. The
+one exception is a GroupedCorpus's private memo of training counts,
+which engine.train_bundles fills.
 
 It is the one reader of line files: _documents (blank lines and JSON)
 and _record_header (id and label) serve corpus and prediction files.
@@ -35,7 +37,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -184,10 +186,23 @@ class GroupingConfig:
 
 @dataclass(frozen=True)
 class GroupedCorpus:
-    """Samples bucketed by size group; only non-empty groups are present."""
+    """Samples bucketed by size group; only non-empty groups are present.
+
+    The constructor copies ``groups`` into a dict of its own, each
+    group's samples a tuple, so a caller's later change to what it
+    passed in does not reach the corpus. _counts is engine.train_bundles'
+    memo of each group's counts and scores; it is not part of the
+    corpus's value (repr, equality).
+    """
 
     config: GroupingConfig
-    groups: dict[int, list[SampleRecord]]
+    groups: dict[int, tuple[SampleRecord, ...]]
+    # group -> (samples tuple, features.GroupCounts, features.ScoreTable)
+    _counts: dict[int, tuple] = field(default_factory=dict, init=False, repr=False,
+                                      compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "groups", {g: tuple(s) for g, s in self.groups.items()})
 
     def sample_count(self) -> int:
         return sum(len(samples) for samples in self.groups.values())

@@ -1,10 +1,12 @@
 """Model bundles, training, fallback routing, and the batch classification engine.
 
 A ModelBundle holds one trained model per trainable group; train_bundles
-trains one bundle per feature budget k, counting each group's training
-histograms once and deriving its feature scores and every k's model
-from those counts. Routing sends files from untrained groups to the
-nearest trained one (upward first). Bundles are saved as JSON, format 3
+trains one bundle per feature budget k, deriving each group's feature
+scores and every k's model from one count of its training histograms.
+The counts and scores are kept on the GroupedCorpus, so a sweep of
+train_bundle calls over one corpus counts each group once. Routing
+sends files from untrained groups to the nearest trained one (upward
+first). Bundles are saved as JSON, format 3
 (see bundle_to_json), and only that format loads. Each part of a bundle
 (GroupingConfig, BundleMeta, GroupModel, FeatureSet, and ModelBundle
 for how they fit together) checks its own invariants when built, and
@@ -199,10 +201,13 @@ def train_bundles(
     """One bundle per k: select features and train a model for every trainable group.
 
     An unlabeled sample in any group raises first (trainable_groups). Each
-    trainable group is counted once (features.count_group); its opcode
-    scores and every k's model come from those counts, with the results
-    and errors of score_opcodes, select_top_k and train_group. Training
-    draws no random numbers, so every bundle's meta.seed is 0. The metas
+    trainable group is counted once per corpus (features.count_group); its
+    opcode scores and every k's model come from those counts, with the
+    results and errors of score_opcodes, select_top_k and train_group.
+    The corpus keeps a group's counts and scores for later calls while
+    groups[g] is the same tuple; a group that fails to score keeps none,
+    so it fails again. Training draws no random numbers, so every
+    bundle's meta.seed is 0. The metas
     are built last: a training error comes before BundleMeta's, and
     BundleMeta's before EmptyBundleError (no group is trainable).
     """
@@ -210,8 +215,14 @@ def train_bundles(
     groups = sorted(trainable_groups(train, config))
     models: dict[int, list[GroupModel]] = {k: [] for k in k_values}
     for g in groups:
-        counts = count_group(train.groups[g])
-        table = score_counts(counts, group=g)
+        samples = train.groups[g]
+        entry = train._counts.get(g)
+        if entry is None or entry[0] is not samples:
+            counts = count_group(samples)
+            entry = (samples, counts, score_counts(counts, group=g))
+            if type(samples) is tuple:  # a list could change under the same identity
+                train._counts[g] = entry
+        _, counts, table = entry
         for k, group_models in models.items():
             features = select_top_k(table, k)
             group_models.append(fit_counts(counts, features, alpha, group=g))

@@ -5,7 +5,9 @@ training needs comes from that table: an opcode's score is the absolute
 difference between its normalized occurrence frequency in the malware
 class and in the benign class (score_counts), the k highest-scoring
 opcodes become the group's feature set (select_top_k), and every k's
-model is fitted from the same counts (classifier.fit_counts). A
+model is fitted from the same counts (classifier.fit_counts).
+engine.train_bundles keeps a group's table and scores on its
+GroupedCorpus, so later calls on that corpus do not count it again. A
 FeatureSet holds one or more distinct opcodes, named as histogram keys are.
 """
 

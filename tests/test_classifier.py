@@ -236,6 +236,20 @@ class TestGroupModel:
                                                         "are not a tuple of one value per feature$"):
             dataclasses.replace(model, log_likelihood={**model.log_likelihood, Label.BENIGN: row})
 
+    @pytest.mark.parametrize("change,message", [
+        ({"log_prior": {Label.MALWARE: "x", Label.BENIGN: math.log(0.5)}},
+         "priors are not all numbers"),
+        ({"log_likelihood": {Label.MALWARE: ("x", math.log(0.5)),
+                             Label.BENIGN: (math.log(0.5), math.log(0.5))}},
+         "malware likelihoods are not all numbers"),
+        ({"log_likelihood": [1, 2]}, "log_likelihood is not a mapping of class to values"),
+        ({"log_prior": None}, "log_prior is not a mapping of class to values"),
+        ({"features": ("a", "b")}, "features is not a FeatureSet"),
+    ], ids=["str-prior", "str-likelihood", "list-likelihoods", "no-priors", "tuple-features"])
+    def test_a_field_of_the_wrong_type_is_a_validation_error(self, change, message):
+        with pytest.raises(BundleValidationError, match=f"^model for group 3: {message}$"):
+            dataclasses.replace(_example_model(), **change)
+
 
 class TestPredict:
     def test_overflowing_log_score_is_an_integrity_error(self):

@@ -1,5 +1,6 @@
 """Corpus ingestion, grouping, and the stratified split."""
 
+import inspect
 import json
 import math
 from unittest import mock
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from groupnb import corpus
 from groupnb.corpus import (
+    GroupedCorpus,
     GroupingConfig,
     Label,
     OpcodeHistogram,
@@ -31,9 +33,10 @@ from groupnb.errors import (
     ParseError,
     SizeRangeError,
 )
+from groupnb.engine import train_bundle
 from groupnb.synth import SyntheticSpec, generate_synthetic
 
-from helpers import grouped, make_sample
+from helpers import grouped, make_sample, two_class_group
 
 
 def _mutated_lines() -> list[str]:
@@ -878,6 +881,26 @@ class TestSplitTrainTest:
         for seed in (-7, -1, None, 1.5, "x", True, [1]):
             with pytest.raises(InvalidConfigError, match="seed must be a non-negative integer"):
                 split_train_test(labeled, (2, 1), seed=seed)
+
+
+class TestGroupedCorpus:
+    def test_the_memo_is_not_part_of_the_public_surface(self):
+        corpus = grouped(two_class_group(0))
+        same = GroupedCorpus(corpus.config, {0: list(corpus.groups[0])})
+        train_bundle(corpus, 3, created_at="t")  # fills corpus's memo only
+        assert list(inspect.signature(GroupedCorpus).parameters) == ["config", "groups"]
+        assert corpus == same
+        assert repr(corpus) == repr(same) == (
+            f"GroupedCorpus(config={corpus.config!r}, groups={corpus.groups!r})")
+
+    def test_groups_hold_tuples_however_built(self):
+        samples = two_class_group(0) + two_class_group(1)
+        corpus, _ = partition_by_group(samples, GroupingConfig())
+        split = split_train_test(corpus, (2, 1), seed=0)
+        built = GroupedCorpus(GroupingConfig(), {0: samples[:12], 1: samples[12:]})
+        for each in (corpus, split.train, split.test, built):
+            assert {type(bucket) for bucket in each.groups.values()} == {tuple}
+        assert built.groups == corpus.groups
 
 
 class TestTrainableGroups:

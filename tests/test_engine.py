@@ -1310,9 +1310,57 @@ class TestTrainBundle:
 
         monkeypatch.setattr(engine, "count_group", counting)
         samples = two_class_group(0) + two_class_group(1) + two_class_group(2)
-        bundles = train_bundles(grouped(samples), (1, 2, 3), created_at="t")
+        corpus = grouped(samples)
+        for k in (1, 2, 3):
+            train_bundle(corpus, k, created_at="t")
+        bundles = train_bundles(corpus, (1, 2, 3), created_at="t")
         assert calls == [12, 12, 12]
         assert sorted(bundles) == [1, 2, 3]
+        train_bundles(grouped(samples), (1, 2, 3), created_at="t")
+        assert calls == [12] * 6  # a new corpus counts again, once for every k
+
+    def test_a_sweep_on_one_corpus_matches_a_fresh_corpus_per_call(self):
+        samples = generate_synthetic(SyntheticSpec(4, 8, 40, 0.5, 3))
+        corpus = grouped(samples)
+        for k in (1, 5, 40, 1):
+            assert (bundle_to_json(train_bundle(corpus, k, 0.5, created_at="t"))
+                    == bundle_to_json(train_bundle(grouped(samples), k, 0.5, created_at="t")))
+        swept = train_bundles(corpus, (40, 5), 0.5, created_at="t")
+        fresh = train_bundles(grouped(samples), (40, 5), 0.5, created_at="t")
+        assert {k: bundle_to_json(b) for k, b in swept.items()} == {
+            k: bundle_to_json(b) for k, b in fresh.items()}
+
+    def test_a_replaced_group_is_counted_again(self):
+        corpus = grouped(generate_synthetic(SyntheticSpec(4, 12, 40, 0.5, 3)))
+        before = bundle_to_json(train_bundle(corpus, 5, created_at="t"))
+        corpus.groups[1] = corpus.groups[1][::2]
+        after = bundle_to_json(train_bundle(corpus, 5, created_at="t"))
+        fresh = GroupedCorpus(corpus.config, corpus.groups)
+        assert after == bundle_to_json(train_bundle(fresh, 5, created_at="t"))
+        assert after != before
+        corpus.groups[1] = list(corpus.groups[1])
+        train_bundle(corpus, 5, created_at="t")
+        corpus.groups[1].extend(corpus.groups[2])  # in place, under the same identity
+        fresh = GroupedCorpus(corpus.config, corpus.groups)
+        assert (bundle_to_json(train_bundle(corpus, 5, created_at="t"))
+                == bundle_to_json(train_bundle(fresh, 5, created_at="t")))
+
+    def test_the_callers_lists_do_not_reach_the_corpus(self):
+        samples = two_class_group(0)
+        groups = {0: samples}
+        corpus = GroupedCorpus(GroupingConfig(), groups)
+        before = bundle_to_json(train_bundle(corpus, 3, created_at="t"))
+        samples.append(make_sample("late", Label.MALWARE, 7, {"zzz": 99}))
+        groups[1] = two_class_group(1)
+        assert list(corpus.groups) == [0] and len(corpus.groups[0]) == 12
+        assert bundle_to_json(train_bundle(corpus, 3, created_at="t")) == before
+
+    def test_a_group_that_fails_to_score_fails_again(self):
+        corpus = grouped(_empty_benign() + two_class_group(1))
+        for _ in range(2):
+            with pytest.raises(InsufficientClassError,
+                               match="group 0: no benign opcode occurrences to score"):
+                train_bundle(corpus, 3, created_at="t")
 
     def test_matches_the_public_steps(self):
         corpus = grouped(generate_synthetic(SyntheticSpec(4, 6, 40, 0.5, 3)))
