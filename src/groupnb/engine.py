@@ -13,6 +13,8 @@ for how they fit together) checks its own invariants when built, and
 the loader checks only the document's shape: format 3 names each
 likelihood by its feature, so a per-class table's keys must be exactly
 the model's features, and the loader reads them in feature order.
+load_bundle keeps the last bundle it loaded, with the file's bytes, and
+returns it again for identical bytes without decoding them.
 
 Batches are classified over lanes, run by groupnb.lanes;
 classify_parallel states how many lanes a batch gets, and TimedRun.lanes
@@ -22,8 +24,8 @@ covers only the kernel, not parsing, score-table building or
 serialization.
 
 The kernel scores a block of samples at once and reproduces
-classifier.log_posterior bit for bit. Each classify call builds its
-tables from the bundle once, before any lane starts: one score table
+classifier.log_posterior bit for bit. Each bundle builds its tables
+once, in its first classify call before any lane starts: one score table
 per class, with one row per model holding the log prior, then the
 feature log-likelihoods in feature order. A sample's row of products
 is its routed model's row times the sample's counts of those features
@@ -111,7 +113,9 @@ class ModelBundle:
     """Immutable, non-empty collection of per-group models; safe for concurrent readers.
 
     Each model is stored under its own group, inside [0, config.group_count),
-    with at most meta.k features; else BundleValidationError.
+    with at most meta.k features; else BundleValidationError. The
+    constructor copies ``models`` into a dict of its own, so a caller's
+    later change to the dict it passed in does not reach the bundle.
     """
 
     config: GroupingConfig
@@ -119,6 +123,7 @@ class ModelBundle:
     meta: BundleMeta
 
     def __post_init__(self):
+        object.__setattr__(self, "models", dict(self.models))
         if not self.models:
             raise EmptyBundleError("bundle has no trained models")
         count, k = self.config.group_count, self.meta.k
@@ -135,6 +140,11 @@ class ModelBundle:
     def trained_ids(self) -> tuple[int, ...]:
         """The groups that have a model, ascending."""
         return tuple(sorted(self.models))
+
+    @cached_property
+    def _tables(self) -> "_ScoreTables":
+        """The kernel's score tables, built on first use and kept with the bundle."""
+        return _ScoreTables.build(self)
 
 
 @dataclass(frozen=True)
@@ -394,7 +404,7 @@ def classify_parallel(
     samples = workload.samples
     n = len(samples)
     lanes = min(workload.lanes, max(1, n // _BLOCK))
-    tables = _ScoreTables.build(bundle)  # before any lane starts, so every lane shares it
+    tables = bundle._tables  # before any lane starts, so every lane shares it
     cuts = [i * n // lanes for i in range(lanes + 1)]  # an empty batch runs one empty lane
     lane_args = [(tables, samples[lo:hi], lo) for lo, hi in zip(cuts, cuts[1:])]
     parts, elapsed = run_lanes(_classify_chunk, lane_args, warmup)
@@ -518,16 +528,34 @@ def bundle_from_json(text: str) -> ModelBundle:
     return build_bundle(models, config, meta)
 
 
+# The last bundle file load_bundle loaded: (its bytes, the bundle built from them).
+# It is replaced whole, so a concurrent caller sees the old entry or the new one.
+_last_load: tuple[bytes, ModelBundle] | None = None
+
+
 def load_bundle(path) -> ModelBundle:
-    """Read and validate a bundle file; a byte that is not UTF-8 is a BundleValidationError."""
+    """Read and validate a bundle file; a byte that is not UTF-8 is a BundleValidationError.
+
+    The file is read whole on every call. If its bytes equal those of the
+    last successful load, that load's bundle is returned without decoding
+    or checking them again, so identical bytes, by one path or two, may
+    give the same object, which callers must not mutate. A refused file
+    is never kept, so it raises on every call.
+    """
+    global _last_load
     with open(path, "rb") as fp:
         data = fp.read()
+    last = _last_load
+    if last is not None and last[0] == data:
+        return last[1]
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise BundleValidationError(
             f"bundle is not valid UTF-8 at byte offset {exc.start}") from None
-    return bundle_from_json(text)
+    bundle = bundle_from_json(text)
+    _last_load = (data, bundle)
+    return bundle
 
 
 def _fmt_float(value: float) -> str:

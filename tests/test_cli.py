@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import io
 import json
 import multiprocessing
 import os
@@ -13,7 +14,7 @@ import groupnb
 from groupnb import cli, engine
 from groupnb.bench import BenchConfig
 from groupnb.cli import main
-from groupnb.corpus import _BLOCK_CHARS, GroupingConfig, assign_group
+from groupnb.corpus import _BLOCK_CHARS, GroupingConfig, assign_group, parse_corpus
 from groupnb.engine import (_BLOCK, bundle_to_json, load_bundle, route, save_bundle,
                             train_bundle, train_bundles)
 
@@ -191,6 +192,25 @@ class TestPipeline:
                         "--out", str(out)) == 0
         assert f"(parallel, 2 lanes, {failing} errors)" in capsys.readouterr().out
         assert outs[0].read_text() == outs[1].read_text()
+
+    def test_classify_reads_a_bundle_file_replaced_between_calls(self, pipeline_files, capsys):
+        """Each in-process classify call scores with the bundle its file holds at that call."""
+        paths = pipeline_files
+        with open(paths["test"], encoding="utf-8") as fp:
+            samples = parse_corpus(fp, allow_unlabeled=True)
+        outputs = []
+        for k in ("10", "4"):
+            assert _run("train", "--in", str(paths["train"]), "--k", k,
+                        "--out", str(paths["bundle"])) == 0
+            assert _run("classify", "--bundle", str(paths["bundle"]), "--in", str(paths["test"]),
+                        "--out", str(paths["preds"])) == 0
+            fresh = engine.bundle_from_json(paths["bundle"].read_text(encoding="utf-8"))
+            run = engine.classify_sequential(fresh, engine.Workload(tuple(samples), 1))
+            expected = io.StringIO()
+            engine.write_predictions(run, samples, expected)
+            assert paths["preds"].read_text(encoding="utf-8") == expected.getvalue()
+            outputs.append(expected.getvalue())
+        assert outputs[0] != outputs[1]
 
     def test_score_counts_missing_predictions(self, pipeline_files, capsys):
         """An error line holding "[" sends its block of lines through per-line decoding."""

@@ -222,6 +222,20 @@ class TestBuildBundle:
         with pytest.raises(IntegrityError, match="^duplicate model for group 7$"):
             build_bundle([_model(100), _model(7), _model(7)], GroupingConfig(), _META)
 
+    def test_bundle_keeps_its_own_models_dict(self):
+        """A later change to the caller's dict does not reach the bundle or its scores."""
+        models = {g: _model(g) for g in (0, 1, 2)}
+        kept = dict(models)
+        bundle = ModelBundle(GroupingConfig(), models, _META)
+        m0 = models[0]
+        del models[0]
+        models[99] = m0
+        assert bundle.models == kept and bundle.trained_ids == (0, 1, 2)
+        samples = [s for g in (0, 1, 2) for s in two_class_group(g)]
+        workload = Workload(tuple(samples), lanes=1)
+        run = classify_sequential(bundle, workload, warmup=False)
+        assert [_exact(p) for p in run.predictions] == _oracle(_bundle(), samples)
+
 
 class TestRoute:
     @pytest.mark.parametrize("query,expected", [(2, 2), (3, 4), (6, 4), (0, 1), (1, 1)])
@@ -855,6 +869,65 @@ class TestBundleSerialization:
         path.write_bytes(bytes(data))
         with pytest.raises(BundleValidationError, match=f"not valid UTF-8 at byte offset {offset}$"):
             load_bundle(path)
+
+
+class TestLoadReuse:
+    """load_bundle keeps the last file it loaded; a bundle builds its score tables once."""
+
+    @pytest.fixture(autouse=True)
+    def _no_kept_load(self, monkeypatch):
+        monkeypatch.setattr(engine, "_last_load", None, raising=False)
+
+    def test_identical_bytes_decode_once(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_bundle(_bundle(), first)
+        save_bundle(_bundle(), second)
+        with mock.patch.object(engine, "_decode_json", wraps=engine._decode_json) as decode:
+            bundle = load_bundle(first)
+            assert load_bundle(first) is bundle
+            assert load_bundle(second) is bundle
+        assert decode.call_count == 1
+
+    def test_changed_bytes_of_the_same_length_load_again(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        save_bundle(_bundle(), path)
+        old = load_bundle(path)
+        stat = path.stat()
+        text = path.read_text(encoding="utf-8")
+        assert text.count('"k": 3') == 1
+        path.write_text(text.replace('"k": 3', '"k": 4'), encoding="utf-8")
+        assert path.stat().st_size == stat.st_size
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        new = load_bundle(path)
+        assert new is not old and (old.meta.k, new.meta.k) == (3, 4)
+        assert load_bundle(path) is new
+
+    def test_a_refused_file_raises_on_every_call(self, tmp_path):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        save_bundle(_bundle(), good)
+        bad.write_text(bundle_to_json(_bundle()).replace('"format": 3', '"format": 4'),
+                       encoding="utf-8")
+        bundle = load_bundle(good)
+        for _ in range(2):
+            with pytest.raises(BundleValidationError, match="^unsupported bundle format 4$"):
+                load_bundle(bad)
+        assert load_bundle(good) is bundle
+
+    def test_score_tables_are_built_once_per_bundle(self):
+        bundle = _bundle()
+        samples = _workload(bundle, 2 * _BLOCK, lanes=2).samples
+        fresh = _bundle()
+        expected = [_exact(p) for p in classify_sequential(
+            fresh, Workload(samples, 1), warmup=False).predictions]
+        build = engine._ScoreTables.build
+        with mock.patch.object(engine._ScoreTables, "build", side_effect=build) as spy:
+            runs = [classify_sequential(bundle, Workload(samples, 1), warmup=False)
+                    for _ in range(2)]
+            runs.append(classify_parallel(bundle, Workload(samples, 2), warmup=False))
+        assert spy.call_count == 1
+        assert [run.lanes for run in runs] == [1, 1, 2]
+        for run in runs:
+            assert [_exact(p) for p in run.predictions] == expected
 
 
 def _with_likelihoods(model, label, row):
