@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .corpus import CLASSES, Label, OpcodeHistogram, SampleRecord
@@ -67,13 +68,13 @@ class GroupModel:
     one value per feature, in feature order, whose exps sum to 1. The
     constructor checks this, a non-negative integer group, a FeatureSet
     and two mappings holding numbers (else BundleValidationError naming
-    the group); the smoothing alpha is the bundle's.
+    the group), and keeps read-only copies of the mappings; alpha is the bundle's.
     """
 
     group: int
     features: FeatureSet
-    log_prior: dict[Label, float]
-    log_likelihood: dict[Label, tuple[float, ...]]
+    log_prior: Mapping[Label, float]
+    log_likelihood: Mapping[Label, tuple[float, ...]]
 
     def __post_init__(self):
         where = f"model for group {self.group}"
@@ -84,8 +85,9 @@ class GroupModel:
         if not isinstance(self.features, FeatureSet):
             raise BundleValidationError(f"{where}: features is not a FeatureSet")
         for name in ("log_prior", "log_likelihood"):
-            if not isinstance(getattr(self, name), Mapping):
+            if not isinstance(value := getattr(self, name), Mapping):
                 raise BundleValidationError(f"{where}: {name} is not a mapping of class to values")
+            object.__setattr__(self, name, MappingProxyType(dict(value)))
         _check_distribution([self.log_prior.get(c, math.nan) for c in CLASSES], where, "priors")
         for c in CLASSES:
             row = self.log_likelihood.get(c)

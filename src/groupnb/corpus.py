@@ -39,6 +39,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -188,21 +189,22 @@ class GroupingConfig:
 class GroupedCorpus:
     """Samples bucketed by size group; only non-empty groups are present.
 
-    The constructor copies ``groups`` into a dict of its own, each
+    ``groups`` is a read-only view of the constructor's own copy, each
     group's samples a tuple, so a caller's later change to what it
-    passed in does not reach the corpus. _counts is engine.train_bundles'
-    memo of each group's counts and scores; it is not part of the
-    corpus's value (repr, equality).
+    passed in does not reach the corpus; a group changes only in a new
+    corpus. _counts is engine.train_bundles' memo of each group's
+    counts and scores, not part of the corpus's value (repr, equality).
     """
 
     config: GroupingConfig
-    groups: dict[int, tuple[SampleRecord, ...]]
-    # group -> (samples tuple, features.GroupCounts, features.ScoreTable)
+    groups: Mapping[int, tuple[SampleRecord, ...]]
+    # group -> (features.GroupCounts, features.ScoreTable)
     _counts: dict[int, tuple] = field(default_factory=dict, init=False, repr=False,
                                       compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "groups", {g: tuple(s) for g, s in self.groups.items()})
+        groups = {g: tuple(s) for g, s in self.groups.items()}
+        object.__setattr__(self, "groups", MappingProxyType(groups))
 
     def sample_count(self) -> int:
         return sum(len(samples) for samples in self.groups.values())

@@ -3,16 +3,16 @@
 A ModelBundle holds one trained model per trainable group; train_bundles
 trains one bundle per feature budget k, deriving each group's feature
 scores and every k's model from one count of its training histograms.
-The counts and scores are kept on the GroupedCorpus, so a sweep of
-train_bundle calls over one corpus counts each group once. Routing
-sends files from untrained groups to the nearest trained one (upward
-first). Bundles are saved as JSON, format 3
-(see bundle_to_json), and only that format loads. Each part of a bundle
+A corpus's groups cannot change, so the counts and scores are kept on
+it and a sweep of train_bundle calls over one corpus counts each group
+once. Routing sends files from untrained groups to the nearest trained
+one (upward first). Bundles are saved as JSON, format 3 (see
+bundle_to_json), and only that format loads. Each part of a bundle
 (GroupingConfig, BundleMeta, GroupModel, FeatureSet, and ModelBundle
-for how they fit together) checks its own invariants when built, and
-the loader checks only the document's shape: format 3 names each
-likelihood by its feature, so a per-class table's keys must be exactly
-the model's features, and the loader reads them in feature order.
+for how they fit together) checks its own invariants when built and
+cannot change after, and the loader checks only the document's shape:
+format 3 names each likelihood by its feature, so a per-class table's
+keys must be exactly the model's features, read in feature order.
 load_bundle keeps the last bundle it loaded, with the file's bytes, and
 returns it again for identical bytes without decoding them.
 
@@ -43,7 +43,8 @@ from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property, partial
 from itertools import repeat
-from typing import Iterable, Sequence, TextIO
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -113,17 +114,17 @@ class ModelBundle:
     """Immutable, non-empty collection of per-group models; safe for concurrent readers.
 
     Each model is stored under its own group, inside [0, config.group_count),
-    with at most meta.k features; else BundleValidationError. The
-    constructor copies ``models`` into a dict of its own, so a caller's
+    with at most meta.k features; else BundleValidationError. ``models``
+    is a read-only view of the constructor's own copy, so a caller's
     later change to the dict it passed in does not reach the bundle.
     """
 
     config: GroupingConfig
-    models: dict[int, GroupModel]
+    models: Mapping[int, GroupModel]
     meta: BundleMeta
 
     def __post_init__(self):
-        object.__setattr__(self, "models", dict(self.models))
+        object.__setattr__(self, "models", MappingProxyType(dict(self.models)))
         if not self.models:
             raise EmptyBundleError("bundle has no trained models")
         count, k = self.config.group_count, self.meta.k
@@ -214,25 +215,20 @@ def train_bundles(
     trainable group is counted once per corpus (features.count_group); its
     opcode scores and every k's model come from those counts, with the
     results and errors of score_opcodes, select_top_k and train_group.
-    The corpus keeps a group's counts and scores for later calls while
-    groups[g] is the same tuple; a group that fails to score keeps none,
-    so it fails again. Training draws no random numbers, so every
-    bundle's meta.seed is 0. The metas
-    are built last: a training error comes before BundleMeta's, and
-    BundleMeta's before EmptyBundleError (no group is trainable).
+    The corpus keeps a group's counts and scores for later calls; a group
+    that fails to score keeps none, so it fails again. Training draws no
+    random numbers, so every bundle's meta.seed is 0. The metas are built
+    last: a training error comes before BundleMeta's, and BundleMeta's
+    before EmptyBundleError (no group is trainable).
     """
     config = train.config
     groups = sorted(trainable_groups(train, config))
     models: dict[int, list[GroupModel]] = {k: [] for k in k_values}
     for g in groups:
-        samples = train.groups[g]
-        entry = train._counts.get(g)
-        if entry is None or entry[0] is not samples:
-            counts = count_group(samples)
-            entry = (samples, counts, score_counts(counts, group=g))
-            if type(samples) is tuple:  # a list could change under the same identity
-                train._counts[g] = entry
-        _, counts, table = entry
+        if (entry := train._counts.get(g)) is None:
+            counts = count_group(train.groups[g])
+            entry = train._counts[g] = (counts, score_counts(counts, group=g))
+        counts, table = entry
         for k, group_models in models.items():
             features = select_top_k(table, k)
             group_models.append(fit_counts(counts, features, alpha, group=g))
@@ -539,8 +535,8 @@ def load_bundle(path) -> ModelBundle:
     The file is read whole on every call. If its bytes equal those of the
     last successful load, that load's bundle is returned without decoding
     or checking them again, so identical bytes, by one path or two, may
-    give the same object, which callers must not mutate. A refused file
-    is never kept, so it raises on every call.
+    give the same object. A refused file is never kept, so it raises on
+    every call.
     """
     global _last_load
     with open(path, "rb") as fp:

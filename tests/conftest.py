@@ -1,7 +1,10 @@
 import multiprocessing
+import shutil
+import tempfile
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 # Property tests are part of tier-1, so they must be repeatable and leave
 # nothing behind: examples come from a fixed seed, no example database is
@@ -9,6 +12,18 @@ from hypothesis import settings
 # test keeps its own max_examples.
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    """Keep hypothesis's other files (its constants and charmap caches) out of the checkout.
+
+    database=None stops only the example database; the rest goes to a
+    directory of this session's own, removed when the session ends.
+    """
+    home = tempfile.mkdtemp(prefix="hypothesis-home-")
+    set_hypothesis_home_dir(home)
+    config.add_cleanup(lambda: shutil.rmtree(home))
+
 
 _ACCEPTANCE_LINES: list[str] = []
 

@@ -929,6 +929,28 @@ class TestLoadReuse:
         for run in runs:
             assert [_exact(p) for p in run.predictions] == expected
 
+    def test_a_shared_bundle_cannot_be_changed(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        save_bundle(_bundle(), path)
+        bundle = load_bundle(path)
+        model = bundle.models[0]
+        with pytest.raises(AttributeError):  # a read-only mapping has no clear method
+            bundle.models.clear()
+        with pytest.raises(TypeError):
+            del bundle.models[0]
+        with pytest.raises(TypeError):
+            bundle.models[0] = model
+        with pytest.raises(TypeError):
+            model.log_prior[Label.MALWARE] = 0.0
+        with pytest.raises(TypeError):
+            model.log_likelihood[Label.BENIGN] = ()
+        again = load_bundle(path)
+        assert bundle_to_json(again) == path.read_text(encoding="utf-8")
+        workload = _workload(again, 64, lanes=1)
+        fresh = bundle_from_json(path.read_text(encoding="utf-8"))
+        assert ([_exact(p) for p in classify_sequential(again, workload).predictions]
+                == [_exact(p) for p in classify_sequential(fresh, workload).predictions])
+
 
 def _with_likelihoods(model, label, row):
     return dataclasses.replace(model, log_likelihood={**model.log_likelihood, label: row})
@@ -1404,19 +1426,18 @@ class TestTrainBundle:
             k: bundle_to_json(b) for k, b in fresh.items()}
 
     def test_a_replaced_group_is_counted_again(self):
+        """A group is replaced only in a new corpus, which counts it afresh."""
         corpus = grouped(generate_synthetic(SyntheticSpec(4, 12, 40, 0.5, 3)))
         before = bundle_to_json(train_bundle(corpus, 5, created_at="t"))
-        corpus.groups[1] = corpus.groups[1][::2]
-        after = bundle_to_json(train_bundle(corpus, 5, created_at="t"))
-        fresh = GroupedCorpus(corpus.config, corpus.groups)
+        for value in (corpus.groups[1][::2], list(corpus.groups[1])):
+            with pytest.raises(TypeError):
+                corpus.groups[1] = value
+        replaced = GroupedCorpus(corpus.config, {**corpus.groups, 1: corpus.groups[1][::2]})
+        after = bundle_to_json(train_bundle(replaced, 5, created_at="t"))
+        fresh = GroupedCorpus(corpus.config, dict(replaced.groups))
         assert after == bundle_to_json(train_bundle(fresh, 5, created_at="t"))
         assert after != before
-        corpus.groups[1] = list(corpus.groups[1])
-        train_bundle(corpus, 5, created_at="t")
-        corpus.groups[1].extend(corpus.groups[2])  # in place, under the same identity
-        fresh = GroupedCorpus(corpus.config, corpus.groups)
-        assert (bundle_to_json(train_bundle(corpus, 5, created_at="t"))
-                == bundle_to_json(train_bundle(fresh, 5, created_at="t")))
+        assert bundle_to_json(train_bundle(corpus, 5, created_at="t")) == before
 
     def test_the_callers_lists_do_not_reach_the_corpus(self):
         samples = two_class_group(0)
