@@ -8,15 +8,15 @@ median-over-median speedup. The rows serialize to CSV deterministically.
 
 from __future__ import annotations
 
-import os
 import statistics
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 from typing import Sequence, TextIO
 
 from . import engine
 from .corpus import GroupedCorpus, SampleRecord
 from .engine import Workload
 from .errors import IntegrityError, InvalidConfigError, positive_int
+from .lanes import host_threads
 
 __all__ = [
     "BenchConfig",
@@ -41,7 +41,7 @@ def _check_positive_ints(name: str, values: Sequence[int]) -> None:
 class BenchConfig:
     k_values: tuple[int, ...] = (20, 40, 80, 100, 160, 200)
     batch_sizes: tuple[int, ...] = (768, 1536, 3072, 6144, 12288)
-    lanes: int = os.cpu_count() or 1  # at most this many lanes per parallel run
+    lanes: int = field(default_factory=host_threads)  # at most this many lanes per parallel run
     repetitions: int = 5
 
     def __post_init__(self):

@@ -41,7 +41,7 @@ import json
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, TextIO
@@ -524,11 +524,6 @@ def bundle_from_json(text: str) -> ModelBundle:
     return build_bundle(models, config, meta)
 
 
-# The last bundle file load_bundle loaded: (its bytes, the bundle built from them).
-# It is replaced whole, so a concurrent caller sees the old entry or the new one.
-_last_load: tuple[bytes, ModelBundle] | None = None
-
-
 def load_bundle(path) -> ModelBundle:
     """Read and validate a bundle file; a byte that is not UTF-8 is a BundleValidationError.
 
@@ -538,20 +533,19 @@ def load_bundle(path) -> ModelBundle:
     give the same object. A refused file is never kept, so it raises on
     every call.
     """
-    global _last_load
     with open(path, "rb") as fp:
         data = fp.read()
-    last = _last_load
-    if last is not None and last[0] == data:
-        return last[1]
+    return _decode_bundle(data)
+
+
+@lru_cache(maxsize=1)
+def _decode_bundle(data: bytes) -> ModelBundle:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise BundleValidationError(
             f"bundle is not valid UTF-8 at byte offset {exc.start}") from None
-    bundle = bundle_from_json(text)
-    _last_load = (data, bundle)
-    return bundle
+    return bundle_from_json(text)
 
 
 def _fmt_float(value: float) -> str:

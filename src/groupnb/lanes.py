@@ -12,18 +12,26 @@ receives every worker's result in lane order, so the elapsed time
 leaves out process start-up and warm-up. A worker that dies before
 returning its result raises LaneError, a worker whose caller has gone
 exits quietly, and every worker is joined before run_lanes returns or
-raises.
+raises. host_threads() counts the CPUs this process may run on.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from typing import Callable, Sequence
 
 from .errors import LaneError
 
 __all__: list[str] = []
+
+
+def host_threads() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _lane(conn, caller_ends, body: Callable, args: tuple, warmup: bool) -> None:

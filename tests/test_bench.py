@@ -2,7 +2,6 @@
 
 import csv
 import io
-import os
 
 import pytest
 
@@ -17,6 +16,7 @@ from groupnb.bench import (
 from groupnb.corpus import Label
 from groupnb.engine import _BLOCK, train_bundle, train_bundles
 from groupnb.errors import IntegrityError, InvalidConfigError
+from groupnb.lanes import host_threads
 
 from helpers import grouped, make_sample, two_class_group
 
@@ -50,7 +50,7 @@ class TestBenchConfig:
         assert config.k_values == (20, 40, 80, 100, 160, 200)
         assert config.batch_sizes == (768, 1536, 3072, 6144, 12288)
         assert config.repetitions == 5
-        assert config.lanes == (os.cpu_count() or 1)
+        assert config.lanes == host_threads()
 
     @pytest.mark.parametrize(
         "kwargs",

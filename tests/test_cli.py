@@ -118,7 +118,8 @@ class TestPipeline:
                                                   monkeypatch):
         """Byte-identical output below and at two kernel blocks; the summary names the lanes."""
         paths = pipeline_files
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # so --lanes 3 is not capped
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)  # so --lanes 3 is not capped
         _run("train", "--in", str(paths["train"]), "--k", "10", "--out", str(paths["bundle"]))
         big = cycled(paths["test"], 2 * _BLOCK)
         for source, lanes in ((paths["test"], "1 lane"), (big, "2 lanes")):
@@ -133,10 +134,12 @@ class TestPipeline:
 
     def test_parallel_lanes_default_to_the_hardware_threads(self, pipeline_files, tmp_path,
                                                             capsys, monkeypatch):
+        """3 * 512 samples would get 3 lanes; this process may use 2 of the machine's 8 CPUs."""
         paths = pipeline_files
         _run("train", "--in", str(paths["train"]), "--k", "10", "--out", str(paths["bundle"]))
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        big = cycled(paths["test"], 2 * _BLOCK)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        big = cycled(paths["test"], 3 * _BLOCK)
         outs = [tmp_path / "seq.jsonl", tmp_path / "par.jsonl"]
         for mode, out in zip(("--sequential", "--parallel"), outs):
             capsys.readouterr()
@@ -147,10 +150,11 @@ class TestPipeline:
 
     def test_lanes_flag_is_capped_at_the_hardware_threads(self, pipeline_files, tmp_path,
                                                           capsys, monkeypatch):
-        """3 * 512 samples would get 3 lanes; the host's 2 threads cap them at 2."""
+        """3 * 512 samples would get 3 lanes; the 2 CPUs this process may use cap them at 2."""
         paths = pipeline_files
         _run("train", "--in", str(paths["train"]), "--k", "10", "--out", str(paths["bundle"]))
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         capsys.readouterr()
         assert _run("classify", "--bundle", str(paths["bundle"]),
                     "--in", str(cycled(paths["test"], 3 * _BLOCK)), "--parallel",

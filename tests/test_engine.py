@@ -54,6 +54,7 @@ from groupnb.errors import (
 )
 from groupnb.classifier import CLASSES, GroupModel, predict, train_group
 from groupnb.features import FeatureSet, score_opcodes, select_top_k
+from groupnb.lanes import host_threads
 
 from groupnb.synth import SyntheticSpec, generate_synthetic, vocabulary
 
@@ -533,6 +534,14 @@ class TestClassifyParallel:
         assert run.lanes == 1
 
 
+@pytest.mark.parametrize("cpus, expected", [(8, 8), (None, 1)])
+def test_host_threads_falls_back_to_the_machine_without_an_affinity_set(cpus, expected,
+                                                                        monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert host_threads() == expected
+
+
 def _exact(prediction):
     """A prediction with its scores as float.hex, so -0.0 and 0.0 differ."""
     if prediction is None:
@@ -875,8 +884,8 @@ class TestLoadReuse:
     """load_bundle keeps the last file it loaded; a bundle builds its score tables once."""
 
     @pytest.fixture(autouse=True)
-    def _no_kept_load(self, monkeypatch):
-        monkeypatch.setattr(engine, "_last_load", None, raising=False)
+    def _no_kept_load(self):
+        engine._decode_bundle.cache_clear()
 
     def test_identical_bytes_decode_once(self, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
@@ -1375,7 +1384,8 @@ def test_classify_property():
                 seen["groups"].add("trained" if group in ids else "below" if group < ids[0]
                                    else "above" if group > ids[-1] else "between")
 
-    with mock.patch.object(os, "cpu_count", lambda: 4):  # so --lanes 4 is not capped
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(4)),
+                           create=True):  # so --lanes 4 is not capped
         check()
     assert seen == {"lanes": {1, 2, 3, 4}, "errors": {"size_bytes", "log-score"},
                     "groups": {"trained", "below", "above", "between"}}

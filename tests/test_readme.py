@@ -1,6 +1,5 @@
 """The README's Quick start commands and Python API block run, or parse, as written."""
 
-import os
 import shlex
 from pathlib import Path
 
@@ -9,6 +8,7 @@ import pytest
 from groupnb import BenchConfig, SyntheticSpec, bench, generate_synthetic
 from groupnb.cli import build_parser, main
 from groupnb.corpus import serialize_sample
+from groupnb.lanes import host_threads
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -55,7 +55,7 @@ def test_quick_start_bench_block_parses():
 
 def test_bench_lanes_default_as_classify_does():
     classify = build_parser().parse_args(["classify", "--bundle", "a", "--in", "b", "--out", "c"])
-    assert BenchConfig().lanes == classify.lanes == (os.cpu_count() or 1)
+    assert BenchConfig().lanes == classify.lanes == host_threads()
 
 
 @pytest.mark.parametrize("flags, expected", [
