@@ -413,13 +413,17 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
 def serialize_sample(record: SampleRecord) -> str:
     """One canonical JSONL line for a record (opcode keys sorted).
 
-    Unlabeled records omit the label field, mirroring parse_corpus.
+    Unlabeled records omit the label field, mirroring parse_corpus. A
+    histogram whose keys already ascend, as generate_synthetic's do, is
+    written as it is; any other is rebuilt in sorted key order.
     """
     obj: dict = {"id": record.id}
     if record.label is not Label.UNKNOWN:
         obj["label"] = record.label.value
     obj["size_bytes"] = record.size_bytes
-    obj["opcodes"] = {op: record.histogram.entries[op] for op in sorted(record.histogram.entries)}
+    entries = record.histogram.entries
+    names = [*entries]
+    obj["opcodes"] = entries if names == sorted(names) else {op: entries[op] for op in sorted(names)}
     return json.dumps(obj)
 
 

@@ -5,13 +5,16 @@ counts from its own categorical distribution over a shared vocabulary,
 and a divergence knob controls how far apart the two distributions are.
 At divergence 0 the classes are indistinguishable; at 1 their supports
 are disjoint, so a trained classifier can reach perfect held-out
-accuracy. Same spec and seed always produce the same corpus.
+accuracy. Same spec and seed always produce the same corpus. Each
+histogram lists its opcodes in vocabulary order, which is ascending, with
+zero draws dropped, so serialize_sample writes it as it is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -82,6 +85,8 @@ def generate_synthetic(spec: SyntheticSpec) -> list[SampleRecord]:
     Every (group, class) cell gets samples_per_group_per_class records;
     sizes are uniform within the group's byte range and each histogram
     is a multinomial draw whose total count grows with the file size.
+    Its entries follow the vocabulary, in ascending order of the names,
+    and a name drawn zero times is absent.
     """
     group_size_bytes = GroupingConfig.group_size_bytes
     vocab = vocabulary(spec.vocabulary_size)
@@ -98,8 +103,8 @@ def generate_synthetic(spec: SyntheticSpec) -> list[SampleRecord]:
             for j in range(spec.samples_per_group_per_class):
                 size = int(rng.integers(lo, hi))
                 draws = _BASE_DRAWS + size // _BYTES_PER_DRAW
-                counts = rng.multinomial(draws, probs)
-                entries = {vocab[i]: int(n) for i, n in enumerate(counts) if n}
+                counts = rng.multinomial(draws, probs).tolist()
+                entries = dict(compress(zip(vocab, counts), counts))
                 samples.append(
                     SampleRecord(
                         id=f"{prefix}{g:03d}-{j:04d}",

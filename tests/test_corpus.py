@@ -710,6 +710,58 @@ class TestLineBreaks:
         assert self._from_file(tmp_path, text, tokenize_disassembly) == got
 
 
+def _sorted_dumps(record):
+    """The serializer's text as a rebuild in sorted key order makes it."""
+    obj = {"id": record.id}
+    if record.label is not Label.UNKNOWN:
+        obj["label"] = record.label.value
+    obj["size_bytes"] = record.size_bytes
+    obj["opcodes"] = {op: record.histogram.entries[op] for op in sorted(record.histogram.entries)}
+    return json.dumps(obj)
+
+
+class TestSerializeSample:
+    @staticmethod
+    def _record(entries, label=Label.BENIGN):
+        return SampleRecord(id="s", label=label, size_bytes=100, histogram=OpcodeHistogram(entries))
+
+    @pytest.mark.parametrize("entries", [
+        {"add": 2, "mov": 3, "xor": 1},
+        {"xor": 1, "add": 2, "mov": 3},
+        {"j": 1, "ja": 2, "jmp": 3, "jz": 4},
+        {"jz": 4, "jmp": 3, "ja": 2, "j": 1},
+        {"jmp": 3, "j": 1, "jz": 4, "ja": 2},
+        {},
+    ])
+    def test_text_is_the_sorted_rebuild(self, entries):
+        record = self._record(entries)
+        assert serialize_sample(record) == _sorted_dumps(record)
+        assert [*json.loads(serialize_sample(record))["opcodes"]] == sorted(entries)
+
+    def test_parsed_unsorted_histogram(self):
+        line = '{"id":"s","label":"benign","size_bytes":100,"opcodes":{"xor": 1, "add": 2, "MOV": 3}}'
+        (record,) = parse_corpus(line)
+        assert [*record.histogram.entries] == ["xor", "add", "mov"]
+        text = serialize_sample(record)
+        assert text == _sorted_dumps(record)
+        assert text == serialize_sample(self._record({"xor": 1, "add": 2, "mov": 3}))
+        assert '"opcodes": {"add": 2, "mov": 3, "xor": 1}' in text
+
+    def test_unlabeled_record_has_no_label_key(self):
+        record = self._record({"ret": 1, "call": 5}, Label.UNKNOWN)
+        text = serialize_sample(record)
+        assert text == _sorted_dumps(record)
+        assert [*json.loads(text)] == ["id", "size_bytes", "opcodes"]
+
+    def test_unorderable_keys_raise_as_before(self):
+        with pytest.raises(TypeError):
+            serialize_sample(self._record({"mov": 1, 2: 3}))
+
+    def test_generated_corpus_text_is_the_sorted_rebuild(self):
+        for sample in generate_synthetic(SyntheticSpec(3, 4, 120, 0.4, 5)):
+            assert serialize_sample(sample) == _sorted_dumps(sample)
+
+
 class TestTokenizeDisassembly:
     def test_counts_first_tokens_case_folded(self):
         h = tokenize_disassembly("MOV eax, ebx\njmp label\nmov ecx, 1")

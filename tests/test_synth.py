@@ -154,3 +154,50 @@ class TestGenerateSynthetic:
                 assert support <= first_half
             else:
                 assert support <= second_half
+
+
+def _replayed(spec):
+    """The generator's draws replayed with the per-element rule: a name per nonzero count.
+
+    Same default_rng(seed) calls in the same order (integers, then
+    multinomial, per cell), so the comparison holds on any numpy version.
+    """
+    vocab = vocabulary(spec.vocabulary_size)
+    width = GroupingConfig().group_size_bytes
+    rng = np.random.default_rng(spec.seed)
+    rows = []
+    for g in range(spec.group_count):
+        for label, prefix, probs in zip((Label.MALWARE, Label.BENIGN), "mb", class_distributions(spec)):
+            for j in range(spec.samples_per_group_per_class):
+                size = int(rng.integers(g * width, (g + 1) * width))
+                counts = rng.multinomial(64 + size // 64, probs)
+                entries = {vocab[i]: int(n) for i, n in enumerate(counts) if n}
+                rows.append((f"{prefix}{g:03d}-{j:04d}", label, size, list(entries.items())))
+    return rows
+
+
+class TestGeneratorReplay:
+    SPECS = [
+        _spec(vocabulary_size=3, divergence=1.0),  # many zero draws
+        _spec(vocabulary_size=2, divergence=0.3),
+        _spec(group_count=2, vocabulary_size=120, seed=7),  # 3-digit names
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_matches_the_per_element_rule(self, spec):
+        got = [
+            (s.id, s.label, s.size_bytes, list(s.histogram.entries.items()))
+            for s in generate_synthetic(spec)
+        ]
+        assert got == _replayed(spec)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_keys_ascend_and_counts_are_positive(self, spec):
+        """The property serialize_sample's write-as-is path relies on."""
+        samples = generate_synthetic(spec)
+        for sample in samples:
+            names = [*sample.histogram.entries]
+            assert names == sorted(names)
+            assert min(sample.histogram.entries.values()) > 0
+        keys = [key for s in samples for key in s.histogram.entries]
+        assert len({*map(id, keys)}) == len({*keys})  # one string per vocabulary name
