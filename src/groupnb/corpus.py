@@ -30,6 +30,22 @@ line holds exactly each line's document:
 
 Any other block is decoded line by line; parse_corpus states how the
 histograms share their key strings either way.
+
+Whichever way a line is decoded, its counts are checked by one sum when
+its text does not hold "true" (_plain_counts). A JSON true is written
+only as that literal, so such a line has no count that is the bool
+True, and its counts are exact positive ints whose sum converts to
+float exactly when:
+
+- type(sum(counts)) is int. Summing stays in int only over ints and
+  bools: a float makes the running sum a float, which no later count
+  turns back into an int; a str, null, array or object raises
+  TypeError; a huge int beside a float raises OverflowError. Either
+  exception means the counts are not plain.
+- min(counts) > 0, which also rejects a false, the bool 0.
+- The sum converts to float, so each count, no larger, does too.
+
+A line whose text holds "true" has the type of each count checked.
 """
 
 from __future__ import annotations
@@ -73,6 +89,7 @@ class Label(Enum):
 
 # The two training classes, in the order of every per-class table.
 CLASSES = (Label.MALWARE, Label.BENIGN)
+_CLASS_BY_VALUE = {label.value: label for label in CLASSES}
 
 
 @dataclass(frozen=True)
@@ -98,13 +115,20 @@ class OpcodeHistogram:
         return cls(_fold_counts(counts))
 
 
-def _plain_counts(values: Collection) -> bool:
-    """The kept-line rule: exact int counts (bool excluded), all positive, their sum a float."""
-    return (
-        {*map(type, values)} <= {int}
-        and min(values, default=1) > 0
-        and _fits_float(sum(values))
-    )
+def _plain_counts(values: Collection, may_hold_true: bool) -> bool:
+    """The kept-line rule: exact int counts (bool excluded), all positive, their sum a float.
+
+    With ``may_hold_true`` (the line's text holds "true") the type of
+    each count is checked; without it, one sum checks them all (see the
+    module docstring).
+    """
+    if may_hold_true and not {*map(type, values)} <= {int}:
+        return False
+    try:
+        total = sum(values)
+    except (TypeError, OverflowError):  # a str, null, array or object; huge int beside a float
+        return False
+    return type(total) is int and min(values, default=1) > 0 and _fits_float(total)
 
 
 def _fits_float(n: int) -> bool:
@@ -132,20 +156,25 @@ def _fold_counts(counts: Mapping[str, int]) -> dict[str, int]:
     return entries
 
 
-def _shared_histogram(ops: dict, names: dict[str, str]) -> OpcodeHistogram:
+def _shared_histogram(ops: dict, names: dict[str, str], may_hold_true: bool) -> OpcodeHistogram:
     """OpcodeHistogram.from_counts(ops), keyed by shared strings.
 
     ``names`` maps every canonical mnemonic met so far in one parse to
-    the one string that stands for it. A line of known names that passes
-    _plain_counts keeps its dict. Any other line goes through from_counts
-    (folding case, dropping zeros, or raising its ValueError) and is
-    re-keyed through ``names``, which its new names join. parse_corpus
-    states the bound.
+    the one string that stands for it; ``may_hold_true`` is False when
+    the line's text holds no "true" (see _plain_counts). A line of known
+    names whose counts are plain keeps its dict. A line of plain counts
+    and canonical names (non-empty, unchanged by lower()) is the dict
+    from_counts would return, so it is re-keyed through ``names`` as it
+    is, and its new names join. Any other line goes through _fold_counts
+    (folding case, dropping zeros, or raising from_counts' ValueError)
+    before it is re-keyed. parse_corpus states the bound.
     """
-    if ops.keys() <= names.keys() and _plain_counts(ops.values()):
+    plain = _plain_counts(ops.values(), may_hold_true)
+    if plain and ops.keys() <= names.keys():
         return OpcodeHistogram(ops)
-    entries = OpcodeHistogram.from_counts(ops).entries
-    return OpcodeHistogram(dict(zip(map(names.setdefault, entries, entries), entries.values())))
+    if not (plain and all(ops) and (joined := "\0".join(ops)).lower() == joined):
+        ops = _fold_counts(ops)
+    return OpcodeHistogram(dict(zip(map(names.setdefault, ops, ops), ops.values())))
 
 
 @dataclass(frozen=True)
@@ -271,7 +300,7 @@ def _line_blocks(stream: Iterable[str] | str) -> Iterator[tuple[list[int], list[
         for line_no, line in enumerate(_lines(stream), start=1):
             if not isinstance(line, str):
                 raise ParseError(line_no, f"line is not text, got {type(line).__name__}")
-            if not line.strip():
+            if not line or line.isspace():
                 continue
             line_nos.append(line_no)
             lines.append(line)
@@ -308,8 +337,9 @@ def _decode_block(lines: list[str]) -> list | None:
     return docs if len(docs) == len(lines) else None
 
 
-def _documents(stream: Iterable[str] | str, names: dict[str, str]) -> Iterator[tuple[int, object]]:
-    """(line number, JSON document) for each non-blank line, in line order.
+def _documents(stream: Iterable[str] | str,
+               names: dict[str, str]) -> Iterator[tuple[int, object, bool]]:
+    """(line number, JSON document, whether the line holds "true") per non-blank line, in order.
 
     A block that _decode_block cannot decode as one has its lines
     decoded one at a time, each only once the lines before it have been
@@ -323,14 +353,14 @@ def _documents(stream: Iterable[str] | str, names: dict[str, str]) -> Iterator[t
     for line_nos, lines in _line_blocks(stream):
         docs = _decode_block(lines)
         if docs is not None:
-            yield from zip(line_nos, docs)
+            yield from zip(line_nos, docs, ["true" in line for line in lines])
             continue
         for line_no, line in zip(line_nos, lines):
             try:
                 obj = _decode_json(line, share_keys)
             except ValueError as exc:
                 raise ParseError(line_no, f"invalid JSON: {exc}") from None
-            yield line_no, obj
+            yield line_no, obj, "true" in line
 
 
 def _record_header(line_no: int, obj, seen: set[str], allow_unlabeled: bool) -> tuple[str, Label]:
@@ -355,9 +385,8 @@ def _record_header(line_no: int, obj, seen: set[str], allow_unlabeled: bool) -> 
             raise ParseError(line_no, "missing 'label'")
         return rid, Label.UNKNOWN
     raw_label = obj["label"]
-    for label in CLASSES:
-        if raw_label == label.value:
-            return rid, label
+    if isinstance(raw_label, str) and raw_label in _CLASS_BY_VALUE:
+        return rid, _CLASS_BY_VALUE[raw_label]
     raise ParseError(line_no, f"unknown label {raw_label!r}")
 
 
@@ -375,14 +404,22 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
     (exact, as the module docstring shows); any other block is decoded
     line by line.
 
+    A line's counts are checked by one sum when its text holds no
+    "true" (no count can then be the bool True; the module docstring
+    gives the proof), and count by count when it does.
+
     The histograms share key strings through one table per call. A
-    line of known names and positive counts keeps its decoded dict, on
-    the decoder's strings in a jointly decoded block and on the table's
-    for a line decoded alone (see _documents). Any other line is built
-    by from_counts and re-keyed through the table, which its new names
-    join. So a mnemonic has at most one string per jointly decoded block
-    plus one for the call. Records and error texts are those of one
-    json.loads and one from_counts call per line.
+    line of known names and plain counts (positive ints whose sum is a
+    float) keeps its decoded dict, on the decoder's strings in a jointly
+    decoded block and on the table's for a line decoded alone (see
+    _documents). A line of plain counts and canonical names (non-empty,
+    lowercase) is re-keyed through the table as it is, and its new names
+    join. Only a line with a count that is not plain, or a name that
+    from_counts would fold or refuse, goes through from_counts'
+    _fold_counts before it is re-keyed. So a mnemonic has at most one
+    string per jointly decoded block plus one for the call. Records and
+    error texts are those of one json.loads and one from_counts call per
+    line.
 
     Raises ParseError (with line number) on a malformed line and
     IntegrityError on a duplicate id, at the first bad line; an error
@@ -391,7 +428,7 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
     records: list[SampleRecord] = []
     seen: set[str] = set()
     names: dict[str, str] = {}
-    for line_no, obj in _documents(stream, names):
+    for line_no, obj, may_hold_true in _documents(stream, names):
         rid, label = _record_header(line_no, obj, seen, allow_unlabeled)
 
         size = obj.get("size_bytes")
@@ -402,7 +439,7 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
         if not isinstance(raw_ops, dict):
             raise ParseError(line_no, "'opcodes' must be an object")
         try:
-            histogram = _shared_histogram(raw_ops, names)
+            histogram = _shared_histogram(raw_ops, names, may_hold_true)
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
 

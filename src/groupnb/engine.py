@@ -43,6 +43,7 @@ from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property, lru_cache, partial
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _json_str
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -548,24 +549,36 @@ def _decode_bundle(data: bytes) -> ModelBundle:
     return bundle_from_json(text)
 
 
-def _fmt_float(value: float) -> str:
-    """17 significant digits, which round-trip IEEE-754 binary64 exactly."""
-    return format(float(value), ".17g")
+# One %-format per prediction line, with the label's JSON text built in.
+# "%.17g" writes 17 significant digits, the digits of format(x, ".17g"),
+# which round-trip IEEE-754 binary64 exactly.
+_PREDICTION_LINE = {
+    label: f'{{"id": %s, "label": {json.dumps(label.value)}, '
+           f'"log_posterior": {{"malware": %.17g, "benign": %.17g}}, "effective_group": %s}}\n'
+    for label in Label
+}
+_ERROR_LINE = '{"id": %s, "error": %s}\n'
 
 
 def write_predictions(run: TimedRun, samples: Sequence[SampleRecord], sink: TextIO) -> None:
-    """Emit one JSONL object per input sample (error entries included)."""
+    """Emit one JSONL object per input sample (error entries included), in one sink.write.
+
+    Each line is one %-format: the id and an error message are written by
+    encode_basestring_ascii, the function json.dumps calls for a str, and
+    the text is that of json.dumps and format(score, ".17g"). Prediction
+    i is run.predictions[i], so a run with fewer predictions than samples
+    raises IndexError, and then nothing is written.
+    """
     by_index = dict(run.errors)
+    predictions = run.predictions
+    lines = []
     for i, sample in enumerate(samples):
-        prediction = run.predictions[i]
+        prediction = predictions[i]
         if prediction is None:
-            sink.write(json.dumps({"id": sample.id, "error": by_index[i]}) + "\n")
+            lines.append(_ERROR_LINE % (_json_str(sample.id), _json_str(by_index[i])))
             continue
         scores = prediction.log_posterior
-        sink.write(
-            f'{{"id": {json.dumps(sample.id)}, '
-            f'"label": {json.dumps(prediction.label.value)}, '
-            f'"log_posterior": {{"malware": {_fmt_float(scores[Label.MALWARE])}, '
-            f'"benign": {_fmt_float(scores[Label.BENIGN])}}}, '
-            f'"effective_group": {prediction.effective_group}}}\n'
-        )
+        lines.append(_PREDICTION_LINE[prediction.label] % (
+            _json_str(sample.id), scores[Label.MALWARE], scores[Label.BENIGN],
+            prediction.effective_group))
+    sink.write("".join(lines))

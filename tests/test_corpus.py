@@ -668,6 +668,111 @@ class TestParseProperty:
         self._check(case, allow_unlabeled)
 
 
+# Count flaws: the opcodes entries that a line adds, as raw JSON text.
+_COUNT_FLAWS = {
+    "true": '"mov": true', "false": '"mov": false', "float": '"mov": 1.5',
+    "integral_float": '"mov": 2.0', "str": '"mov": "3"', "null": '"mov": null',
+    "object": '"mov": {}', "array": '"mov": [1]', "negative": '"mov": -2', "zero": '"mov": 0',
+    "huge": f'"mov": {2**1024}', "sum_past_float": f'"mov": {2**1023}, "add": {2**1023}',
+    "huge_then_float": f'"mov": {2**1024}, "add": 1.5',
+    "float_then_huge": f'"add": 1.5, "mov": {2**1024}',
+    "float_then_str": '"add": 1.5, "mov": "3"',
+    "false_only_zero": '"mov": false, "add": 0', "none": '"mov": 4',
+}
+
+
+class TestCountRule:
+    """A line without "true" has its counts checked by one sum; the records stay those of from_counts."""
+
+    @staticmethod
+    def _flawed(flaw, true_at, sid="f"):
+        sid = "true-" + sid if true_at == "id" else sid
+        field = ', "x": true' if true_at == "field" else ""
+        return ('{"id": "%s", "label": "benign", "size_bytes": 20, "opcodes": {"xor": 2, %s}%s}'
+                % (sid, _COUNT_FLAWS[flaw], field))
+
+    @pytest.mark.parametrize("first", [False, True], ids=["known_names", "new_names"])
+    @pytest.mark.parametrize("joint", [True, False], ids=["joint", "alone"])
+    @pytest.mark.parametrize("true_at", ["nowhere", "id", "field"])
+    @pytest.mark.parametrize("flaw", sorted(_COUNT_FLAWS))
+    def test_each_count_flaw_matches_one_from_counts_per_line(self, monkeypatch, flaw, true_at,
+                                                             joint, first):
+        spy, blocks = _block_spy()
+        monkeypatch.setattr(corpus, "_decode_block", spy)
+        clean = [_line("c0", {"mov": 1, "add": 2, "xor": 3}), _line("c1", {"mov": 5})]
+        if not joint:
+            clean.append(_line("[c2]", {"add": 1}))
+        flawed = self._flawed(flaw, true_at)
+        lines = [flawed, *clean] if first else [clean[0], flawed, *clean[1:]]
+        got = _outcome(parse_corpus, lines)
+        assert got == _outcome(_oracle_parse, lines)
+        assert blocks == [joint and "[" not in flawed]
+        assert got[0] == ("ok" if flaw in ("none", "zero", "sum_past_float") else "error")
+        if got[0] == "error":
+            assert got[3] == lines.index(flawed) + 1
+
+    @pytest.mark.parametrize("true_at", ["nowhere", "id", "field"])
+    def test_each_flaw_in_one_block_of_many_lines(self, true_at):
+        """Every flaw on its own line of one block: the first bad line is the one reported."""
+        for flaw in sorted(_COUNT_FLAWS):
+            lines = [_line(f"c{i}", {"mov": i + 1}) for i in range(3)]
+            lines.insert(2, self._flawed(flaw, true_at))
+            lines.insert(1, self._flawed("none", true_at, sid="ok"))
+            for allow in (False, True):
+                assert _outcome(parse_corpus, lines, allow) == _outcome(_oracle_parse, lines, allow)
+
+    _JSON_VALUES = st.one_of(
+        st.integers(-3, 3), st.integers(2**1000, 2**1030), st.booleans(), st.none(),
+        st.floats(allow_nan=True), st.text(max_size=2), st.just({}), st.just([1]))
+
+    @settings(max_examples=400)
+    @given(st.lists(_JSON_VALUES | st.integers(1, 2**60), max_size=6))
+    def test_one_sum_is_the_per_count_rule_without_true(self, values):
+        plain = all(type(v) is int for v in values) and min(values, default=1) > 0
+        if plain:
+            try:
+                float(sum(values))
+            except OverflowError:
+                plain = False
+        assert corpus._plain_counts(values, True) is plain
+        if not any(v is True for v in values):
+            assert corpus._plain_counts(values, False) is plain
+
+    def test_fold_counts_runs_only_for_lines_it_changes(self, monkeypatch):
+        calls = []
+        fold = corpus._fold_counts
+        monkeypatch.setattr(corpus, "_fold_counts", lambda counts: calls.append(counts) or fold(counts))
+        samples = generate_synthetic(SyntheticSpec(6, 8, 40, 0.5, 3))
+        lines = [*map(serialize_sample, samples)]
+        assert parse_corpus(lines) == samples
+        assert calls == []
+        folded = [_line("m", {"MOV": 1}), _line("z", {"mov": 0, "add": 1}), _line("e", {"": 1}),
+                  _line("s", {"Σ": 1})]
+        lines[3:3], lines[10:10] = folded[:2], folded[2:3]
+        with pytest.raises(ParseError, match="^line 11: opcode mnemonic must be a non-empty"):
+            parse_corpus(lines)
+        assert len(calls) == 3
+        calls.clear()
+        lines[10] = folded[3]
+        got = _outcome(parse_corpus, lines)
+        assert len(calls) == 3
+        assert got == _outcome(_oracle_parse, lines)
+
+    @pytest.mark.parametrize("names", [["é", "ς"], ["mo\\u0000v", "jmp"], ["a", "b", "c"]],
+                             ids=["non_ascii", "nul", "ascii"])
+    def test_new_canonical_names_join_the_table_unfolded(self, monkeypatch, names):
+        calls = []
+        fold = corpus._fold_counts
+        monkeypatch.setattr(corpus, "_fold_counts", lambda counts: calls.append(counts) or fold(counts))
+        lines = ['{"id": "%s", "label": "malware", "size_bytes": 1, "opcodes": {%s}}'
+                 % (i, ", ".join(f'"{n}": {i + j + 1}' for j, n in enumerate(names)))
+                 for i in range(3)]
+        records = parse_corpus(lines)
+        assert calls == []
+        assert records == _oracle_parse(lines)
+        assert max(_strings_per_name(records).values()) == 1
+
+
 class TestLineBreaks:
     """A text corpus breaks at universal newlines only, as a file read in text mode does."""
 

@@ -52,7 +52,7 @@ from groupnb.errors import (
     MeasurementError,
     SizeRangeError,
 )
-from groupnb.classifier import CLASSES, GroupModel, predict, train_group
+from groupnb.classifier import CLASSES, GroupModel, decide, predict, train_group
 from groupnb.features import FeatureSet, score_opcodes, select_top_k
 from groupnb.lanes import host_threads
 
@@ -1551,3 +1551,72 @@ class TestWritePredictions:
         assert lines[0]["label"] in ("malware", "benign")
         assert set(lines[0]["log_posterior"]) == {"malware", "benign"}
         assert lines[2] == {"id": "big", "error": "size_bytes 512000 outside [0, 512000)"}
+
+    @staticmethod
+    def _f_string_writer(run, samples, sink):
+        """The writer as it was before the one-format lines: an f-string and writes per line."""
+        by_index = dict(run.errors)
+        for i, sample in enumerate(samples):
+            prediction = run.predictions[i]
+            if prediction is None:
+                sink.write(json.dumps({"id": sample.id, "error": by_index[i]}) + "\n")
+                continue
+            scores = prediction.log_posterior
+            sink.write(
+                f'{{"id": {json.dumps(sample.id)}, '
+                f'"label": {json.dumps(prediction.label.value)}, '
+                f'"log_posterior": {{"malware": {format(float(scores[Label.MALWARE]), ".17g")}, '
+                f'"benign": {format(float(scores[Label.BENIGN]), ".17g")}}}, '
+                f'"effective_group": {prediction.effective_group}}}\n'
+            )
+
+    _IDS = ['plain', 'quote"d', 'back\\slash', 'tab\tnew\nline\x00\x1f\x7f', 'café  ',
+            '\U0001f600 astral \U00010000', '\ud800 lone surrogate', '/slash', 'é']
+    _SCORES = [(-0.0, 0.0), (5e-324, -5e-324), (1e308, -1e308), (-1.5, -1.5),
+               (-123.456789012345678, -0.1), (math.pi, -math.e), (-2.0 ** -1022, 1.0)]
+
+    def _run(self, predictions_short_by=0):
+        samples, predictions, errors = [], [], []
+        for i, sid in enumerate(self._IDS):
+            samples.append(make_sample(sid, Label.UNKNOWN, 10 * i, {"mov": 1}))
+            if i % 4 == 3:
+                predictions.append(None)
+                errors.append((i, f"error {sid}: size_bytes {i} outside [0, 512000)"))
+            else:
+                m, b = self._SCORES[i % len(self._SCORES)]
+                predictions.append(decide(m, b, 99 - i))
+        predictions = predictions[:len(predictions) - predictions_short_by]
+        return engine.TimedRun(tuple(predictions), tuple(errors), 0, 1), samples
+
+    def test_bytes_equal_the_f_string_writer(self):
+        run, samples = self._run()
+        sink, expected = mock.Mock(wraps=io.StringIO()), io.StringIO()
+        write_predictions(run, samples, sink)
+        self._f_string_writer(run, samples, expected)
+        assert sink.write.call_count == 1
+        (text,), _ = sink.write.call_args
+        assert text == expected.getvalue()
+        assert text.isascii()
+        assert [json.loads(line)["id"] for line in text.splitlines()] == self._IDS
+
+    def test_every_score_pair_and_both_labels(self):
+        samples = [make_sample(f"s{i}", Label.UNKNOWN, 10, {"mov": 1})
+                   for i in range(2 * len(self._SCORES))]
+        pairs = self._SCORES + [pair[::-1] for pair in self._SCORES]
+        run = engine.TimedRun(tuple(decide(m, b, i) for i, (m, b) in enumerate(pairs)), (), 0, 1)
+        sink, expected = io.StringIO(), io.StringIO()
+        write_predictions(run, samples, sink)
+        self._f_string_writer(run, samples, expected)
+        assert sink.getvalue() == expected.getvalue()
+        assert {json.loads(line)["label"] for line in sink.getvalue().splitlines()} == {
+            "malware", "benign"}
+
+    def test_no_samples_is_one_empty_write(self):
+        sink = mock.Mock(wraps=io.StringIO())
+        write_predictions(engine.TimedRun((), (), 0, 1), [], sink)
+        sink.write.assert_called_once_with("")
+
+    def test_fewer_predictions_than_samples_raise_index_error(self):
+        run, samples = self._run(predictions_short_by=1)
+        with pytest.raises(IndexError):
+            write_predictions(run, samples, io.StringIO())
