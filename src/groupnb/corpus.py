@@ -13,9 +13,11 @@ which engine.train_bundles fills.
 It is the one reader of line files: _documents (blank lines and JSON)
 and _record_header (id and label) serve corpus and prediction files.
 
-parse_corpus decodes a block of JSONL lines with one json.loads call
-over the lines joined as a JSON array, when every line's first
-character that is not JSON whitespace is "{" and no line holds "[".
+The parse rules are proved here once; the functions point back.
+
+Joint decode. parse_corpus decodes a block of JSONL lines with one
+json.loads call over the lines joined as a JSON array, when every line's
+first character that is not JSON whitespace is "{" and no line holds "[".
 With the separator "\n," between lines, an array of one element per
 line holds exactly each line's document:
 
@@ -28,14 +30,13 @@ line holds exactly each line's document:
 - So every separator is top-level, and equal counts mean one document
   per line.
 
-Any other block is decoded line by line; parse_corpus states how the
-histograms share their key strings either way.
+Any other block is decoded line by line.
 
-Whichever way a line is decoded, its counts are checked by one sum when
-its text does not hold "true" (_plain_counts). A JSON true is written
-only as that literal, so such a line has no count that is the bool
-True, and its counts are exact positive ints whose sum converts to
-float exactly when:
+Plain counts. Whichever way a line is decoded, its counts are checked
+by one sum when its text does not hold "true" (_plain_counts). A JSON
+true is written only as that literal, so such a line has no count that
+is the bool True, and its counts are exact positive ints whose sum
+converts to float exactly when:
 
 - type(sum(counts)) is int. Summing stays in int only over ints and
   bools: a float makes the running sum a float, which no later count
@@ -46,10 +47,20 @@ float exactly when:
 - The sum converts to float, so each count, no larger, does too.
 
 A line whose text holds "true" has the type of each count checked.
+
+Key strings. The histograms of one parse share their key strings
+through one table of names. One json.loads call keeps one string per
+key, so a jointly decoded block's dicts hold one per mnemonic; a line
+decoded alone has its keys mapped through the table as it is decoded.
+A line of known names and plain counts keeps its dict. Any other line
+is re-keyed through the table, after from_counts when a count is not
+plain or a name is not canonical (_canonical_names). So a mnemonic has
+at most one string per jointly decoded block plus one for the call.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import random
 from collections import Counter
@@ -96,10 +107,8 @@ _CLASS_BY_VALUE = {label.value: label for label in CLASSES}
 class OpcodeHistogram:
     """Opcode mnemonic -> occurrence count.
 
-    Canonical form: keys are non-empty lowercase tokens, counts are
-    positive integers that convert to float (zero-count entries are
-    absent). The histograms of one parse_corpus call share their key
-    strings; parse_corpus states the bound.
+    Canonical form: keys are non-empty lowercase strs (_canonical_names),
+    counts are positive ints that convert to float; zero counts are absent.
     """
 
     entries: dict[str, int]
@@ -108,19 +117,42 @@ class OpcodeHistogram:
     def from_counts(cls, counts: Mapping[str, int]) -> "OpcodeHistogram":
         """Build a canonical histogram, case-folding mnemonics and dropping zeros.
 
-        One pass over the entries (_fold_counts); a lowercase mnemonic keeps
-        the caller's string. Raises ValueError naming the first malformed
-        entry, or the first (merged) count too large to convert to float.
+        A lowercase mnemonic keeps the caller's string. Raises ValueError
+        naming the first malformed entry, or the first (merged) count too
+        large to convert to float.
         """
-        return cls(_fold_counts(counts))
+        entries: dict[str, int] = {}
+        for mnemonic, count in counts.items():
+            if not isinstance(mnemonic, str) or not mnemonic:
+                raise ValueError(f"opcode mnemonic must be a non-empty string, got {mnemonic!r}")
+            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+                raise ValueError(f"count for {mnemonic!r} must be a non-negative integer, got {count!r}")
+            if count:
+                key = mnemonic if mnemonic.lower() == mnemonic else mnemonic.lower()
+                entries[key] = entries.get(key, 0) + count
+        for key, count in entries.items():
+            if not _fits_float(count):
+                raise ValueError(f"count for {key!r} is too large to convert to float")
+        return cls(entries)
+
+
+def _canonical_names(names: Collection) -> bool:
+    """Whether every name is a non-empty str that lower() leaves as it is, tested by one join.
+
+    NUL, the separator, is neither cased nor case-ignorable, so no name
+    lowers differently beside it.
+    """
+    try:
+        return all(names) and (joined := "\0".join(names)).lower() == joined
+    except TypeError:  # a name that is not a str
+        return False
 
 
 def _plain_counts(values: Collection, may_hold_true: bool) -> bool:
-    """The kept-line rule: exact int counts (bool excluded), all positive, their sum a float.
+    """Whether the counts are plain: exact ints (bool excluded), all positive, their sum a float.
 
-    With ``may_hold_true`` (the line's text holds "true") the type of
-    each count is checked; without it, one sum checks them all (see the
-    module docstring).
+    ``may_hold_true`` says whether the line's text holds "true"; the
+    module docstring's "Plain counts" shows why one sum suffices without it.
     """
     if may_hold_true and not {*map(type, values)} <= {int}:
         return False
@@ -139,41 +171,19 @@ def _fits_float(n: int) -> bool:
     return True
 
 
-def _fold_counts(counts: Mapping[str, int]) -> dict[str, int]:
-    """Per-entry validation and case folding; names the first bad entry."""
-    entries: dict[str, int] = {}
-    for mnemonic, count in counts.items():
-        if not isinstance(mnemonic, str) or not mnemonic:
-            raise ValueError(f"opcode mnemonic must be a non-empty string, got {mnemonic!r}")
-        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-            raise ValueError(f"count for {mnemonic!r} must be a non-negative integer, got {count!r}")
-        if count:
-            key = mnemonic if mnemonic.lower() == mnemonic else mnemonic.lower()
-            entries[key] = entries.get(key, 0) + count
-    for key, count in entries.items():
-        if not _fits_float(count):
-            raise ValueError(f"count for {key!r} is too large to convert to float")
-    return entries
-
-
 def _shared_histogram(ops: dict, names: dict[str, str], may_hold_true: bool) -> OpcodeHistogram:
-    """OpcodeHistogram.from_counts(ops), keyed by shared strings.
+    """OpcodeHistogram.from_counts(ops), keyed by the strings of ``names``.
 
-    ``names`` maps every canonical mnemonic met so far in one parse to
-    the one string that stands for it; ``may_hold_true`` is False when
-    the line's text holds no "true" (see _plain_counts). A line of known
-    names whose counts are plain keeps its dict. A line of plain counts
-    and canonical names (non-empty, unchanged by lower()) is the dict
-    from_counts would return, so it is re-keyed through ``names`` as it
-    is, and its new names join. Any other line goes through _fold_counts
-    (folding case, dropping zeros, or raising from_counts' ValueError)
-    before it is re-keyed. parse_corpus states the bound.
+    ``names`` maps each canonical mnemonic met so far in one parse to the
+    string that stands for it, and the line's new names join it.
+    ``may_hold_true`` says whether the line's text holds "true". The module
+    docstring's "Key strings" gives the rule.
     """
     plain = _plain_counts(ops.values(), may_hold_true)
     if plain and ops.keys() <= names.keys():
         return OpcodeHistogram(ops)
-    if not (plain and all(ops) and (joined := "\0".join(ops)).lower() == joined):
-        ops = _fold_counts(ops)
+    if not (plain and _canonical_names(ops)):
+        ops = OpcodeHistogram.from_counts(ops).entries
     return OpcodeHistogram(dict(zip(map(names.setdefault, ops, ops), ops.values())))
 
 
@@ -253,15 +263,12 @@ class SplitResult:
 
 
 def _lines(stream: Iterable[str] | str) -> Iterable[str]:
-    """The lines of a text or of an iterable of lines.
+    """The lines of a text, read as a file in text mode reads them, or an iterable of lines.
 
-    A text breaks only at universal newlines (LF, CRLF, CR), as a file
-    read in text mode does: JSON allows the other characters that
-    str.splitlines breaks at raw inside a string.
+    A text breaks only at universal newlines (LF, CRLF, CR): JSON allows
+    the other characters that str.splitlines breaks at raw inside a string.
     """
-    if isinstance(stream, str):
-        return stream.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    return stream
+    return io.StringIO(stream, newline=None) if isinstance(stream, str) else stream
 
 
 def _decode_json(text: str, object_pairs_hook=None):
@@ -393,33 +400,16 @@ def _record_header(line_no: int, obj, seen: set[str], allow_unlabeled: bool) -> 
 def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) -> list[SampleRecord]:
     """Parse a JSONL corpus: one ``{"id", "label", "size_bytes", "opcodes"}`` object per line.
 
-    Unknown top-level keys are ignored; blank lines are skipped. With
-    ``allow_unlabeled`` a record may omit the label field and comes back
-    as ``Label.UNKNOWN`` (classification input); a label string other
-    than "malware"/"benign" is always a parse error (see _record_header).
+    Unknown top-level keys are ignored; blank lines are skipped but
+    counted. With ``allow_unlabeled`` a record may omit the label field
+    and comes back as ``Label.UNKNOWN`` (classification input); a label
+    string other than "malware"/"benign" is always a parse error (see
+    _record_header). A text is split into lines as _lines says.
 
-    A text is split into lines at universal newlines only. The lines
-    are read in blocks of about 1 MiB of text, and a block whose lines
-    all start with "{" and hold no "[" is decoded by one json.loads call
-    (exact, as the module docstring shows); any other block is decoded
-    line by line.
-
-    A line's counts are checked by one sum when its text holds no
-    "true" (no count can then be the bool True; the module docstring
-    gives the proof), and count by count when it does.
-
-    The histograms share key strings through one table per call. A
-    line of known names and plain counts (positive ints whose sum is a
-    float) keeps its decoded dict, on the decoder's strings in a jointly
-    decoded block and on the table's for a line decoded alone (see
-    _documents). A line of plain counts and canonical names (non-empty,
-    lowercase) is re-keyed through the table as it is, and its new names
-    join. Only a line with a count that is not plain, or a name that
-    from_counts would fold or refuse, goes through from_counts'
-    _fold_counts before it is re-keyed. So a mnemonic has at most one
-    string per jointly decoded block plus one for the call. Records and
-    error texts are those of one json.loads and one from_counts call per
-    line.
+    Records and error texts are those of one json.loads and one
+    OpcodeHistogram.from_counts call per line. The module docstring
+    proves the joint decode and the count rule, and bounds the key
+    strings.
 
     Raises ParseError (with line number) on a malformed line and
     IntegrityError on a duplicate id, at the first bad line; an error

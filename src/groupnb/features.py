@@ -14,10 +14,9 @@ FeatureSet holds one or more distinct opcodes, named as histogram keys are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
-from .corpus import CLASSES, Label, SampleRecord
+from .corpus import CLASSES, Label, SampleRecord, _canonical_names
 from .errors import InsufficientClassError, IntegrityError, InvalidConfigError, positive_int
 
 __all__ = [
@@ -64,9 +63,8 @@ class FeatureSet:
         names = self.opcodes
         if not isinstance(names, tuple):
             raise InvalidConfigError(f"opcodes must be a tuple, got {names!r}")
-        if not (all(map(isinstance, names, repeat(str))) and all(names)  # before set()
-                and (joined := "\0".join(names)).lower() == joined):
-            bad = next(op for op in names if not (isinstance(op, str) and op and op.lower() == op))
+        if not _canonical_names(names):  # before set(), which a name may not support
+            bad = next(op for op in names if not _canonical_names((op,)))
             raise InvalidConfigError(f"opcode must be a non-empty lowercase string, got {bad!r}")
         if not names or len(set(names)) != len(names):
             raise InvalidConfigError("feature set is empty or repeats an opcode")

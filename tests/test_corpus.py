@@ -17,7 +17,6 @@ from groupnb.corpus import (
     Label,
     OpcodeHistogram,
     SampleRecord,
-    _fold_counts,
     assign_group,
     parse_corpus,
     partition_by_group,
@@ -116,6 +115,34 @@ def _oracle_parse(stream, allow_unlabeled=False):
     return records
 
 
+def _oracle_fold(counts):
+    """OpcodeHistogram.from_counts' entries, one entry at a time: check, fold case, merge, drop zeros."""
+    entries = {}
+    for mnemonic, count in counts.items():
+        if type(mnemonic) is not str or mnemonic == "":
+            raise ValueError(f"opcode mnemonic must be a non-empty string, got {mnemonic!r}")
+        if type(count) is not int or count < 0:
+            raise ValueError(f"count for {mnemonic!r} must be a non-negative integer, got {count!r}")
+        if count > 0:
+            key = mnemonic.lower()
+            if key == mnemonic:
+                key = mnemonic
+            entries[key] = entries.get(key, 0) + count
+    for key in entries:
+        if entries[key] >= 2**1024 - 2**970:  # the least int that float() rounds past the largest
+            raise ValueError(f"count for {key!r} is too large to convert to float")
+    return entries
+
+
+def _spy_from_counts(monkeypatch):
+    """The counts of every OpcodeHistogram.from_counts call from here on, in call order."""
+    calls = []
+    build = OpcodeHistogram.from_counts
+    monkeypatch.setattr(OpcodeHistogram, "from_counts",
+                        classmethod(lambda cls, counts: calls.append(counts) or build(counts)))
+    return calls
+
+
 def _line(sid, opcodes):
     return json.dumps({"id": sid, "label": "malware", "size_bytes": 10, "opcodes": opcodes})
 
@@ -195,7 +222,7 @@ class TestOpcodeHistogram:
     def test_bulk_path_matches_the_loop(self, counts):
         """Identical entries (order included) or identical exception text."""
         build = lambda c: OpcodeHistogram.from_counts(c).entries  # noqa: E731
-        assert self._outcome(build, counts) == self._outcome(_fold_counts, counts)
+        assert self._outcome(build, counts) == self._outcome(_oracle_fold, counts)
 
     def test_bulk_path_matches_the_loop_on_random_mutations(self):
         rng = np.random.default_rng(5)
@@ -211,7 +238,7 @@ class TestOpcodeHistogram:
                     value = int(rng.integers(1, 2**40))
                 counts[key] = value
             build = lambda c: OpcodeHistogram.from_counts(c).entries  # noqa: E731
-            assert self._outcome(build, counts) == self._outcome(_fold_counts, counts), counts
+            assert self._outcome(build, counts) == self._outcome(_oracle_fold, counts), counts
 
     def test_a_lowercase_mnemonic_keeps_the_callers_string(self):
         mov = "mov"
@@ -738,10 +765,8 @@ class TestCountRule:
         if not any(v is True for v in values):
             assert corpus._plain_counts(values, False) is plain
 
-    def test_fold_counts_runs_only_for_lines_it_changes(self, monkeypatch):
-        calls = []
-        fold = corpus._fold_counts
-        monkeypatch.setattr(corpus, "_fold_counts", lambda counts: calls.append(counts) or fold(counts))
+    def test_from_counts_runs_only_for_lines_it_changes(self, monkeypatch):
+        calls = _spy_from_counts(monkeypatch)
         samples = generate_synthetic(SyntheticSpec(6, 8, 40, 0.5, 3))
         lines = [*map(serialize_sample, samples)]
         assert parse_corpus(lines) == samples
@@ -761,9 +786,7 @@ class TestCountRule:
     @pytest.mark.parametrize("names", [["é", "ς"], ["mo\\u0000v", "jmp"], ["a", "b", "c"]],
                              ids=["non_ascii", "nul", "ascii"])
     def test_new_canonical_names_join_the_table_unfolded(self, monkeypatch, names):
-        calls = []
-        fold = corpus._fold_counts
-        monkeypatch.setattr(corpus, "_fold_counts", lambda counts: calls.append(counts) or fold(counts))
+        calls = _spy_from_counts(monkeypatch)
         lines = ['{"id": "%s", "label": "malware", "size_bytes": 1, "opcodes": {%s}}'
                  % (i, ", ".join(f'"{n}": {i + j + 1}' for j, n in enumerate(names)))
                  for i in range(3)]
@@ -807,6 +830,17 @@ class TestLineBreaks:
         assert got == self._from_file(tmp_path, text, parse)
         assert got[0] == "error" and got[3] == 6
         assert parse(ending.join(lines[:5]) + ending)[0] == "ok"
+
+    @pytest.mark.parametrize("last_ended", [True, False], ids=["ended", "last"])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_a_string_open_at_the_line_end_fails_as_in_a_file(self, tmp_path, ending, last_ended):
+        """A text line keeps its newline, as a file's does, so both name the same JSON error."""
+        text = _line("a", {"mov": 1}) + ending + '{"id": "b' + (ending if last_ended else "")
+        parse = lambda lines: _outcome(parse_corpus, lines)  # noqa: E731
+        got = parse(text)
+        assert got == self._from_file(tmp_path, text, parse)
+        reason = "Invalid control character at" if last_ended else "Unterminated string starting at"
+        assert got[2] == f"line 2: invalid JSON: {reason}"
 
     def test_tokenize_disassembly_breaks_like_a_file(self, tmp_path):
         text = "mov a\u2028b\r\nXOR c\x0cd\rret\n"

@@ -9,6 +9,8 @@ import multiprocessing
 import os
 import re
 import statistics
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stdout
 from unittest import mock
@@ -1620,3 +1622,38 @@ class TestWritePredictions:
         run, samples = self._run(predictions_short_by=1)
         with pytest.raises(IndexError):
             write_predictions(run, samples, io.StringIO())
+
+
+# Trains three bundles on a generated corpus and classifies it, writing
+# the bundle texts and then the prediction lines to stdout.
+_HASH_SEED_SCRIPT = """
+import io, sys
+from groupnb.corpus import GroupingConfig, parse_corpus, partition_by_group, serialize_sample
+from groupnb.engine import (
+    Workload, bundle_to_json, classify_sequential, train_bundles, write_predictions)
+from groupnb.synth import SyntheticSpec, generate_synthetic
+text = "".join(serialize_sample(s) + "\\n" for s in generate_synthetic(SyntheticSpec(8, 9, 48, 0.4, 2)))
+samples = parse_corpus(text)
+grouped, _ = partition_by_group(samples, GroupingConfig(min_per_class=8))
+bundles = train_bundles(grouped, (5, 20, 60), created_at="2020-01-01T00:00:00+00:00")
+for k in (5, 20, 60):
+    sys.stdout.write(bundle_to_json(bundles[k]))
+sink = io.StringIO()
+write_predictions(classify_sequential(bundles[20], Workload(samples, 1), warmup=False), samples, sink)
+sys.stdout.write(sink.getvalue())
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    """Set and dict-key order of str hashes reaches no bundle byte and no prediction byte."""
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run([sys.executable, "-c", _HASH_SEED_SCRIPT], capture_output=True, check=True,
+                       env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                       timeout=120).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b'"format": 3') == 3
+    assert outputs[0].count(b'"effective_group"') == 8 * 2 * 9

@@ -1,14 +1,21 @@
 """Per-group opcode scoring and top-k selection."""
 
 import dataclasses
+import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupnb.corpus import Label, OpcodeHistogram, SampleRecord
-from groupnb.errors import InsufficientClassError, IntegrityError, InvalidConfigError
+from groupnb.corpus import Label, OpcodeHistogram, SampleRecord, parse_corpus
+from groupnb.errors import (
+    InsufficientClassError, IntegrityError, InvalidConfigError, ParseError,
+)
 from groupnb.features import (
+    FeatureSet,
     ScoreTable,
     count_group,
     score_opcodes,
@@ -242,3 +249,54 @@ def _oracle_scores(samples):
         f_b = counts[Label.BENIGN].get(op, 0) / totals[Label.BENIGN]
         scores[op] = abs(f_m - f_b)
     return scores
+
+
+# Opcode names of every kind the one name rule sees: ASCII of either case,
+# the empty name, NUL, and letters whose lower() changes their length (İ)
+# or depends on their place (Σ, σ, ς).
+_NAMES = st.one_of(
+    st.just(""),
+    st.text(st.sampled_from("movMOV\0İΣσςéÉßǅ"), min_size=1, max_size=4),
+    st.text(st.characters(categories=("Lu", "Ll", "Lt", "Lm", "Lo")), max_size=3),
+)
+
+
+class TestOneNameRule:
+    """FeatureSet accepts exactly the names that a parse keys a histogram by without from_counts,
+    and those are the names that from_counts keeps as they are."""
+
+    @settings(max_examples=300)
+    @given(_NAMES)
+    def test_feature_set_accepts_what_the_parse_keeps_unfolded(self, name):
+        calls = []
+        build = OpcodeHistogram.from_counts
+        spy = classmethod(lambda cls, counts: calls.append(counts) or build(counts))
+        line = json.dumps({"id": "a", "label": "malware", "size_bytes": 1, "opcodes": {name: 1}})
+        with mock.patch.object(OpcodeHistogram, "from_counts", spy):
+            try:
+                (record,) = parse_corpus([line])
+            except ParseError:
+                record = None
+        unfolded = record is not None and record.histogram.entries == {name: 1} and calls == []
+        try:
+            kept = OpcodeHistogram.from_counts({name: 1}).entries == {name: 1}
+        except ValueError:
+            kept = False
+        try:
+            FeatureSet((name,))
+        except InvalidConfigError as exc:
+            assert str(exc) == f"opcode must be a non-empty lowercase string, got {name!r}"
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == unfolded == kept
+
+    @settings(max_examples=100)
+    @given(st.one_of(st.integers(), st.none(), st.booleans(), st.binary(max_size=3),
+                     st.lists(st.text(max_size=2), max_size=2),
+                     st.tuples(st.text(max_size=2))), st.booleans())
+    def test_a_name_that_is_not_a_str_is_refused(self, name, after_a_good_name):
+        names = ("mov", name) if after_a_good_name else (name,)
+        with pytest.raises(InvalidConfigError) as info:
+            FeatureSet(names)
+        assert str(info.value) == f"opcode must be a non-empty lowercase string, got {name!r}"
