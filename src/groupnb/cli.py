@@ -283,7 +283,7 @@ def _cmd_score(args) -> int:
     seen: set[str] = set()
     errors = 0
     with _naming(args.preds):
-        for line_no, doc, _ in _documents(_lines(args.preds), {}):
+        for line_no, doc, *_ in _documents(_lines(args.preds), {}):
             pid, label = _record_header(line_no, doc, seen, allow_unlabeled=True)
             if pid not in truth:
                 raise IntegrityError(f"prediction id {pid!r} at line {line_no} is missing from truth")

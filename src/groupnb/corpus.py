@@ -56,16 +56,24 @@ A line of known names and plain counts keeps its dict. Any other line
 is re-keyed through the table, after from_counts when a count is not
 plain or a name is not canonical (_canonical_names). So a mnemonic has
 at most one string per jointly decoded block plus one for the call.
+
+Block names. A jointly decoded block has its opcode names checked once:
+the union of the keys of its "opcodes" dicts. If _canonical_names
+passes the union, its names join the table (setdefault keeps a string
+the table already holds, so the bound above stands), and every line of
+the block has known names without a test of its own. Else, and in a
+block decoded line by line, each line's names are tested as above.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -171,16 +179,18 @@ def _fits_float(n: int) -> bool:
     return True
 
 
-def _shared_histogram(ops: dict, names: dict[str, str], may_hold_true: bool) -> OpcodeHistogram:
+def _shared_histogram(ops: dict, names: dict[str, str], may_hold_true: bool,
+                      known: bool) -> OpcodeHistogram:
     """OpcodeHistogram.from_counts(ops), keyed by the strings of ``names``.
 
     ``names`` maps each canonical mnemonic met so far in one parse to the
     string that stands for it, and the line's new names join it.
-    ``may_hold_true`` says whether the line's text holds "true". The module
-    docstring's "Key strings" gives the rule.
+    ``may_hold_true`` says whether the line's text holds "true"; ``known``
+    that its block's names are proved canonical and in ``names``. The
+    module docstring's "Key strings" and "Block names" give the rule.
     """
     plain = _plain_counts(ops.values(), may_hold_true)
-    if plain and ops.keys() <= names.keys():
+    if plain and (known or ops.keys() <= names.keys()):
         return OpcodeHistogram(ops)
     if not (plain and _canonical_names(ops)):
         ops = OpcodeHistogram.from_counts(ops).entries
@@ -267,8 +277,21 @@ def _lines(stream: Iterable[str] | str) -> Iterable[str]:
 
     A text breaks only at universal newlines (LF, CRLF, CR): JSON allows
     the other characters that str.splitlines breaks at raw inside a string.
+    Each line of a text is a slice of it, its newline translated to "\n".
     """
-    return io.StringIO(stream, newline=None) if isinstance(stream, str) else stream
+    return _text_lines(stream) if isinstance(stream, str) else stream
+
+
+_NEWLINE = re.compile(r"\r\n?|\n")
+
+
+def _text_lines(text: str) -> Iterator[str]:
+    start = 0
+    for newline in _NEWLINE.finditer(text):
+        yield text[start : newline.start()] + "\n"
+        start = newline.end()
+    if start < len(text):
+        yield text[start:]
 
 
 def _decode_json(text: str, object_pairs_hook=None):
@@ -344,15 +367,18 @@ def _decode_block(lines: list[str]) -> list | None:
     return docs if len(docs) == len(lines) else None
 
 
-def _documents(stream: Iterable[str] | str,
-               names: dict[str, str]) -> Iterator[tuple[int, object, bool]]:
-    """(line number, JSON document, whether the line holds "true") per non-blank line, in order.
+def _documents(stream: Iterable[str] | str, names: dict[str, str], *,
+               block_names: bool = False) -> Iterator[tuple[int, object, bool, bool]]:
+    """(line number, JSON document, whether the line holds "true", known) per non-blank line.
 
-    A block that _decode_block cannot decode as one has its lines
-    decoded one at a time, each only once the lines before it have been
-    taken, so a ParseError for bad JSON comes at its place in the order.
-    Their object keys are mapped through ``names``, read and never added
-    to (see parse_corpus); each dict equals the one json.loads gives.
+    Lines come in order. With ``block_names``, each jointly decoded block
+    runs the module docstring's "Block names" check, and known says that
+    the line's block passed it, its names then joined to ``names``;
+    known is False otherwise. A block that is not decoded jointly has
+    its lines decoded one at a time, each only once the lines before it
+    have been taken, so a ParseError for bad JSON comes at its place in
+    the order. Their object keys are mapped through ``names``, read and
+    never added to; each dict equals the one json.loads gives.
     """
     def share_keys(pairs):
         return {names.get(key, key): value for key, value in pairs}
@@ -360,14 +386,26 @@ def _documents(stream: Iterable[str] | str,
     for line_nos, lines in _line_blocks(stream):
         docs = _decode_block(lines)
         if docs is not None:
-            yield from zip(line_nos, docs, ["true" in line for line in lines])
+            known = block_names and _join_block_names(docs, names)
+            yield from zip(line_nos, docs, ["true" in line for line in lines], repeat(known))
             continue
         for line_no, line in zip(line_nos, lines):
             try:
                 obj = _decode_json(line, share_keys)
             except ValueError as exc:
                 raise ParseError(line_no, f"invalid JSON: {exc}") from None
-            yield line_no, obj, "true" in line
+            yield line_no, obj, "true" in line, False
+
+
+def _join_block_names(docs: list, names: dict[str, str]) -> bool:
+    """Whether the names of the documents' "opcodes" dicts are canonical; if so they join ``names``."""
+    block_names = set().union(*[ops for doc in docs if isinstance(doc, dict)
+                                and isinstance(ops := doc.get("opcodes"), dict)])
+    if not _canonical_names(block_names):
+        return False
+    for name in block_names:
+        names.setdefault(name, name)
+    return True
 
 
 def _record_header(line_no: int, obj, seen: set[str], allow_unlabeled: bool) -> tuple[str, Label]:
@@ -408,8 +446,8 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
 
     Records and error texts are those of one json.loads and one
     OpcodeHistogram.from_counts call per line. The module docstring
-    proves the joint decode and the count rule, and bounds the key
-    strings.
+    proves the joint decode, the count rule and the block names check,
+    and bounds the key strings.
 
     Raises ParseError (with line number) on a malformed line and
     IntegrityError on a duplicate id, at the first bad line; an error
@@ -418,7 +456,7 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
     records: list[SampleRecord] = []
     seen: set[str] = set()
     names: dict[str, str] = {}
-    for line_no, obj, may_hold_true in _documents(stream, names):
+    for line_no, obj, may_hold_true, known in _documents(stream, names, block_names=True):
         rid, label = _record_header(line_no, obj, seen, allow_unlabeled)
 
         size = obj.get("size_bytes")
@@ -429,7 +467,7 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
         if not isinstance(raw_ops, dict):
             raise ParseError(line_no, "'opcodes' must be an object")
         try:
-            histogram = _shared_histogram(raw_ops, names, may_hold_true)
+            histogram = _shared_histogram(raw_ops, names, may_hold_true, known)
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
 

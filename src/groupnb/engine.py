@@ -23,16 +23,30 @@ chunk, so predictions are bit-identical at any lane count. Elapsed time
 covers only the kernel, not parsing, score-table building or
 serialization.
 
-The kernel scores a block of samples at once and reproduces
-classifier.log_posterior bit for bit. Each bundle builds its tables
-once, in its first classify call before any lane starts: one score table
-per class, with one row per model holding the log prior, then the
-feature log-likelihoods in feature order. A sample's row of products
-is its routed model's row times the sample's counts of those features
-(1 for the prior), each product rounded exactly as the scalar
-``n * ll`` is. Absent features contribute -0.0, the exact additive
-identity, so even a signed zero survives; np.add.accumulate then adds
-the products left to right, the order of the scalar loop.
+Exact kernel. The kernel scores a block of samples at once and
+reproduces classifier.log_posterior bit for bit. Each bundle builds its
+tables once, in its first classify call before any lane starts: one
+score table per class, with one row per model holding the log prior,
+then the feature log-likelihoods in feature order, padded with -0.0.
+
+- Products. A sample's counts of its routed model's features (0 where
+  absent) are cast to int64, exactly, and the multiply converts each to
+  float64 as float(n) does, to nearest with ties to even. A count past
+  int64 makes the cast raise OverflowError; that block's counts are then
+  converted to float64 directly, which rounds as float(n) does too. So
+  each product rounds exactly as the scalar ``n * ll`` does. (The int64
+  cast of a block's count list is faster than a float64 one.) Counts
+  must be ints, as OpcodeHistogram declares and every parse and synth
+  path builds: the cast would truncate a float count and raise
+  ValueError on a NaN one.
+- Absent features. The scalar loop skips them; the kernel makes each
+  contribute -0.0, the exact additive identity, which leaves even a
+  -0.0 sum unchanged. When every likelihood cell (padding included) has
+  its sign bit set, 0 * ll is already -0.0, so the products need no
+  mask. Otherwise (a likelihood of +0.0, as a one-feature model has)
+  the products of zero counts are set to -0.0.
+- Order. np.add.accumulate adds the prior and the products left to
+  right, the order of the scalar loop.
 """
 
 from __future__ import annotations
@@ -266,22 +280,24 @@ class _ScoreTables:
     """What the kernel reads of a bundle: its trained_ids, its geometry and its models as arrays.
 
     There is one row per model, in ids order. table[row, c] is
-    [log_prior(c), ll(c, f_1), ..., ll(c, f_n)] zero-padded to the
+    [log_prior(c), ll(c, f_1), ..., ll(c, f_n)] padded with -0.0 to the
     widest model; keys[row] is (f_1, ..., f_n) padded with None, which
-    no histogram holds.
+    no histogram holds. signed says whether every likelihood cell has
+    its sign bit set (the module docstring's "Exact kernel").
     """
 
     ids: tuple[int, ...]
     config: GroupingConfig
     keys: tuple[tuple[str | None, ...], ...]
     table: np.ndarray
+    signed: bool
 
     @classmethod
     def build(cls, bundle: ModelBundle) -> "_ScoreTables":
         ids = bundle.trained_ids
         models = [bundle.models[g] for g in ids]
         width = max(len(m.features.opcodes) for m in models)
-        table = np.zeros((len(models), len(CLASSES), width + 1))
+        table = np.full((len(models), len(CLASSES), width + 1), -0.0)
         keys = []
         for row, model in enumerate(models):
             features = model.features.opcodes
@@ -289,13 +305,14 @@ class _ScoreTables:
                 table[row, c, 0] = model.log_prior[label]
                 table[row, c, 1 : len(features) + 1] = model.log_likelihood[label]
             keys.append(features + (None,) * (width - len(features)))
-        return cls(ids, bundle.config, tuple(keys), table)
+        signed = bool(np.signbit(table[:, :, 1:]).all())
+        return cls(ids, bundle.config, tuple(keys), table, signed)
 
 
 def _log_scores(
     tables: _ScoreTables, histograms: Sequence[dict[str, int]], rows: Sequence[int]
 ) -> np.ndarray:
-    """(n, 2) log-scores, bit-identical to classifier.log_posterior.
+    """(n, 2) log-scores, bit-identical to classifier.log_posterior (see "Exact kernel").
 
     histograms[i] is scored by the model in table row rows[i].
     """
@@ -307,12 +324,17 @@ def _log_scores(
         counts: list[int] = []
         for entries, row in zip(histograms[lo : lo + _BLOCK], block):
             counts.extend(map(entries.get, keys[row], absent))
-        # Column 0 multiplies the prior by 1. numpy converts each int
-        # exactly as float() does, so every product rounds as n * ll does.
-        x = np.ones((len(block), 1, table.shape[2]))
-        x[:, 0, 1:] = np.array(counts, dtype=np.float64).reshape(len(block), -1)
-        products = np.where(x == 0, -0.0, x * table[block])
-        out[lo : lo + _BLOCK] = np.add.accumulate(products, axis=2)[:, :, -1]
+        try:
+            x = np.array(counts, dtype=np.int64)
+        except OverflowError:
+            x = np.array(counts, dtype=np.float64)
+        x = x.reshape(len(block), 1, -1)
+        products = table[block]  # a copy, [prior, ll...] per sample and class
+        terms = products[:, :, 1:]
+        np.multiply(terms, x, out=terms)
+        if not tables.signed:
+            np.copyto(terms, -0.0, where=x == 0)
+        out[lo : lo + _BLOCK] = np.add.accumulate(products, axis=2, out=products)[:, :, -1]
     return out
 
 

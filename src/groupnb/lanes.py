@@ -12,7 +12,8 @@ receives every worker's result in lane order, so the elapsed time
 leaves out process start-up and warm-up. A worker that dies before
 returning its result raises LaneError, a worker whose caller has gone
 exits quietly, and every worker is joined before run_lanes returns or
-raises. host_threads() counts the CPUs this process may run on.
+raises. host_threads() counts the CPUs this process may run on, within
+its cgroup v2 CPU quota.
 """
 
 from __future__ import annotations
@@ -27,11 +28,39 @@ from .errors import LaneError
 __all__: list[str] = []
 
 
+# The cgroup v2 hierarchy, and the file naming this process's cgroup in it.
+_CGROUP_ROOT = "/sys/fs/cgroup"
+_PROC_CGROUP = "/proc/self/cgroup"
+
+
 def host_threads() -> int:
-    """The CPUs this process may run on: its affinity set where the platform has one."""
+    """The CPUs this process may run on: its affinity set where the platform has one.
+
+    A cgroup v2 CPU quota on the process's own cgroup caps it (_quota_cpus).
+    """
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _quota_cpus() or cpus)
+
+
+def _quota_cpus() -> int | None:
+    """ceil(quota / period) of the cpu.max of this process's cgroup v2 cgroup, or None.
+
+    The cgroup is the "0::<path>" line of _PROC_CGROUP. None where the
+    quota is "max", or a file is missing, unreadable or malformed.
+    """
+    try:
+        with open(_PROC_CGROUP, encoding="utf-8") as fp:
+            path = next(line[3:].rstrip("\n") for line in fp if line.startswith("0::"))
+        with open(os.path.join(_CGROUP_ROOT, path.lstrip("/"), "cpu.max"), encoding="utf-8") as fp:
+            quota, period = map(int, fp.read().split())
+    except (OSError, StopIteration, ValueError):
+        return None
+    if quota <= 0 or period <= 0:
+        return None
+    return -(-quota // period)
 
 
 def _lane(conn, caller_ends, body: Callable, args: tuple, warmup: bool) -> None:

@@ -1,10 +1,13 @@
 import multiprocessing
+import os
 import shutil
 import tempfile
 
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
+
+from groupnb import lanes
 
 # Property tests are part of tier-1, so they must be repeatable and leave
 # nothing behind: examples come from a fixed seed, no example database is
@@ -40,6 +43,12 @@ def no_lane_left_running():
         child.kill()
         child.join()
     assert left == [], "a worker process outlived its test"
+
+
+@pytest.fixture(autouse=True)
+def no_host_cgroup_quota(monkeypatch):
+    """Let a test's CPU count come from the affinity set it sets, not from the host's cgroup."""
+    monkeypatch.setattr(lanes, "_PROC_CGROUP", os.devnull)
 
 
 @pytest.fixture(scope="session")

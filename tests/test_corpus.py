@@ -1,8 +1,10 @@
 """Corpus ingestion, grouping, and the stratified split."""
 
 import inspect
+import io
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -664,6 +666,82 @@ class TestBlockDecode:
             parse_corpus(stream(), allow_unlabeled=True)
 
 
+class TestBlockNames:
+    """A jointly decoded block has its opcode names checked once, by their union."""
+
+    @staticmethod
+    def _spy_names(monkeypatch):
+        """The name collections _canonical_names is asked about, in call order."""
+        asked = []
+        canonical = corpus._canonical_names
+        monkeypatch.setattr(corpus, "_canonical_names",
+                            lambda names: asked.append(set(names)) or canonical(names))
+        return asked
+
+    def test_a_proven_block_keeps_every_dict_and_tests_no_line(self, monkeypatch):
+        decoded = []
+
+        def spy(text):
+            decoded.append(json.loads(text))
+            return decoded[-1]
+
+        monkeypatch.setattr(corpus, "_decode_json", spy)
+        asked = self._spy_names(monkeypatch)
+        lines = [_line(f"s{i}", {"mov": i + 1, "xor": 2} if i % 2 else {"add": 1}) for i in range(9)]
+        records = parse_corpus(lines)
+        (docs,) = decoded
+        assert asked == [{"mov", "xor", "add"}]  # one union, no line of its own
+        assert all(r.histogram.entries is doc["opcodes"] for r, doc in zip(records, docs))
+        assert records == _oracle_parse(lines)
+        assert max(_strings_per_name(records).values()) == 1
+
+    @pytest.mark.parametrize("odd", [{"MOV": 2}, {"": 1}, {"Σ": 1}], ids=["upper", "empty", "sigma"])
+    @pytest.mark.parametrize("at", [0, 3, 6])
+    def test_a_block_that_fails_the_union_runs_the_per_line_rule(self, monkeypatch, odd, at):
+        spy, joint = _block_spy()
+        monkeypatch.setattr(corpus, "_decode_block", spy)
+        lines = [_line(f"s{i}", {"mov": i + 1, "add": 2}) for i in range(7)]
+        lines[at] = _line("odd", {"mov": 1, **odd})
+        for allow in (False, True):
+            got = _outcome(parse_corpus, lines, allow)
+            assert got == _outcome(_oracle_parse, lines, allow)
+            assert got[0] == ("error" if "" in odd else "ok")
+            if got[0] == "ok":
+                assert max(_strings_per_name(got[1]).values()) <= sum(joint) + 1
+        assert all(joint)
+
+    @pytest.mark.parametrize("flaw", [
+        {"mov": -1}, {"mov": 1.5}, {"mov": True}, {"mov": 2**1024}, {"mov": 0, "add": None},
+    ], ids=["negative", "float", "bool", "huge", "null"])
+    def test_an_error_on_a_later_line_of_a_proven_block(self, monkeypatch, flaw):
+        asked = self._spy_names(monkeypatch)
+        lines = [_line(f"s{i}", {"mov": i + 1, "add": 2}) for i in range(6)]
+        lines[4] = _line("bad", flaw)
+        got = _outcome(parse_corpus, lines)
+        assert got == _outcome(_oracle_parse, lines)
+        assert got[0] == "error" and got[3] == 5
+        assert len(asked) == 1
+
+    @pytest.mark.parametrize("odd", [{"": 1}, {"MOV": 1}], ids=["empty", "upper"])
+    def test_error_order_when_the_union_fails(self, odd):
+        """An earlier bad line is still reported first, a later one after the odd line."""
+        dup = _line("s0", {"mov": 1})
+        for lines in ([_line("s0", {"mov": 1}), dup, _line("odd", odd)],
+                      [_line("s0", {"mov": 1}), _line("odd", odd), dup],
+                      [_line("s0", {"mov": 1}), _line("odd", odd), '{"id": "x", "opcodes": {}}']):
+            for allow in (False, True):
+                assert _outcome(parse_corpus, lines, allow) == _outcome(_oracle_parse, lines, allow)
+
+    def test_block_names_join_the_table_for_later_lines(self, monkeypatch):
+        """A block decoded line by line after a proven one keys by the proven block's strings."""
+        monkeypatch.setattr(corpus, "_BLOCK_CHARS", 3 * len(_line("s00", {"mov": 1, "add": 2})))
+        lines = [_line(f"s{i:02}", {"mov": i + 1, "add": 2}) for i in range(3)]
+        lines += [_line(f"[{i:02}]", {"add": i + 1, "mov": 1}) for i in range(3, 6)]
+        records = parse_corpus(lines)
+        assert records == _oracle_parse(lines)
+        assert _strings_per_name(records) == {"mov": 1, "add": 1}
+
+
 class TestParseProperty:
     """parse_corpus against one json.loads and one from_counts call per line, on generated JSONL."""
 
@@ -841,6 +919,38 @@ class TestLineBreaks:
         assert got == self._from_file(tmp_path, text, parse)
         reason = "Invalid control character at" if last_ended else "Unterminated string starting at"
         assert got[2] == f"line 2: invalid JSON: {reason}"
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(
+        st.sampled_from(['{"id": "a', 'b", "size_bytes": 1, "opcodes": {"mov": 1}}', '{"id": "c"',
+                         ', "size_bytes": 2, "opcodes": {}}', _line("d", {"ADD": 2}), "{nope", "",
+                         "  "]),
+        st.lists(st.sampled_from(["\n", "\r", "\r\n", "\x85", "\x0b", "\x0c", "\x1c", " "]),
+                 max_size=2)), max_size=8))
+    def test_a_text_reads_as_a_text_mode_reader_does(self, parts):
+        """Lines, their newlines and the outcome are those of io.StringIO(text, newline=None)."""
+        text = "".join(piece + "".join(ends) for piece, ends in parts)
+        assert [*corpus._lines(text)] == [*io.StringIO(text, newline=None)]
+        for allow in (False, True):
+            assert (_outcome(parse_corpus, text, allow)
+                    == _outcome(parse_corpus, io.StringIO(text, newline=None), allow))
+
+    def test_a_text_is_read_in_slices(self, monkeypatch):
+        """A text holds no whole copy while it is parsed: at most about one block more than a list."""
+        monkeypatch.setattr(corpus, "_BLOCK_CHARS", 1 << 16)
+        text = "\n".join(map(serialize_sample, generate_synthetic(SyntheticSpec(4, 30, 256, 0.3, 1))))
+        lines = text.splitlines(keepends=True)
+        assert len(text) > 4 * corpus._BLOCK_CHARS
+
+        def peak(stream):
+            tracemalloc.start()
+            try:
+                parse_corpus(stream)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(text) - peak(lines) < len(text) // 4
 
     def test_tokenize_disassembly_breaks_like_a_file(self, tmp_path):
         text = "mov a\u2028b\r\nXOR c\x0cd\rret\n"

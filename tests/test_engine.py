@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from groupnb import engine
+from groupnb import engine, lanes
 from groupnb.cli import main
 from groupnb.corpus import (
     GroupedCorpus, GroupingConfig, Label, OpcodeHistogram, assign_group, partition_by_group,
@@ -544,6 +544,49 @@ def test_host_threads_falls_back_to_the_machine_without_an_affinity_set(cpus, ex
     assert host_threads() == expected
 
 
+class TestCgroupQuota:
+    """host_threads caps the affinity set at a cgroup v2 cpu.max quota, read from a temporary tree."""
+
+    @staticmethod
+    def _tree(tmp_path, monkeypatch, cpu_max, proc="0::/box/job\n"):
+        cgroup = tmp_path / "cgroup" / "box" / "job"
+        cgroup.mkdir(parents=True)
+        if cpu_max is not None:
+            (cgroup / "cpu.max").write_text(cpu_max)
+        (tmp_path / "self-cgroup").write_text(proc)
+        monkeypatch.setattr(lanes, "_CGROUP_ROOT", str(tmp_path / "cgroup"))
+        monkeypatch.setattr(lanes, "_PROC_CGROUP", str(tmp_path / "self-cgroup"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        return cgroup
+
+    @pytest.mark.parametrize("cpu_max, expected", [
+        ("300000 100000\n", 3), ("150000 100000\n", 2), ("50000 100000\n", 1),
+        ("1600000 100000\n", 8), ("max 100000\n", 8), (None, 8), ("", 8), ("garbage\n", 8),
+        ("0 100000\n", 8), ("100000 0\n", 8),
+    ], ids=["three", "round_up", "below_one", "above_affinity", "max", "missing", "empty",
+            "garbage", "zero_quota", "zero_period"])
+    def test_quota(self, tmp_path, monkeypatch, cpu_max, expected):
+        self._tree(tmp_path, monkeypatch, cpu_max)
+        assert host_threads() == expected
+
+    def test_the_cgroup_named_by_the_v2_line_is_read(self, tmp_path, monkeypatch):
+        self._tree(tmp_path, monkeypatch, "200000 100000\n", proc="0::/box\n")
+        assert host_threads() == 8
+        (tmp_path / "self-cgroup").write_text("12:cpu:/box/job\n0::/box/job\n")
+        assert host_threads() == 2
+
+    def test_an_unreadable_file_changes_nothing(self, tmp_path, monkeypatch):
+        cgroup = self._tree(tmp_path, monkeypatch, None)
+        (cgroup / "cpu.max").mkdir()  # reading a directory raises an OSError
+        assert host_threads() == 8
+        monkeypatch.setattr(lanes, "_PROC_CGROUP", str(tmp_path / "absent"))
+        assert host_threads() == 8
+
+    def test_a_cgroup_v1_host_changes_nothing(self, tmp_path, monkeypatch):
+        self._tree(tmp_path, monkeypatch, "100000 100000\n", proc="4:cpu:/box/job\n")
+        assert host_threads() == 8
+
+
 def _exact(prediction):
     """A prediction with its scores as float.hex, so -0.0 and 0.0 differ."""
     if prediction is None:
@@ -658,6 +701,58 @@ class TestArrayKernel:
         expected = _oracle(bundle, samples)
         assert expected[0][2] == "-0x0.0p+0" and expected[1][2] == "0x0.0p+0"
         _assert_kernel_matches_oracle(bundle, samples)
+
+
+class TestExactProducts:
+    """The kernel's products skip the zero-count mask only where every likelihood has its sign bit set."""
+
+    @staticmethod
+    def _one_feature_model(log_prior):
+        """A k=1 model: its one likelihood is log(1) = +0.0, as training gives it."""
+        return GroupModel(group=0, features=FeatureSet(("a",)), log_prior=log_prior,
+                          log_likelihood={Label.MALWARE: (0.0,), Label.BENIGN: (0.0,)})
+
+    def test_trained_bundles_are_signed_but_a_one_feature_model_is_not(self):
+        assert engine._ScoreTables.build(_bundle()).signed
+        trained = train_bundle(grouped(two_class_group(0)), k=1, created_at="t")
+        assert trained.models[0].log_likelihood[Label.MALWARE] == (0.0,)
+        assert not engine._ScoreTables.build(trained).signed
+
+    @pytest.mark.parametrize("log_prior", [
+        {Label.MALWARE: -0.0, Label.BENIGN: -800.0},
+        {Label.MALWARE: -800.0, Label.BENIGN: -0.0},
+    ], ids=["malware", "benign"])
+    def test_a_plus_zero_likelihood_takes_the_mask(self, log_prior):
+        """An absent feature leaves a -0.0 prior as it is; 0 * +0.0 would make it +0.0."""
+        bundle = build_bundle([self._one_feature_model(log_prior)], GroupingConfig(), _META)
+        assert not bundle._tables.signed
+        cases = [{}, {"a": 1}, {"a": 2**63}, {"b": 7}]
+        samples = [make_sample(f"z{i}", Label.UNKNOWN, 100, ops) for i, ops in enumerate(cases)]
+        expected = _oracle(bundle, samples)
+        assert "-0x0.0p+0" in expected[0] and "-0x0.0p+0" not in expected[1]
+        _assert_kernel_matches_oracle(bundle, samples)
+
+    def test_a_negative_zero_prior_with_signed_likelihoods_needs_no_mask(self):
+        model = GroupModel(group=0, features=FeatureSet(("a", "b")),
+                           log_prior={Label.MALWARE: -0.0, Label.BENIGN: -800.0},
+                           log_likelihood={Label.MALWARE: (-0.0, -800.0),
+                                           Label.BENIGN: (-800.0, -0.0)})
+        bundle = build_bundle([model, _model(3)], GroupingConfig(), _META)
+        assert bundle._tables.signed
+        cases = [{}, {"a": 1}, {"b": 2}, {"a": 3, "b": 1}, {"zzz": 4}]
+        samples = [make_sample(f"z{i}", Label.UNKNOWN, 100, ops) for i, ops in enumerate(cases)]
+        expected = _oracle(bundle, samples)
+        assert expected[0][2] == "-0x0.0p+0" and expected[1][2] == "-0x0.0p+0"
+        _assert_kernel_matches_oracle(bundle, samples)
+
+    @pytest.mark.parametrize("count", [2**63, 2**63 + 2**11, 2**1000, 2**1000 + 1])
+    def test_counts_past_int64_take_the_float64_path(self, count):
+        """np.array refuses the count as int64, and the float64 block rounds as float(n) does."""
+        with pytest.raises(OverflowError):
+            np.array([1, count], dtype=np.int64)
+        samples = [make_sample("m", Label.UNKNOWN, 10, {"mov": 3, "add": 1}),
+                   make_sample("h", Label.UNKNOWN, 10, {"mov": count, "evil": 2})]
+        _assert_kernel_matches_oracle(_bundle(), samples)
 
 
 class TestSpeedup:
