@@ -7,8 +7,8 @@ cutoff) and every group later gets its own feature set and model.
 
 All functions here are pure transformations; returned objects are not
 mutated afterwards and are safe to share across worker processes. The
-one exception is a GroupedCorpus's private memo of training counts,
-which engine.train_bundles fills.
+one exception is a GroupedCorpus's private memo of training counts
+and opcode rankings, which engine.train_bundles fills.
 
 It is the one reader of line files: _documents (blank lines and JSON)
 and _record_header (id and label) serve corpus and prediction files.
@@ -63,6 +63,9 @@ passes the union, its names join the table (setdefault keeps a string
 the table already holds, so the bound above stands), and every line of
 the block has known names without a test of its own. Else, and in a
 block decoded line by line, each line's names are tested as above.
+_documents runs the check on every jointly decoded block, so a
+prediction file's blocks, whose documents hold no "opcodes" dict, each
+check an empty union.
 """
 
 from __future__ import annotations
@@ -242,12 +245,13 @@ class GroupedCorpus:
     group's samples a tuple, so a caller's later change to what it
     passed in does not reach the corpus; a group changes only in a new
     corpus. _counts is engine.train_bundles' memo of each group's
-    counts and scores, not part of the corpus's value (repr, equality).
+    counts and opcode ranking (every k takes the ranking's first k),
+    not part of the corpus's value (repr, equality).
     """
 
     config: GroupingConfig
     groups: Mapping[int, tuple[SampleRecord, ...]]
-    # group -> (features.GroupCounts, features.ScoreTable)
+    # group -> (features.GroupCounts, the opcodes by features._ranking)
     _counts: dict[int, tuple] = field(default_factory=dict, init=False, repr=False,
                                       compare=False)
 
@@ -367,18 +371,18 @@ def _decode_block(lines: list[str]) -> list | None:
     return docs if len(docs) == len(lines) else None
 
 
-def _documents(stream: Iterable[str] | str, names: dict[str, str], *,
-               block_names: bool = False) -> Iterator[tuple[int, object, bool, bool]]:
+def _documents(stream: Iterable[str] | str,
+               names: dict[str, str]) -> Iterator[tuple[int, object, bool, bool]]:
     """(line number, JSON document, whether the line holds "true", known) per non-blank line.
 
-    Lines come in order. With ``block_names``, each jointly decoded block
-    runs the module docstring's "Block names" check, and known says that
-    the line's block passed it, its names then joined to ``names``;
-    known is False otherwise. A block that is not decoded jointly has
-    its lines decoded one at a time, each only once the lines before it
-    have been taken, so a ParseError for bad JSON comes at its place in
-    the order. Their object keys are mapped through ``names``, read and
-    never added to; each dict equals the one json.loads gives.
+    Lines come in order. Each jointly decoded block runs the module
+    docstring's "Block names" check, and known says that the line's
+    block passed it, its names then joined to ``names``; known is False
+    otherwise. A block that is not decoded jointly has its lines decoded
+    one at a time, each only once the lines before it have been taken,
+    so a ParseError for bad JSON comes at its place in the order. Their
+    object keys are mapped through ``names``, read and never added to;
+    each dict equals the one json.loads gives.
     """
     def share_keys(pairs):
         return {names.get(key, key): value for key, value in pairs}
@@ -386,7 +390,7 @@ def _documents(stream: Iterable[str] | str, names: dict[str, str], *,
     for line_nos, lines in _line_blocks(stream):
         docs = _decode_block(lines)
         if docs is not None:
-            known = block_names and _join_block_names(docs, names)
+            known = _join_block_names(docs, names)
             yield from zip(line_nos, docs, ["true" in line for line in lines], repeat(known))
             continue
         for line_no, line in zip(line_nos, lines):
@@ -456,7 +460,7 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
     records: list[SampleRecord] = []
     seen: set[str] = set()
     names: dict[str, str] = {}
-    for line_no, obj, may_hold_true, known in _documents(stream, names, block_names=True):
+    for line_no, obj, may_hold_true, known in _documents(stream, names):
         rid, label = _record_header(line_no, obj, seen, allow_unlabeled)
 
         size = obj.get("size_bytes")

@@ -1,12 +1,13 @@
 """Model bundles, training, fallback routing, and the batch classification engine.
 
 A ModelBundle holds one trained model per trainable group; train_bundles
-trains one bundle per feature budget k, deriving each group's feature
-scores and every k's model from one count of its training histograms.
-A corpus's groups cannot change, so the counts and scores are kept on
-it and a sweep of train_bundle calls over one corpus counts each group
-once. Routing sends files from untrained groups to the nearest trained
-one (upward first). Bundles are saved as JSON, format 3 (see
+trains one bundle per feature budget k, deriving each group's opcode
+ranking and every k's model from one count of its training histograms:
+k's features are the first k of the ranking. A corpus's groups cannot
+change, so the counts and ranking are kept on it and a sweep of
+train_bundle calls over one corpus counts and ranks each group once.
+Routing sends files from untrained groups to the nearest trained one
+(upward first). Bundles are saved as JSON, format 3 (see
 bundle_to_json), and only that format loads. Each part of a bundle
 (GroupingConfig, BundleMeta, GroupModel, FeatureSet, and ModelBundle
 for how they fit together) checks its own invariants when built and
@@ -78,7 +79,7 @@ from .errors import (
     non_negative_int,
     positive_int,
 )
-from .features import FeatureSet, count_group, score_counts, select_top_k
+from .features import FeatureSet, _ranking, count_group, score_counts
 from .lanes import run_lanes
 
 __all__ = [
@@ -227,14 +228,15 @@ def train_bundles(
     """One bundle per k: select features and train a model for every trainable group.
 
     An unlabeled sample in any group raises first (trainable_groups). Each
-    trainable group is counted once per corpus (features.count_group); its
-    opcode scores and every k's model come from those counts, with the
-    results and errors of score_opcodes, select_top_k and train_group.
-    The corpus keeps a group's counts and scores for later calls; a group
-    that fails to score keeps none, so it fails again. Training draws no
-    random numbers, so every bundle's meta.seed is 0. The metas are built
-    last: a training error comes before BundleMeta's, and BundleMeta's
-    before EmptyBundleError (no group is trainable).
+    trainable group is counted and its opcodes ranked once per corpus
+    (features.count_group, score_counts); every k's features are the
+    first k of that ranking, and every k's model comes from the counts,
+    with the results and errors of score_opcodes, select_top_k and
+    train_group. The corpus keeps a group's counts and ranking for later
+    calls; a group that fails to score keeps none, so it fails again.
+    Training draws no random numbers, so every bundle's meta.seed is 0.
+    The metas are built last: a training error comes before BundleMeta's,
+    and BundleMeta's before EmptyBundleError (no group is trainable).
     """
     config = train.config
     groups = sorted(trainable_groups(train, config))
@@ -242,11 +244,11 @@ def train_bundles(
     for g in groups:
         if (entry := train._counts.get(g)) is None:
             counts = count_group(train.groups[g])
-            entry = train._counts[g] = (counts, score_counts(counts, group=g))
-        counts, table = entry
+            entry = train._counts[g] = (counts, _ranking(score_counts(counts, group=g)))
+        counts, ranking = entry
         for k, group_models in models.items():
-            features = select_top_k(table, k)
-            group_models.append(fit_counts(counts, features, alpha, group=g))
+            positive_int("k", k)  # where select_top_k checks it
+            group_models.append(fit_counts(counts, FeatureSet(ranking[:k]), alpha, group=g))
     if created_at is None:
         created_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     metas = {k: BundleMeta(k, alpha, 0, created_at) for k in models}

@@ -3,12 +3,14 @@
 count_group reads a group's training histograms once, and everything
 training needs comes from that table: an opcode's score is the absolute
 difference between its normalized occurrence frequency in the malware
-class and in the benign class (score_counts), the k highest-scoring
-opcodes become the group's feature set (select_top_k), and every k's
-model is fitted from the same counts (classifier.fit_counts).
-engine.train_bundles keeps a group's table and scores on its
-GroupedCorpus, so later calls on that corpus do not count it again. A
-FeatureSet holds one or more distinct opcodes, named as histogram keys are.
+class and in the benign class (score_counts), every scored opcode is
+ranked once, by score descending then mnemonic ascending (_ranking),
+the first k of that ranking become the group's feature set for budget k
+(select_top_k), and every k's model is fitted from the same counts
+(classifier.fit_counts). engine.train_bundles keeps a group's counts
+and ranking on its GroupedCorpus, so later calls on that corpus neither
+count nor rank it again. A FeatureSet holds one or more distinct
+opcodes, named as histogram keys are.
 """
 
 from __future__ import annotations
@@ -112,11 +114,25 @@ def score_opcodes(samples: Sequence[SampleRecord], group: int | None = None) -> 
     return score_counts(count_group(samples), group)
 
 
-def select_top_k(table: ScoreTable, k: int) -> FeatureSet:
-    """Deterministic top-k: score descending, ties broken by mnemonic ascending.
+def _ranking(table: ScoreTable) -> tuple[str, ...]:
+    """Every opcode of the table, by score descending, then mnemonic ascending.
 
-    If fewer than k opcodes were scored, all of them are returned.
+    One stable sort on a C-level key: the names are sorted first, and a
+    reverse sort keeps equal scores in that order.
+    """
+    scores = table.scores
+    return tuple(sorted(sorted(scores), key=scores.__getitem__, reverse=True))
+
+
+def select_top_k(table: ScoreTable, k: int) -> FeatureSet:
+    """Deterministic top-k: the first k of the table's ranking (_ranking).
+
+    Ranked by score descending, ties broken by mnemonic ascending; -0.0
+    and 0.0 tie. If fewer than k opcodes were scored, all of them are
+    returned. A NaN score (score_counts never builds one, but a
+    hand-built table may hold it) is neither above nor below any score,
+    so the order around it is not defined: the result is still
+    min(k, len(table.scores)) distinct opcodes of the table.
     """
     positive_int("k", k)
-    ordered = sorted(table.scores.items(), key=lambda item: (-item[1], item[0]))
-    return FeatureSet(tuple(op for op, _ in ordered[:k]))
+    return FeatureSet(_ranking(table)[:k])

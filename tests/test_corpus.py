@@ -741,6 +741,13 @@ class TestBlockNames:
         assert records == _oracle_parse(lines)
         assert _strings_per_name(records) == {"mov": 1, "add": 1}
 
+    def test_prediction_blocks_check_an_empty_union(self):
+        """Documents with no "opcodes" dict add no name, and their block passes."""
+        names = {}
+        lines = ['{"id": "a", "label": "benign"}\n', '{"id": "b", "error": "x"}\n']
+        assert [known for *_, known in corpus._documents(lines, names)] == [True, True]
+        assert names == {}
+
 
 class TestParseProperty:
     """parse_corpus against one json.loads and one from_counts call per line, on generated JSONL."""

@@ -1521,6 +1521,45 @@ class TestTrainBundle:
         train_bundles(grouped(samples), (1, 2, 3), created_at="t")
         assert calls == [12] * 6  # a new corpus counts again, once for every k
 
+    def test_ranks_each_group_once_for_a_k_sweep(self, monkeypatch):
+        ranked = []
+        real = engine._ranking
+
+        def ranking(table):
+            ranked.append(len(table.scores))
+            return real(table)
+
+        monkeypatch.setattr(engine, "_ranking", ranking)
+        corpus = grouped(generate_synthetic(SyntheticSpec(3, 6, 256, 0.3, 1)))
+        bundles = [train_bundle(corpus, k, created_at="t") for k in (20, 80, 200)]
+        assert len(ranked) == len(bundles[0].trained_ids) == 3
+        for bundle in bundles:
+            for g, model in bundle.models.items():
+                table = score_opcodes(corpus.groups[g], group=g)
+                assert model.features == select_top_k(table, bundle.meta.k)
+
+    @pytest.mark.parametrize("k", [0, True, 1.5])
+    def test_a_bad_k_raises_after_the_first_groups_counting_errors(self, k, monkeypatch):
+        """As select_top_k did: after group 0 is counted and scored, before group 1 is."""
+        calls = []
+        real = engine.count_group
+
+        def counting(samples):
+            calls.append(samples[0].id)
+            return real(samples)
+
+        monkeypatch.setattr(engine, "count_group", counting)
+        with pytest.raises(InsufficientClassError, match="group 0: no benign opcode"):
+            train_bundle(grouped(_empty_benign() + two_class_group(1)), k, created_at="t")
+        calls.clear()
+        corpus = grouped(two_class_group(0) + _empty_benign(1))
+        with pytest.raises(InvalidConfigError, match=f"k must be a positive integer, got {k}"):
+            train_bundle(corpus, k, created_at="t")
+        assert calls == ["m000-000"]
+        with pytest.raises(InvalidConfigError, match=f"k must be a positive integer, got {k}"):
+            train_bundles(corpus, (3, k), created_at="t")
+        assert calls == ["m000-000"]  # group 0 is kept, and group 1 is still not reached
+
     def test_a_sweep_on_one_corpus_matches_a_fresh_corpus_per_call(self):
         samples = generate_synthetic(SyntheticSpec(4, 8, 40, 0.5, 3))
         corpus = grouped(samples)
@@ -1585,10 +1624,10 @@ def _with_unlabeled_in_untrainable_group():
     return two_class_group(0) + [make_sample("u", Label.UNKNOWN, 35_840, {"evil": 9})]  # group 7
 
 
-def _empty_benign():
+def _empty_benign(group=0):
     return [
         s if s.label is Label.MALWARE else dataclasses.replace(s, histogram=OpcodeHistogram({}))
-        for s in two_class_group(0)
+        for s in two_class_group(group)
     ]
 
 

@@ -205,6 +205,11 @@ class TestScoreOpcodes:
             )
 
 
+def _key_sort_top_k(table, k):
+    """Top-k by one sort on the (-score, name) key: the oracle of the ranking."""
+    return tuple(op for op, _ in sorted(table.scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k])
+
+
 class TestSelectTopK:
     def test_worked_example(self):
         table = ScoreTable({"mov": 0.5, "jmp": 0.25, "add": 0.75})
@@ -230,10 +235,38 @@ class TestSelectTopK:
             samples = _random_group(rng)
             table = score_opcodes(samples)
             k = int(rng.integers(1, 12))
-            expected = tuple(
-                op for op, _ in sorted(table.scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-            )
-            assert select_top_k(table, k).opcodes == expected
+            assert select_top_k(table, k).opcodes == _key_sort_top_k(table, k)
+
+
+# Few distinct scores, so most draws tie; -0.0 and 0.0 are equal and tie too.
+_TIED_SCORES = st.sampled_from([0.0, -0.0, 5e-324, 0.125, 0.25, 1 / 3, 1.0])
+
+
+class TestRanking:
+    """select_top_k is the first k of one ranking, equal to the key sort at every k."""
+
+    def test_ties_zeros_and_prefix_names(self):
+        table = ScoreTable({"jmp": 0.5, "c": 0.0, "ja": 0.5, "b": -0.0, "j": 0.5, "a": 0.0,
+                            "add": 0.75})
+        order = ("add", "j", "ja", "jmp", "a", "b", "c")
+        for k in range(1, len(order) + 3):
+            assert select_top_k(table, k).opcodes == order[:k] == _key_sort_top_k(table, k)
+
+    @settings(max_examples=200)
+    @given(st.dictionaries(st.text("jamp", min_size=1, max_size=4), _TIED_SCORES,
+                           min_size=1, max_size=24))
+    def test_matches_the_key_sort_at_every_k(self, scores):
+        """Keys come in the order drawn, not sorted."""
+        table = ScoreTable(scores)
+        for k in range(1, len(scores) + 3):
+            assert select_top_k(table, k).opcodes == _key_sort_top_k(table, k)
+
+    def test_a_nan_score_gives_k_distinct_opcodes_of_the_table(self):
+        table = ScoreTable({"mov": 0.5, "add": float("nan"), "jmp": 0.25, "xor": 0.0})
+        for k in range(1, 6):
+            opcodes = select_top_k(table, k).opcodes
+            assert len(opcodes) == len(set(opcodes)) == min(k, 4)
+            assert set(opcodes) <= table.scores.keys()
 
 
 def _oracle_scores(samples):
