@@ -33,11 +33,16 @@ __all__ = [
 ]
 
 
-def valid_alpha(alpha) -> bool:
-    """True for a positive, finite int or float smoothing pseudo-count (bool excluded)."""
-    return (isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
-            and 0 < alpha <= sys.float_info.max)
+def checked_alpha(alpha) -> float:
+    """alpha as a float; InvalidConfigError unless a positive, finite int or float (not bool)."""
+    if not (isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
+            and 0 < alpha <= sys.float_info.max):
+        raise InvalidConfigError(f"alpha must be positive and finite, got {alpha!r}")
+    return float(alpha)
 
+
+# The IntegrityError text of a sample whose log-score is not a finite float.
+NON_FINITE_SCORE = "log-score is not a finite float"
 
 # How far the exps of a model's log priors, or of one likelihood row, may sum from 1.
 _SUM_TOLERANCE = 1e-9
@@ -135,10 +140,8 @@ def fit_counts(counts: GroupCounts, features: FeatureSet, alpha: float, *, group
     IntegrityError, a data error). An alpha so small that a smoothed
     likelihood underflows to 0 raises InvalidConfigError.
     """
-    if not valid_alpha(alpha):
-        raise InvalidConfigError(f"alpha must be positive and finite, got {alpha!r}")
+    alpha = checked_alpha(alpha)
     n_features = len(features.opcodes)
-    alpha = float(alpha)
     if not math.isfinite(alpha * n_features):
         raise InvalidConfigError(f"alpha * {n_features} features is not finite, got {alpha!r}")
 
@@ -206,7 +209,7 @@ def predict(model: GroupModel, histogram: OpcodeHistogram) -> Prediction:
     """
     scores = log_posterior(model, histogram)
     if not all(map(math.isfinite, scores.values())):
-        raise IntegrityError(f"group {model.group}: log-score is not a finite float")
+        raise IntegrityError(f"group {model.group}: {NON_FINITE_SCORE}")
     return decide(scores[Label.MALWARE], scores[Label.BENIGN], model.group)
 
 
@@ -222,7 +225,7 @@ def normalized_posterior(scores: Mapping[Label, float]) -> dict[Label, float]:
     A score that is not a finite float raises IntegrityError, as in predict.
     """
     if not all(map(math.isfinite, scores.values())):
-        raise IntegrityError("log-score is not a finite float")
+        raise IntegrityError(NON_FINITE_SCORE)
     peak = max(scores.values())
     exps = {c: math.exp(s - peak) for c, s in scores.items()}
     total = sum(exps.values())

@@ -7,8 +7,8 @@ cutoff) and every group later gets its own feature set and model.
 
 All functions here are pure transformations; returned objects are not
 mutated afterwards and are safe to share across worker processes. The
-one exception is a GroupedCorpus's private memo of training counts
-and opcode rankings, which engine.train_bundles fills.
+one exception is a GroupedCorpus's private training memo (see
+engine.train_bundles).
 
 It is the one reader of line files: _documents (blank lines and JSON)
 and _record_header (id and label) serve corpus and prediction files.
@@ -244,14 +244,13 @@ class GroupedCorpus:
     ``groups`` is a read-only view of the constructor's own copy, each
     group's samples a tuple, so a caller's later change to what it
     passed in does not reach the corpus; a group changes only in a new
-    corpus. _counts is engine.train_bundles' memo of each group's
-    counts and opcode ranking (every k takes the ranking's first k),
-    not part of the corpus's value (repr, equality).
+    corpus. _counts is engine.train_bundles' training memo, not part
+    of the corpus's value (repr, equality).
     """
 
     config: GroupingConfig
     groups: Mapping[int, tuple[SampleRecord, ...]]
-    # group -> (features.GroupCounts, the opcodes by features._ranking)
+    # group -> (features.GroupCounts, the group's ranked opcodes)
     _counts: dict[int, tuple] = field(default_factory=dict, init=False, repr=False,
                                       compare=False)
 
@@ -569,8 +568,6 @@ def split_train_test(
                 raise IntegrityError(f"unlabeled sample {sample.id!r} cannot be split")
         for label in CLASSES:
             stratum = sorted((s for s in bucket if s.label is label), key=lambda s: s.id)
-            if not stratum:
-                continue
             rng.shuffle(stratum)
             n_train = (len(stratum) * r_train + denom - 1) // denom
             if stratum[:n_train]:

@@ -1,28 +1,27 @@
 """Model bundles, training, fallback routing, and the batch classification engine.
 
 A ModelBundle holds one trained model per trainable group; train_bundles
-trains one bundle per feature budget k, deriving each group's opcode
-ranking and every k's model from one count of its training histograms:
-k's features are the first k of the ranking. A corpus's groups cannot
-change, so the counts and ranking are kept on it and a sweep of
-train_bundle calls over one corpus counts and ranks each group once.
-Routing sends files from untrained groups to the nearest trained one
-(upward first). Bundles are saved as JSON, format 3 (see
-bundle_to_json), and only that format loads. Each part of a bundle
-(GroupingConfig, BundleMeta, GroupModel, FeatureSet, and ModelBundle
-for how they fit together) checks its own invariants when built and
-cannot change after, and the loader checks only the document's shape:
-format 3 names each likelihood by its feature, so a per-class table's
-keys must be exactly the model's features, read in feature order.
-load_bundle keeps the last bundle it loaded, with the file's bytes, and
-returns it again for identical bytes without decoding them.
+trains one bundle per feature budget k, and its docstring states how
+often a group is counted and ranked. Routing sends files from untrained
+groups to the nearest trained one (upward first). Bundles are saved as
+JSON, format 3 (see bundle_to_json), and only that format loads. Each
+part of a bundle (GroupingConfig, BundleMeta, GroupModel, FeatureSet,
+and ModelBundle for how they fit together) checks its own invariants
+when built and cannot change after, and the loader checks only the
+document's shape: format 3 names each likelihood by its feature, so a
+per-class table's keys must be exactly the model's features, read in
+feature order. load_bundle keeps the last bundle it loaded, with the
+file's bytes, and returns it again for identical bytes without decoding
+them.
 
 Batches are classified over lanes, run by groupnb.lanes;
 classify_parallel states how many lanes a batch gets, and TimedRun.lanes
-says how many ran. Every lane runs the same array kernel over its own
-chunk, so predictions are bit-identical at any lane count. Elapsed time
-covers only the kernel, not parsing, score-table building or
-serialization.
+says how many ran. Every lane routes and scores its own chunk with the
+same array kernel, so predictions are bit-identical at any lane count.
+TimedRun.elapsed_ns times the parallel region: each lane's routing
+(assign_group, _route_row), kernel and finiteness check, and the
+workers' result transfer; not process start-up or warm-up, parsing,
+score-table building, prediction assembly or serialization.
 
 Exact kernel. The kernel scores a block of samples at once and
 reproduces classifier.log_posterior bit for bit. Each bundle builds its
@@ -68,7 +67,7 @@ from .corpus import (
     CLASSES, GroupedCorpus, GroupingConfig, Label, SampleRecord, _decode_json, assign_group,
     trainable_groups,
 )
-from .classifier import GroupModel, Prediction, decide, fit_counts, valid_alpha
+from .classifier import NON_FINITE_SCORE, GroupModel, Prediction, checked_alpha, decide, fit_counts
 from .errors import (
     BundleValidationError,
     EmptyBundleError,
@@ -117,9 +116,7 @@ class BundleMeta:
 
     def __post_init__(self):
         positive_int("k", self.k)
-        if not valid_alpha(self.alpha):
-            raise InvalidConfigError(f"alpha must be positive and finite, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", checked_alpha(self.alpha))
         non_negative_int("seed", self.seed)
         if not isinstance(self.created_at, str):
             raise InvalidConfigError(f"created_at must be a string, got {self.created_at!r}")
@@ -177,7 +174,7 @@ class Workload:
 
 @dataclass(frozen=True)
 class TimedRun:
-    """Predictions in input order, kernel wall time and the lanes that ran.
+    """Predictions in input order, the parallel region's wall time and the lanes that ran.
 
     predictions has one slot per input sample; a slot is None when that
     sample failed (its (index, message) pair is in errors). lanes counts
@@ -227,13 +224,15 @@ def train_bundles(
 ) -> dict[int, ModelBundle]:
     """One bundle per k: select features and train a model for every trainable group.
 
-    An unlabeled sample in any group raises first (trainable_groups). Each
+    An unlabeled sample in any group raises first (trainable_groups).
+    Count and rank once: a corpus's groups cannot change, so each
     trainable group is counted and its opcodes ranked once per corpus
-    (features.count_group, score_counts); every k's features are the
-    first k of that ranking, and every k's model comes from the counts,
-    with the results and errors of score_opcodes, select_top_k and
-    train_group. The corpus keeps a group's counts and ranking for later
-    calls; a group that fails to score keeps none, so it fails again.
+    (features.count_group, score_counts, _ranking), and the corpus keeps
+    both (GroupedCorpus._counts) for every later train_bundle or
+    train_bundles call. Every k's features are the first k of that
+    ranking, and every k's model comes from the counts, with the results
+    and errors of score_opcodes, select_top_k and train_group. A group
+    that fails to score keeps nothing, so it fails again.
     Training draws no random numbers, so every bundle's meta.seed is 0.
     The metas are built last: a training error comes before BundleMeta's,
     and BundleMeta's before EmptyBundleError (no group is trainable).
@@ -373,8 +372,7 @@ def _classify_chunk(
     non_finite = np.flatnonzero(~np.isfinite(scores).all(axis=1))
     if len(non_finite):
         groups[non_finite] = -1
-        errors = sorted(errors + [(offset + i, "log-score is not a finite float")
-                                  for i in non_finite.tolist()])
+        errors = sorted(errors + [(offset + i, NON_FINITE_SCORE) for i in non_finite.tolist()])
     return groups, scores, errors
 
 
@@ -419,8 +417,8 @@ def classify_parallel(
     (i + 1) * N // lanes), at least one block, and classifies them into
     arrays; the predictions built from them are in input order and
     bit-identical (label and log-scores) to classify_sequential on the
-    same workload. elapsed_ns is the wall time of the parallel region
-    only. A worker that dies before returning its chunk raises LaneError.
+    same workload. A worker that dies before returning its chunk raises
+    LaneError.
     """
     samples = workload.samples
     n = len(samples)

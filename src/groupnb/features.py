@@ -3,13 +3,12 @@
 count_group reads a group's training histograms once, and everything
 training needs comes from that table: an opcode's score is the absolute
 difference between its normalized occurrence frequency in the malware
-class and in the benign class (score_counts), every scored opcode is
-ranked once, by score descending then mnemonic ascending (_ranking),
-the first k of that ranking become the group's feature set for budget k
+class and in the benign class (score_counts), the scored opcodes are
+ranked by score descending then mnemonic ascending (_ranking), the
+first k of that ranking become the group's feature set for budget k
 (select_top_k), and every k's model is fitted from the same counts
-(classifier.fit_counts). engine.train_bundles keeps a group's counts
-and ranking on its GroupedCorpus, so later calls on that corpus neither
-count nor rank it again. A FeatureSet holds one or more distinct
+(classifier.fit_counts). engine.train_bundles states how often a group
+is counted and ranked. A FeatureSet holds one or more distinct
 opcodes, named as histogram keys are.
 """
 
@@ -115,7 +114,7 @@ def score_opcodes(samples: Sequence[SampleRecord], group: int | None = None) -> 
 
 
 def _ranking(table: ScoreTable) -> tuple[str, ...]:
-    """Every opcode of the table, by score descending, then mnemonic ascending.
+    """Every opcode of the table, by score descending (-0.0 and 0.0 tie), then mnemonic ascending.
 
     One stable sort on a C-level key: the names are sorted first, and a
     reverse sort keeps equal scores in that order.
@@ -125,13 +124,11 @@ def _ranking(table: ScoreTable) -> tuple[str, ...]:
 
 
 def select_top_k(table: ScoreTable, k: int) -> FeatureSet:
-    """Deterministic top-k: the first k of the table's ranking (_ranking).
+    """Deterministic top-k: the first k of the table's ranking (_ranking), or all of a shorter one.
 
-    Ranked by score descending, ties broken by mnemonic ascending; -0.0
-    and 0.0 tie. If fewer than k opcodes were scored, all of them are
-    returned. A NaN score (score_counts never builds one, but a
-    hand-built table may hold it) is neither above nor below any score,
-    so the order around it is not defined: the result is still
+    A NaN score (score_counts never builds one, but a hand-built table
+    may hold it) is neither above nor below any score, so the order
+    around it is not defined: the result is still
     min(k, len(table.scores)) distinct opcodes of the table.
     """
     positive_int("k", k)

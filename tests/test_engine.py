@@ -54,8 +54,8 @@ from groupnb.errors import (
     MeasurementError,
     SizeRangeError,
 )
-from groupnb.classifier import CLASSES, GroupModel, decide, predict, train_group
-from groupnb.features import FeatureSet, score_opcodes, select_top_k
+from groupnb.classifier import CLASSES, GroupModel, decide, fit_counts, predict, train_group
+from groupnb.features import FeatureSet, count_group, score_opcodes, select_top_k
 from groupnb.lanes import host_threads
 
 from groupnb.synth import SyntheticSpec, generate_synthetic, vocabulary
@@ -1671,6 +1671,26 @@ def test_no_trainable_group_still_checks_k_and_alpha(k, alpha, message):
     """With no model to fit, BundleMeta is what rejects them."""
     with pytest.raises(InvalidConfigError, match=message):
         train_bundles(GroupedCorpus(GroupingConfig(), {}), (k,), alpha, created_at="t")
+
+
+@pytest.mark.parametrize(
+    "alpha", [math.nan, math.inf, -math.inf, 0, -1.0, True, "1.0", 10**400],
+    ids=["nan", "inf", "-inf", "0", "-1.0", "True", "str", "10**400"])
+def test_one_alpha_rule_for_meta_fit_and_load(alpha, tmp_path):
+    """BundleMeta, fit_counts and a loaded bundle's meta refuse alpha with one text."""
+    text = re.escape(f"alpha must be positive and finite, got {alpha!r}")
+    with pytest.raises(InvalidConfigError, match=f"^{text}$"):
+        dataclasses.replace(_META, alpha=alpha)
+    counts = count_group([make_sample("m", Label.MALWARE, 10, {"add": 1}),
+                          make_sample("b", Label.BENIGN, 11, {"mov": 1})])
+    with pytest.raises(InvalidConfigError, match=f"^{text}$"):
+        fit_counts(counts, FeatureSet(("add", "mov")), alpha, group=0)
+    doc = json.loads(bundle_to_json(_bundle()))
+    doc["meta"]["alpha"] = alpha
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(BundleValidationError, match=f"^bad bundle config/meta: {text}$"):
+        load_bundle(path)
 
 
 class TestWritePredictions:

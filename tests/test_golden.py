@@ -1,4 +1,4 @@
-"""End-to-end golden files: bundle, prediction and score bytes held fixed.
+"""End-to-end golden files: bundle, prediction, score and split bytes held fixed.
 
 tests/data/golden holds a small hand-edited corpus and the bytes the
 program writes for it; its README.md lists what each edge line covers.
@@ -122,3 +122,20 @@ def test_parallel_classify_writes_the_golden_predictions(k, lanes, method, tmp_p
 def test_score_prints_the_golden_line():
     printed = _main("score", "--preds", DATA / "predictions-k8.jsonl", "--truth", TRAIN)
     assert printed.encode() == _expected("score-k8.json")
+
+
+@pytest.mark.parametrize("seed, ratio, name, summary", [
+    (0, "2:1", "seed0-2to1", "split 22 samples 2:1 -> 17 train, 5 test\n"),
+    (7, "1:3", "seed7-1to3", "split 22 samples 1:3 -> 8 train, 14 test\n"),
+], ids=["seed0-2to1", "seed7-1to3"])
+def test_split_command_writes_the_golden_sides(seed, ratio, name, summary, tmp_path, capsys):
+    """The empty strata of the one-class groups draw nothing from the seeded stream, so
+    every later stratum's shuffle, and so every side's bytes, stay fixed."""
+    assert _expected("split.jsonl").count(b"\r\n") == 8
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    printed = _main("split", "--in", DATA / "split.jsonl", "--seed", seed, "--ratio", ratio,
+                    "--train", train, "--test", test)
+    assert capsys.readouterr().err == "warning: skipped 1 samples outside the size range\n"
+    assert printed == summary
+    assert train.read_bytes() == _expected(f"split-{name}-train.jsonl")
+    assert test.read_bytes() == _expected(f"split-{name}-test.jsonl")
