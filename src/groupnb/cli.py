@@ -26,7 +26,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import fields
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 from . import bench as bench_mod
 from . import engine
@@ -42,7 +42,10 @@ from .corpus import (
     serialize_sample,
     split_train_test,
 )
-from .errors import DataError, IntegrityError, InvalidConfigError, LaneError, ParseError, positive_int
+from .classifier import checked_alpha
+from .errors import (
+    DataError, IntegrityError, InvalidConfigError, LaneError, ParseError, non_negative_int, positive_int,
+)
 from .lanes import host_threads
 from .synth import SyntheticSpec, generate_synthetic
 
@@ -145,44 +148,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _lines(path: str) -> Iterator[str]:
-    """The lines of a UTF-8 text file; a line holding a byte that is not UTF-8 is a ParseError."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fp:
-        for line_no, line in enumerate(fp, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    byte = ord(line[exc.start]) - 0xDC00  # surrogateescape's stand-in
-                    raise ParseError(line_no, f"byte 0x{byte:02x} is not valid UTF-8") from None
-            yield line
-
-
 @contextmanager
-def _naming(path: str) -> Iterator[None]:
-    """Prefix ``path`` to a ParseError or IntegrityError raised while its lines are read."""
-    try:
-        yield
-    except (ParseError, IntegrityError) as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
+def _reading(path: str) -> Iterator[TextIO]:
+    """``path`` open for corpus._line_blocks; a ParseError or IntegrityError inside names it."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fp:
+        try:
+            yield fp
+        except (ParseError, IntegrityError) as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
 
 
 def _read_corpus(path: str, *, allow_unlabeled: bool = False):
-    with _naming(path):
-        return parse_corpus(_lines(path), allow_unlabeled=allow_unlabeled)
+    with _reading(path) as fp:
+        return parse_corpus(fp, allow_unlabeled=allow_unlabeled)
+
+
+def _file_key(path: str):
+    """(device, inode) of the file at ``path``, so a hard link matches; its real path if none."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
 
 
 def _refuse_clashes(inputs: dict[str, str], outputs: dict[str, str]) -> None:
     """InvalidConfigError for an output (flag -> path) that names an input or an earlier output."""
-    real = os.path.realpath
     earlier: dict[str, str] = {}
     for flag, path in outputs.items():
+        key = _file_key(path)
         for other, other_path in inputs.items():
-            if real(path) == real(other_path):
+            if key == _file_key(other_path):
                 raise InvalidConfigError(f"{flag} would overwrite {other}: {path}")
         for other, other_path in earlier.items():
-            if real(path) == real(other_path):
+            if key == _file_key(other_path):
                 raise InvalidConfigError(f"{other} and {flag} name the same file: {path}")
         earlier[flag] = path
 
@@ -216,6 +216,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    non_negative_int("seed", args.seed)
     _refuse_clashes({"--in": args.input}, {"--train": args.train, "--test": args.test})
     grouped = _grouped(_read_corpus(args.input))
     result = split_train_test(grouped, args.ratio, args.seed)
@@ -230,6 +231,8 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    positive_int("k", args.k)
+    checked_alpha(args.alpha)
     _refuse_clashes({"--in": args.input}, {"--out": args.out})
     grouped = _grouped(_read_corpus(args.input))
     bundle = engine.train_bundles(grouped, (args.k,), args.alpha)[args.k]
@@ -282,8 +285,8 @@ def _cmd_score(args) -> int:
     predicted: dict[str, Label] = {}
     seen: set[str] = set()
     errors = 0
-    with _naming(args.preds):
-        for line_no, doc, *_ in _documents(_lines(args.preds), {}):
+    with _reading(args.preds) as fp:
+        for line_no, doc, *_ in _documents(fp, {}):
             pid, label = _record_header(line_no, doc, seen, allow_unlabeled=True)
             if pid not in truth:
                 raise IntegrityError(f"prediction id {pid!r} at line {line_no} is missing from truth")

@@ -10,8 +10,9 @@ mutated afterwards and are safe to share across worker processes. The
 one exception is a GroupedCorpus's private training memo (see
 engine.train_bundles).
 
-It is the one reader of line files: _documents (blank lines and JSON)
-and _record_header (id and label) serve corpus and prediction files.
+It is the one reader of line files: _line_blocks (the line rule) reads
+every line of text, and _documents (blank lines and JSON) and
+_record_header (id and label) serve corpus and prediction files.
 
 The parse rules are proved here once; the functions point back.
 
@@ -275,20 +276,16 @@ class SplitResult:
     test: GroupedCorpus
 
 
-def _lines(stream: Iterable[str] | str) -> Iterable[str]:
-    """The lines of a text, read as a file in text mode reads them, or an iterable of lines.
-
-    A text breaks only at universal newlines (LF, CRLF, CR): JSON allows
-    the other characters that str.splitlines breaks at raw inside a string.
-    Each line of a text is a slice of it, its newline translated to "\n".
-    """
-    return _text_lines(stream) if isinstance(stream, str) else stream
-
-
 _NEWLINE = re.compile(r"\r\n?|\n")
 
 
 def _text_lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` as a file in text mode reads them.
+
+    A text breaks only at universal newlines (LF, CRLF, CR): JSON allows
+    the other characters that str.splitlines breaks at raw inside a string.
+    Each line is a slice of the text, its newline translated to "\n".
+    """
     start = 0
     for newline in _NEWLINE.finditer(text):
         yield text[start : newline.start()] + "\n"
@@ -319,20 +316,31 @@ _BLOCK_CHARS = 1 << 20
 def _line_blocks(stream: Iterable[str] | str) -> Iterator[tuple[list[int], list[str]]]:
     """The numbers and texts of the non-blank lines, in blocks of about _BLOCK_CHARS characters.
 
-    Lines are numbered from 1; a blank line (all whitespace) is counted
-    but skipped. A block ends with the line that brings it to
-    _BLOCK_CHARS. A line that is not a str raises ParseError. That error,
-    or one the stream raises (a reader's ParseError for a line that is
-    not UTF-8, say), is held until the block read before it has been
-    yielded, so an error on an earlier line is still raised first.
+    The lines are a str's _text_lines or the stream's items, numbered
+    from 1; a blank line (all whitespace) is counted but skipped. A
+    block ends with the line that brings it to _BLOCK_CHARS. A line that
+    is not a str, or holds a lone surrogate, raises ParseError; a
+    surrogateescape stand-in is named as the byte that is not UTF-8.
+    That error, or one the stream raises, is held until the block read
+    before it has been yielded, so an error on an earlier line is still
+    raised first.
     """
     line_nos: list[int] = []
     lines: list[str] = []
     size = 0
     try:
-        for line_no, line in enumerate(_lines(stream), start=1):
+        for line_no, line in enumerate(_text_lines(stream) if isinstance(stream, str) else stream,
+                                       start=1):
             if not isinstance(line, str):
                 raise ParseError(line_no, f"line is not text, got {type(line).__name__}")
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    point = ord(line[exc.start])
+                    what = (f"byte 0x{point - 0xDC00:02x}" if 0xDC80 <= point <= 0xDCFF
+                            else f"lone surrogate U+{point:04X}")
+                    raise ParseError(line_no, f"{what} is not valid UTF-8") from None
             if not line or line.isspace():
                 continue
             line_nos.append(line_no)
@@ -445,7 +453,7 @@ def parse_corpus(stream: Iterable[str] | str, *, allow_unlabeled: bool = False) 
     counted. With ``allow_unlabeled`` a record may omit the label field
     and comes back as ``Label.UNKNOWN`` (classification input); a label
     string other than "malware"/"benign" is always a parse error (see
-    _record_header). A text is split into lines as _lines says.
+    _record_header). Lines are read as _line_blocks says.
 
     Records and error texts are those of one json.loads and one
     OpcodeHistogram.from_counts call per line. The module docstring
@@ -500,12 +508,11 @@ def tokenize_disassembly(stream: Iterable[str] | str) -> OpcodeHistogram:
 
     The first whitespace-delimited token of each line is the mnemonic;
     operands are ignored. Blank lines and comment lines starting with ';'
-    are skipped. A text breaks into lines at universal newlines only, as
-    in parse_corpus. OpcodeHistogram.from_counts folds the raw counts.
+    are skipped. Lines are read as _line_blocks says, as in parse_corpus.
+    OpcodeHistogram.from_counts folds the raw counts.
     """
-    stripped = map(str.strip, _lines(stream))
-    return OpcodeHistogram.from_counts(
-        Counter(line.split(None, 1)[0] for line in stripped if line and not line.startswith(";")))
+    tokens = (line.split(None, 1)[0] for _, lines in _line_blocks(stream) for line in lines)
+    return OpcodeHistogram.from_counts(Counter(t for t in tokens if not t.startswith(";")))
 
 
 def assign_group(size_bytes: int, config: GroupingConfig) -> int:

@@ -96,19 +96,15 @@ class TestTrainGroup:
         with pytest.raises(InvalidConfigError):
             train_group(both, FeatureSet(("a",)), -1.0)
 
-    @pytest.mark.parametrize(
-        "alpha",
-        [math.nan, math.inf, -math.inf, 1e308, 10**400],
-        ids=["nan", "inf", "-inf", "1e308", "10**400"],
-    )
-    def test_alpha_must_stay_finite(self, alpha):
+    def test_alpha_must_stay_finite(self):
+        """alpha * |features| must be finite too; test_engine's one alpha rule covers alpha alone."""
         both = [
             make_sample("m", Label.MALWARE, 10, {"a": 1}),
             make_sample("b", Label.BENIGN, 11, {"a": 1}),
         ]
         # 1e308 alone is finite; alpha * |features| = 2e308 is not.
         with pytest.raises(InvalidConfigError, match="alpha"):
-            train_group(both, FeatureSet(("a", "b")), alpha)
+            train_group(both, FeatureSet(("a", "b")), 1e308)
 
     def test_alpha_too_small_for_a_likelihood(self):
         # 5e-324 / 3 rounds to 0.0 for the opcode the malware class lacks.

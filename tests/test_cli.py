@@ -485,6 +485,37 @@ class TestExitCodes:
         assert [pipeline_files[key].read_bytes() for key in inputs] == before
         assert not (tmp_path / "new.jsonl").exists()
 
+    @pytest.mark.parametrize("argv, clash", [
+        (["split", "--in", "{corpus}", "--train", "{link}", "--test", "{new}"],
+         "--train would overwrite --in: {link}"),
+        (["split", "--in", "{corpus}", "--train", "{new}", "--test", "{link}"],
+         "--test would overwrite --in: {link}"),
+        (["split", "--in", "{test}", "--train", "{corpus}", "--test", "{link}"],
+         "--train and --test name the same file: {link}"),
+        (["train", "--in", "{corpus}", "--k", "8", "--out", "{link}"],
+         "--out would overwrite --in: {link}"),
+        (["classify", "--bundle", "{bundle}", "--in", "{corpus}", "--out", "{link}"],
+         "--out would overwrite --in: {link}"),
+        (["bench", "--train", "{train}", "--test", "{corpus}", "--k", "8", "--out", "{link}"],
+         "--out would overwrite --test: {link}"),
+    ], ids=["split_train", "split_test", "split_train_test", "train", "classify", "bench"])
+    def test_a_hard_link_to_a_file_it_reads_is_refused(self, pipeline_files, tmp_path, capsys,
+                                                       argv, clash):
+        """A hard link has its own real path, so the file is matched by device and inode."""
+        paths = {key: str(path) for key, path in pipeline_files.items()}
+        assert _run("train", "--in", paths["train"], "--k", "8", "--out", paths["bundle"]) == 0
+        link = tmp_path / "alias.jsonl"
+        os.link(pipeline_files["corpus"], link)
+        paths.update(link=str(link), new=str(tmp_path / "new.jsonl"))
+        inputs = ("corpus", "train", "test", "bundle")
+        before = [pipeline_files[key].read_bytes() for key in inputs]
+        capsys.readouterr()
+        assert _run(*(arg.format(**paths) for arg in argv)) == 1
+        assert capsys.readouterr().err == f"groupnb: config error: {clash.format(**paths)}\n"
+        assert [pipeline_files[key].read_bytes() for key in inputs] == before
+        assert link.read_bytes() == before[0]
+        assert not (tmp_path / "new.jsonl").exists()
+
     def test_a_clash_is_refused_before_any_file_is_opened(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert _run("classify", "--bundle", "b.json", "--in", "x.jsonl", "--out", "./x.jsonl") == 1
@@ -871,6 +902,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "groupnb: config error: lanes must be a positive integer, got 0\n")
         assert not preds.exists()
+
+    @pytest.mark.parametrize("argv, error", [
+        (["train", "--k", "0", "--out", "{out}"], "k must be a positive integer, got 0"),
+        (["train", "--k", "3", "--alpha", "nan", "--out", "{out}"],
+         "alpha must be positive and finite, got nan"),
+        (["train", "--k", "0", "--out", "{missing}"], "k must be a positive integer, got 0"),
+        (["split", "--seed", "-1", "--train", "{out}", "--test", "{out}"],
+         "seed must be a non-negative integer, got -1"),
+    ], ids=["train_k", "train_alpha", "train_k_before_clash", "split_seed_before_clash"])
+    def test_train_and_split_check_flags_before_they_open_a_file(self, tmp_path, capsys, argv,
+                                                                 error):
+        """A missing --in is not reached (exit 1, not 3), nor is a clash of the outputs."""
+        names = {"missing": str(tmp_path / "missing.jsonl"), "out": str(tmp_path / "out")}
+        command, *rest = (arg.format(**names) for arg in argv)
+        assert _run(command, "--in", names["missing"], *rest) == 1
+        assert capsys.readouterr().err == f"groupnb: config error: {error}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_classify_with_an_empty_model_array_exits_two(self, pipeline_files, capsys):
         paths = pipeline_files

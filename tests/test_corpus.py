@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -344,6 +345,39 @@ class TestParseCorpus:
             parse_corpus([_line("a", {"mov": 1}), line])
         with pytest.raises(ParseError, match="^line 1: invalid JSON: "):
             parse_corpus(["{nope", line])
+
+    @pytest.mark.parametrize("block_chars", [1, 1 << 20], ids=["block_per_line", "one_block"])
+    @pytest.mark.parametrize("char, reason", [
+        ("\udcff", "byte 0xff is not valid UTF-8"),
+        ("\udc80", "byte 0x80 is not valid UTF-8"),
+        ("\udc7f", "lone surrogate U+DC7F is not valid UTF-8"),
+        ("\ud800", "lone surrogate U+D800 is not valid UTF-8"),
+    ], ids=["stand_in_ff", "stand_in_80", "below_stand_ins", "high"])
+    def test_a_line_holding_a_lone_surrogate_is_a_parse_error(self, tmp_path, monkeypatch,
+                                                              block_chars, char, reason):
+        """In a str, a list or a file read with surrogateescape; after an earlier line's error.
+
+        A surrogate that stands in for a byte names that byte, as the CLI's
+        text for a file that is not UTF-8 does.
+        """
+        monkeypatch.setattr(corpus, "_BLOCK_CHARS", block_chars)
+
+        def error_of(stream):
+            with pytest.raises(ParseError) as err:
+                parse_corpus(stream)
+            return str(err.value)
+
+        unlabeled = '{"id": "u", "size_bytes": 1, "opcodes": {}}'
+        for middle, error in (("", f"line 3: {reason}"), (unlabeled, "line 2: missing 'label'")):
+            lines = [_line("a", {"mov": 1}), middle, _line("b", {"mov": 1}).replace('"b"', f'"b{char}"')]
+            text = "".join(line + "\n" for line in lines)
+            assert error_of(text) == error
+            assert error_of([line + "\n" for line in lines]) == error
+            if 0xDC80 <= ord(char) <= 0xDCFF:  # a stand-in: the file holds the byte it stands for
+                path = tmp_path / "corpus.jsonl"
+                path.write_bytes(text.encode("utf-8", "surrogateescape"))
+                with open(path, encoding="utf-8", errors="surrogateescape") as fp:
+                    assert error_of(fp) == error
 
     def test_unlabeled_records_gated_by_flag(self):
         line = '{"id":"a","size_bytes":7,"opcodes":{"mov":1}}'
@@ -937,7 +971,7 @@ class TestLineBreaks:
     def test_a_text_reads_as_a_text_mode_reader_does(self, parts):
         """Lines, their newlines and the outcome are those of io.StringIO(text, newline=None)."""
         text = "".join(piece + "".join(ends) for piece, ends in parts)
-        assert [*corpus._lines(text)] == [*io.StringIO(text, newline=None)]
+        assert [*corpus._text_lines(text)] == [*io.StringIO(text, newline=None)]
         for allow in (False, True):
             assert (_outcome(parse_corpus, text, allow)
                     == _outcome(parse_corpus, io.StringIO(text, newline=None), allow))
@@ -1029,6 +1063,25 @@ class TestTokenizeDisassembly:
     def test_skips_blank_and_comment_lines(self):
         h = tokenize_disassembly("; comment\n\nadd eax, 1")
         assert h.entries == {"add": 1}
+
+    @pytest.mark.parametrize("line, reason", [
+        (b"mov a\n", "line is not text, got bytes"),
+        (None, "line is not text, got NoneType"),
+        (7, "line is not text, got int"),
+        ("\udcff b\n", "byte 0xff is not valid UTF-8"),
+        ("mov \ud800\n", "lone surrogate U+D800 is not valid UTF-8"),
+    ], ids=["bytes", "none", "int", "stand_in", "high_surrogate"])
+    def test_a_line_that_is_not_text_is_a_parse_error(self, line, reason):
+        """The line rule of parse_corpus: a typed error at the line, not a TypeError or a mnemonic."""
+        with pytest.raises(ParseError, match=f"^line 3: {re.escape(reason)}$"):
+            tokenize_disassembly(["mov a\n", "\n", line, "ret\n"])
+
+    def test_a_file_byte_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "dump.asm"
+        path.write_bytes(b"mov a\n; \xe9t\xe9\n\xff b\n")
+        with open(path, encoding="utf-8", errors="surrogateescape") as fp:
+            with pytest.raises(ParseError, match="^line 2: byte 0xe9 is not valid UTF-8$"):
+                tokenize_disassembly(fp)
 
     def test_tokenize_serialize_parse_round_trip(self):
         h = tokenize_disassembly("mov a\nMOV b\nxor c\nret")

@@ -1085,7 +1085,8 @@ def _rename_feature(doc, name):
 # on the good model that breaks it, and a bundle document edit that breaks
 # it the same way. Features are ("add", "evil", "mov"). A likelihood row's
 # length is the type's rule and its table's keys are the loader's, so those
-# cases give one message for each.
+# cases give one message for each. Alpha's cases are those of
+# test_one_alpha_rule_for_meta_fit_and_load.
 _INVARIANTS = {
     "features-empty": (
         lambda good: FeatureSet(()),
@@ -1137,18 +1138,6 @@ _INVARIANTS = {
         lambda good: dataclasses.replace(_META, k=True),
         lambda doc: doc["meta"].update(k=True),
         InvalidConfigError, "k must be a positive integer, got True"),
-    "meta-alpha-negative": (
-        lambda good: dataclasses.replace(_META, alpha=-1.0),
-        lambda doc: doc["meta"].update(alpha=-1.0),
-        InvalidConfigError, "alpha must be positive and finite, got -1.0"),
-    "meta-alpha-bool": (
-        lambda good: dataclasses.replace(_META, alpha=True),
-        lambda doc: doc["meta"].update(alpha=True),
-        InvalidConfigError, "alpha must be positive and finite, got True"),
-    "meta-alpha-string": (
-        lambda good: dataclasses.replace(_META, alpha="1.0"),
-        lambda doc: doc["meta"].update(alpha="1.0"),
-        InvalidConfigError, "alpha must be positive and finite, got '1.0'"),
     "meta-seed": (
         lambda good: dataclasses.replace(_META, seed=1.5),
         lambda doc: doc["meta"].update(seed=1.5),
