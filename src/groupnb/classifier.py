@@ -7,7 +7,8 @@ a group's counted samples (fit_counts over features.count_group), so
 one count serves every feature set; train_group counts and fits in one
 call. A model holds each class's likelihoods as a row in feature order.
 A GroupModel checks its own invariants when built, so a fitted model
-and a loaded one pass the same checks.
+and a loaded one pass the same checks; _distribution is the one rule for
+a prior or likelihood value, and the model stores each as a float.
 """
 
 from __future__ import annotations
@@ -48,20 +49,27 @@ NON_FINITE_SCORE = "log-score is not a finite float"
 _SUM_TOLERANCE = 1e-9
 
 
-def _check_distribution(log_values: Sequence[float], where: str, what: str) -> None:
-    """BundleValidationError unless every value is a finite number and their exps sum to 1."""
-    try:
-        finite = all(map(math.isfinite, log_values))
-    except TypeError:
-        raise BundleValidationError(f"{where}: {what} are not all numbers") from None
-    if not finite:
+def _distribution(values: Sequence, where: str, what: str) -> tuple[float, ...]:
+    """The values as floats; BundleValidationError unless each is an int or a float
+    (np.float64 too), not a bool, that converts to a finite float, and their exps sum to 1.
+    """
+    if not {*map(type, values)} <= {float}:
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            raise BundleValidationError(f"{where}: {what} are not all numbers")
+        try:
+            values = tuple(map(float, values))
+        except OverflowError:
+            raise BundleValidationError(
+                f"{where}: {what} hold an integer too large for a float") from None
+    if not all(map(math.isfinite, values)):
         raise BundleValidationError(f"{where}: non-finite {what}")
     try:
-        total = sum(map(math.exp, log_values))
+        total = sum(map(math.exp, values))
     except OverflowError:
         total = math.inf
     if abs(total - 1.0) > _SUM_TOLERANCE:
         raise BundleValidationError(f"{where}: {what} sum to {total!r}, not 1")
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -72,8 +80,9 @@ class GroupModel:
     log_likelihood[c] is class c's row of ln theta(c, f), a tuple with
     one value per feature, in feature order, whose exps sum to 1. The
     constructor checks this, a non-negative integer group, a FeatureSet
-    and two mappings holding numbers (else BundleValidationError naming
-    the group), and keeps read-only copies of the mappings; alpha is the bundle's.
+    and two mappings whose values are ints or floats, not bools (else
+    BundleValidationError naming the group). It keeps read-only mappings
+    of float copies, keyed by the two CLASSES only; alpha is the bundle's.
     """
 
     group: int
@@ -90,16 +99,18 @@ class GroupModel:
         if not isinstance(self.features, FeatureSet):
             raise BundleValidationError(f"{where}: features is not a FeatureSet")
         for name in ("log_prior", "log_likelihood"):
-            if not isinstance(value := getattr(self, name), Mapping):
+            if not isinstance(getattr(self, name), Mapping):
                 raise BundleValidationError(f"{where}: {name} is not a mapping of class to values")
-            object.__setattr__(self, name, MappingProxyType(dict(value)))
-        _check_distribution([self.log_prior.get(c, math.nan) for c in CLASSES], where, "priors")
+        priors = _distribution([self.log_prior.get(c, math.nan) for c in CLASSES], where, "priors")
+        rows = {}
         for c in CLASSES:
             row = self.log_likelihood.get(c)
             if not isinstance(row, tuple) or len(row) != len(self.features.opcodes):
                 raise BundleValidationError(f"{where}: {c.value} likelihoods are not a tuple "
                                             "of one value per feature")
-            _check_distribution(row, where, f"{c.value} likelihoods")
+            rows[c] = _distribution(row, where, f"{c.value} likelihoods")
+        object.__setattr__(self, "log_prior", MappingProxyType(dict(zip(CLASSES, priors))))
+        object.__setattr__(self, "log_likelihood", MappingProxyType(rows))
 
 
 @dataclass(frozen=True)

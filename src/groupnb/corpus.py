@@ -121,6 +121,11 @@ class OpcodeHistogram:
 
     Canonical form: keys are non-empty lowercase strs (_canonical_names),
     counts are positive ints that convert to float; zero counts are absent.
+    from_counts is the checked constructor, and every parse and synth path
+    uses it. OpcodeHistogram(entries) called directly checks nothing: the
+    batch kernel casts counts to int64, so a float count such as 1.5 is
+    truncated there without an error, while classifier.predict multiplies
+    it as it is, and the two paths then score the sample differently.
     """
 
     entries: dict[str, int]

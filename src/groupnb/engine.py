@@ -8,7 +8,8 @@ JSON, format 3 (see bundle_to_json), and only that format loads. Each
 part of a bundle (GroupingConfig, BundleMeta, GroupModel, FeatureSet,
 and ModelBundle for how they fit together) checks its own invariants
 when built and cannot change after, and the loader checks only the
-document's shape: format 3 names each likelihood by its feature, so a
+document's shape, handing every prior and likelihood to GroupModel as
+it was decoded: format 3 names each likelihood by its feature, so a
 per-class table's keys must be exactly the model's features, read in
 feature order. load_bundle keeps the last bundle it loaded, with the
 file's bytes, and returns it again for identical bytes without decoding
@@ -481,24 +482,16 @@ def _require(condition: bool, message: str) -> None:
         raise BundleValidationError(message)
 
 
-def _numbers(values: list, where: str) -> list[float]:
-    """JSON numbers as floats; anything else (bool and str included) is rejected."""
-    _require(set(map(type, values)) <= {int, float}, f"{where} must hold only numbers")
-    try:
-        return list(map(float, values))
-    except OverflowError:
-        raise BundleValidationError(f"{where} holds an integer too large for a float") from None
-
-
 def _object(value, where: str) -> dict:
     _require(isinstance(value, dict), f"{where} must be an object")
     return value
 
 
 def bundle_from_json(text: str) -> ModelBundle:
-    """Parse a format-3 bundle document, checking only its shape and number types.
+    """Parse a format-3 bundle document, checking only its shape.
 
-    The bundle types check the rest; any malformed document raises BundleValidationError.
+    The bundle types check the rest, the numbers included (GroupModel);
+    any malformed document raises BundleValidationError.
     """
     try:
         doc = _decode_json(text)
@@ -534,15 +527,13 @@ def bundle_from_json(text: str) -> ModelBundle:
             raise BundleValidationError(f"{where}: missing {exc}") from None
         except InvalidConfigError as exc:
             raise BundleValidationError(f"{where}: {exc}") from None
-        log_prior: dict[Label, float] = {}
-        log_likelihood: dict[Label, tuple[float, ...]] = {}
-        for c in CLASSES:  # a prior the document lacks gets a value GroupModel refuses
-            log_prior[c] = _numbers([raw_prior.get(c.value, float("nan"))], f"{where}.log_prior")[0]
+        log_prior = {c: raw_prior[c.value] for c in CLASSES if c.value in raw_prior}
+        log_likelihood = {}
+        for c in CLASSES:
             row = _object(raw_ll.get(c.value, {}), f"{where}.log_likelihood.{c.value}")
             _require(row.keys() == set(features.opcodes),
                      f"{where}: {c.value} likelihoods are not keyed by exactly the features")
-            log_likelihood[c] = tuple(_numbers([row[op] for op in features.opcodes],
-                                               f"{where}.log_likelihood"))
+            log_likelihood[c] = tuple(map(row.__getitem__, features.opcodes))
         models.append(GroupModel(group, features, log_prior, log_likelihood))
     return build_bundle(models, config, meta)
 

@@ -1,6 +1,7 @@
 """Multinomial model training and log-space scoring."""
 
 import dataclasses
+import decimal
 import math
 import random
 
@@ -212,6 +213,11 @@ class TestLogPosterior:
                 assert math.isfinite(value)
 
 
+# Zeros that are not an int or a float. Beside -800.0 (whose exp is 0.0)
+# each makes a distribution, so only the number rule refuses it.
+_ZEROS_OF_OTHER_TYPES = (False, np.int64(0), decimal.Decimal(0))
+
+
 class TestGroupModel:
     def test_likelihood_rows_must_cover_every_feature(self):
         model = _example_model()
@@ -241,10 +247,29 @@ class TestGroupModel:
         ({"log_likelihood": [1, 2]}, "log_likelihood is not a mapping of class to values"),
         ({"log_prior": None}, "log_prior is not a mapping of class to values"),
         ({"features": ("a", "b")}, "features is not a FeatureSet"),
-    ], ids=["str-prior", "str-likelihood", "list-likelihoods", "no-priors", "tuple-features"])
+        *[({"log_prior": {Label.MALWARE: zero, Label.BENIGN: -800.0}},
+           "priors are not all numbers") for zero in _ZEROS_OF_OTHER_TYPES],
+        *[({"log_likelihood": {Label.MALWARE: (zero, -800.0), Label.BENIGN: (-800.0, 0.0)}},
+           "malware likelihoods are not all numbers") for zero in _ZEROS_OF_OTHER_TYPES],
+    ], ids=["str-prior", "str-likelihood", "list-likelihoods", "no-priors", "tuple-features",
+            "bool-prior", "int64-prior", "decimal-prior",
+            "bool-likelihood", "int64-likelihood", "decimal-likelihood"])
     def test_a_field_of_the_wrong_type_is_a_validation_error(self, change, message):
         with pytest.raises(BundleValidationError, match=f"^model for group 3: {message}$"):
             dataclasses.replace(_example_model(), **change)
+
+    def test_values_are_stored_as_floats_keyed_by_the_two_classes(self):
+        model = dataclasses.replace(
+            _example_model(),
+            log_prior={Label.MALWARE: 0, Label.BENIGN: np.float64(-800.0), Label.UNKNOWN: "x"},
+            log_likelihood={Label.MALWARE: (np.float64(-0.0), -800),
+                            Label.BENIGN: (-800.0, 0), Label.UNKNOWN: None})
+        assert model.log_prior == {Label.MALWARE: 0.0, Label.BENIGN: -800.0}
+        assert model.log_likelihood == {Label.MALWARE: (0.0, -800.0), Label.BENIGN: (-800.0, 0.0)}
+        values = [*model.log_prior.values(), *model.log_likelihood[Label.MALWARE],
+                  *model.log_likelihood[Label.BENIGN]]
+        assert [type(v) for v in values] == [float] * 6
+        assert model.log_likelihood[Label.MALWARE][0].hex() == "-0x0.0p+0"
 
 
 class TestPredict:

@@ -1125,6 +1125,15 @@ _INVARIANTS = {
         lambda good: _with_likelihood(good, Label.MALWARE, "evil", -math.inf),
         lambda doc: _doc_model(doc)["log_likelihood"]["malware"].update(evil=-math.inf),
         BundleValidationError, "group 0: non-finite malware likelihoods"),
+    "likelihood-bool": (
+        lambda good: _with_likelihood(good, Label.BENIGN, "add", False),
+        lambda doc: _doc_model(doc)["log_likelihood"]["benign"].update(add=False),
+        BundleValidationError, "^model for group 0: benign likelihoods are not all numbers$"),
+    "likelihood-too-large": (
+        lambda good: _with_likelihood(good, Label.MALWARE, "evil", 10**400),
+        lambda doc: _doc_model(doc)["log_likelihood"]["malware"].update(evil=10**400),
+        BundleValidationError,
+        "^model for group 0: malware likelihoods hold an integer too large for a float$"),
     "likelihood-sum": (
         lambda good: _with_likelihoods(good, Label.BENIGN, (-1.0,) * len(good.features.opcodes)),
         lambda doc: _doc_model(doc)["log_likelihood"].update(
@@ -1330,6 +1339,53 @@ def test_a_bundle_is_refused_when_built_or_round_trips(fields, k, keys):
             bundle = ModelBundle(GroupingConfig(), by_key, meta)
     except GroupNBError:
         return
+    text = bundle_to_json(bundle)
+    loaded = bundle_from_json(text)
+    assert loaded == bundle
+    assert bundle_to_json(loaded) == text
+
+
+# A zero of each number type a model takes, and values whose exps are 0.0.
+_ZERO = st.sampled_from([0, 0.0, -0.0, np.float64(0.0), np.float64(-0.0)])
+_NEGLIGIBLE = (st.integers(-2000, -800) | st.floats(-2000, -800)
+               | st.floats(-2000, -800).map(np.float64))
+
+
+@st.composite
+def _log_distributions(draw, n):
+    """n log values of mixed number types whose exps sum to 1.
+
+    Either one is a zero and the rest are at most -800, or each is -ln(n)
+    as a float or an np.float64 (-0.0 when n is 1).
+    """
+    if draw(st.booleans()):
+        values = [draw(_NEGLIGIBLE) for _ in range(n)]
+        values[draw(st.integers(0, n - 1))] = draw(_ZERO)
+        return tuple(values)
+    return tuple(draw(st.sampled_from([float, np.float64]))(-math.log(n)) for _ in range(n))
+
+
+@st.composite
+def _hand_built_models(draw, group):
+    """A GroupModel built from mixed-type values, with an UNKNOWN key in each mapping."""
+    names = draw(st.lists(st.sampled_from(["add", "jmp", "mov", "xor"]), min_size=1,
+                          max_size=4, unique=True))
+    log_prior = dict(zip(CLASSES, draw(_log_distributions(2))))
+    log_likelihood = {c: draw(_log_distributions(len(names))) for c in CLASSES}
+    log_prior[Label.UNKNOWN] = draw(_ZERO)
+    log_likelihood[Label.UNKNOWN] = draw(_log_distributions(len(names)))
+    return GroupModel(group, FeatureSet(tuple(names)), log_prior, log_likelihood)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(0, 99), min_size=1, max_size=2, unique=True).flatmap(
+    lambda groups: st.tuples(*map(_hand_built_models, groups))))
+def test_a_hand_built_bundle_saves_and_loads_again(models):
+    """One or two models whose values mix int, float, np.float64 and -0.0.
+
+    The bundle loads back equal, and a second save gives the same bytes.
+    """
+    bundle = build_bundle(models, GroupingConfig(), dataclasses.replace(_META, k=4))
     text = bundle_to_json(bundle)
     loaded = bundle_from_json(text)
     assert loaded == bundle
