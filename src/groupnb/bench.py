@@ -3,7 +3,10 @@
 One bundle is trained per feature budget k. A workload of each listed
 batch size cycles the test set, is classified repeatedly at each k in
 both modes, and is summarized as median/min elapsed nanoseconds plus the
-median-over-median speedup. The rows serialize to CSV deterministically.
+median-over-median speedup. The elapsed time is TimedRun.elapsed_ns: the
+lanes' kernel and the workers' result transfer, not routing, the
+finiteness check or prediction assembly (engine.classify_parallel). The
+rows serialize to CSV deterministically.
 """
 
 from __future__ import annotations

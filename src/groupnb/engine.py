@@ -17,12 +17,13 @@ them.
 
 Batches are classified over lanes, run by groupnb.lanes;
 classify_parallel states how many lanes a batch gets, and TimedRun.lanes
-says how many ran. Every lane routes and scores its own chunk with the
-same array kernel, so predictions are bit-identical at any lane count.
-TimedRun.elapsed_ns times the parallel region: each lane's routing
-(assign_group, _route_row), kernel and finiteness check, and the
-workers' result transfer; not process start-up or warm-up, parsing,
-score-table building, prediction assembly or serialization.
+says how many ran. The caller routes every sample once (assign_group,
+_route_row); each lane runs only the array kernel, _log_scores, on its
+share of the routed samples, so predictions are bit-identical at any
+lane count. TimedRun.elapsed_ns times the parallel region: the lanes'
+kernel and the workers' result transfer; not process start-up or
+warm-up, parsing, routing, score-table building, the finiteness check,
+prediction assembly or serialization.
 
 Exact kernel. The kernel scores a block of samples at once and
 reproduces classifier.log_posterior bit for bit. Each bundle builds its
@@ -279,17 +280,15 @@ _BLOCK = 512
 
 @dataclass(frozen=True)
 class _ScoreTables:
-    """What the kernel reads of a bundle: its trained_ids, its geometry and its models as arrays.
+    """What the kernel reads of a bundle: its models as arrays.
 
-    There is one row per model, in ids order. table[row, c] is
+    There is one row per model, in trained_ids order. table[row, c] is
     [log_prior(c), ll(c, f_1), ..., ll(c, f_n)] padded with -0.0 to the
     widest model; keys[row] is (f_1, ..., f_n) padded with None, which
     no histogram holds. signed says whether every likelihood cell has
     its sign bit set (the module docstring's "Exact kernel").
     """
 
-    ids: tuple[int, ...]
-    config: GroupingConfig
     keys: tuple[tuple[str | None, ...], ...]
     table: np.ndarray
     signed: bool
@@ -308,15 +307,17 @@ class _ScoreTables:
                 table[row, c, 1 : len(features) + 1] = model.log_likelihood[label]
             keys.append(features + (None,) * (width - len(features)))
         signed = bool(np.signbit(table[:, :, 1:]).all())
-        return cls(ids, bundle.config, tuple(keys), table, signed)
+        return cls(tuple(keys), table, signed)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the caller checks finiteness
 def _log_scores(
     tables: _ScoreTables, histograms: Sequence[dict[str, int]], rows: Sequence[int]
 ) -> np.ndarray:
     """(n, 2) log-scores, bit-identical to classifier.log_posterior (see "Exact kernel").
 
-    histograms[i] is scored by the model in table row rows[i].
+    histograms[i] is scored by the model in table row rows[i]. A score
+    past the float range comes out non-finite, without a warning.
     """
     keys, table = tables.keys, tables.table
     out = np.empty((len(rows), len(CLASSES)))
@@ -340,69 +341,15 @@ def _log_scores(
     return out
 
 
-def _classify_chunk(
-    tables: _ScoreTables, chunk: Sequence[SampleRecord], offset: int
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
-    """Classify one lane's chunk, which starts at batch index ``offset``, into arrays.
-
-    Returns the effective group per sample (-1 where it failed), the
-    (malware, benign) log-scores per sample, and the failures as
-    (batch index, message) pairs in index order. A sample fails when
-    its size is out of range or a log-score overflows the float range.
-    """
-    ids = tables.ids
-    config = tables.config
-    admitted: list[int] = []
-    rows: list[int] = []
-    histograms: list[dict[str, int]] = []
-    errors: list[tuple[int, str]] = []
-    for i, sample in enumerate(chunk):
-        try:
-            group = assign_group(sample.size_bytes, config)
-        except SizeRangeError as exc:
-            errors.append((offset + i, str(exc)))
-            continue
-        admitted.append(i)
-        rows.append(_route_row(ids, group))
-        histograms.append(sample.histogram.entries)
-    groups = np.full(len(chunk), -1, dtype=np.int64)
-    scores = np.zeros((len(chunk), len(CLASSES)))
-    groups[admitted] = np.array(ids, dtype=np.int64)[rows]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        scores[admitted] = _log_scores(tables, histograms, rows)
-    non_finite = np.flatnonzero(~np.isfinite(scores).all(axis=1))
-    if len(non_finite):
-        groups[non_finite] = -1
-        errors = sorted(errors + [(offset + i, NON_FINITE_SCORE) for i in non_finite.tolist()])
-    return groups, scores, errors
-
-
-def _timed_run(
-    parts: Sequence[tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]], elapsed_ns: int
-) -> TimedRun:
-    """Assemble predictions, in input order, from consecutive chunk results, one per lane."""
-    predictions: list[Prediction | None] = []
-    errors: list[tuple[int, str]] = []
-    append = predictions.append
-    for groups, scores, chunk_errors in parts:
-        for group, (score_m, score_b) in zip(groups.tolist(), scores.tolist()):
-            if group < 0:
-                append(None)
-                continue
-            append(decide(score_m, score_b, group))
-        errors.extend(chunk_errors)
-    return TimedRun(tuple(predictions), tuple(errors), elapsed_ns, len(parts))
-
-
 def classify_sequential(
     bundle: ModelBundle, workload: Workload, *, warmup: bool = True
 ) -> TimedRun:
     """Single-threaded baseline; this is the Tc side of the speedup ratio.
 
     The one-lane case of classify_parallel, whatever workload.lanes says:
-    the caller classifies the whole batch and no process is started. With
-    warmup (the default) one full unmeasured pass runs first; only the
-    second pass is timed.
+    the caller scores the whole batch and no process is started. With
+    warmup (the default) one unmeasured kernel pass runs first; only the
+    second pass is timed, and each sample is routed once either way.
     """
     return classify_parallel(bundle, Workload(workload.samples, 1), warmup=warmup)
 
@@ -412,23 +359,48 @@ def classify_parallel(
 ) -> TimedRun:
     """Classify over at most ``workload.lanes`` lanes, run by groupnb.lanes.
 
-    A batch of N samples runs on min(workload.lanes, max(1, N // _BLOCK))
-    lanes, reported as run.lanes, so a batch below two kernel blocks
-    starts no process. Lane i is handed only the samples [i * N // lanes,
-    (i + 1) * N // lanes), at least one block, and classifies them into
-    arrays; the predictions built from them are in input order and
-    bit-identical (label and log-scores) to classify_sequential on the
-    same workload. A worker that dies before returning its chunk raises
-    LaneError.
+    The caller routes every sample once (assign_group, _route_row); a
+    sample whose size is out of range fails there. A batch of N samples
+    runs on min(workload.lanes, max(1, N // _BLOCK)) lanes, reported as
+    run.lanes, so a batch below two kernel blocks starts no process. The
+    M admitted samples are split evenly: lane i runs only the kernel,
+    _log_scores, on admitted samples [i * M // lanes, (i + 1) * M // lanes).
+    The caller then fails each sample whose score is not finite and
+    builds the rest's predictions, in input order and bit-identical
+    (label and log-scores) to classify_sequential on the same workload.
+    A worker that dies before returning its scores raises LaneError.
     """
     samples = workload.samples
     n = len(samples)
     lanes = min(workload.lanes, max(1, n // _BLOCK))
     tables = bundle._tables  # before any lane starts, so every lane shares it
-    cuts = [i * n // lanes for i in range(lanes + 1)]  # an empty batch runs one empty lane
-    lane_args = [(tables, samples[lo:hi], lo) for lo, hi in zip(cuts, cuts[1:])]
-    parts, elapsed = run_lanes(_classify_chunk, lane_args, warmup)
-    return _timed_run(parts, elapsed)
+    ids, config = bundle.trained_ids, bundle.config
+    admitted: list[int] = []
+    rows: list[int] = []
+    histograms: list[dict[str, int]] = []
+    errors: list[tuple[int, str]] = []
+    for i, sample in enumerate(samples):
+        try:
+            group = assign_group(sample.size_bytes, config)
+        except SizeRangeError as exc:
+            errors.append((i, str(exc)))
+            continue
+        admitted.append(i)
+        rows.append(_route_row(ids, group))
+        histograms.append(sample.histogram.entries)
+    m = len(rows)
+    cuts = [i * m // lanes for i in range(lanes + 1)]  # no admitted sample: empty lanes
+    lane_args = [(tables, histograms[lo:hi], rows[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    parts, elapsed = run_lanes(_log_scores, lane_args, warmup)
+    scores = np.concatenate(parts)
+    finite = np.isfinite(scores).all(axis=1).tolist()
+    predictions: list[Prediction | None] = [None] * n
+    for i, row, ok, (score_m, score_b) in zip(admitted, rows, finite, scores.tolist()):
+        if ok:
+            predictions[i] = decide(score_m, score_b, ids[row])
+        else:
+            errors.append((i, NON_FINITE_SCORE))
+    return TimedRun(tuple(predictions), tuple(sorted(errors)), elapsed, lanes)
 
 
 def speedup(tc_ns: int, tp_ns: int) -> float:

@@ -94,15 +94,18 @@ def deadline(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-def kill_worker_lanes(monkeypatch, code: int = 9, start: int | None = None) -> None:
-    """Make every worker lane (or only the one whose chunk begins at ``start``)
-    exit with ``code`` when it starts classifying; the calling process is spared."""
+def kill_worker_lanes(monkeypatch, code: int = 9, lane: int | None = None) -> None:
+    """Make every worker lane (or only lane ``lane``) exit with ``code`` when it
+    starts scoring its share; the calling process is spared."""
     test_pid = os.getpid()
-    real = engine._classify_chunk
+    real = engine.run_lanes
 
-    def chunk_or_exit(tables, chunk, offset):
-        if os.getpid() != test_pid and start in (None, offset):
-            os._exit(code)
-        return real(tables, chunk, offset)
+    def run_lanes(body, lane_args, warmup):
+        def body_or_exit(i, *args):
+            if os.getpid() != test_pid and lane in (None, i):
+                os._exit(code)
+            return body(*args)
 
-    monkeypatch.setattr(engine, "_classify_chunk", chunk_or_exit)
+        return real(body_or_exit, [(i, *args) for i, args in enumerate(lane_args)], warmup)
+
+    monkeypatch.setattr(engine, "run_lanes", run_lanes)

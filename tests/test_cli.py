@@ -197,6 +197,42 @@ class TestPipeline:
         assert f"(parallel, 2 lanes, {failing} errors)" in capsys.readouterr().out
         assert outs[0].read_text() == outs[1].read_text()
 
+    def test_group_ids_past_int64_are_written(self, tmp_path, capsys, monkeypatch):
+        """A bundle of 2**70 one-byte groups may hold a model for group 2**65."""
+        bundle_path = tmp_path / "bundle.json"
+        bundle_path.write_text(
+            '{"format": 3, "config": {"group_size_bytes": 1, '
+            '"max_size_bytes": 1180591620717411303424, "min_per_class": 6}, '
+            '"meta": {"k": 2, "alpha": 1.0, "seed": 0, "created_at": "2026-01-01T00:00:00+00:00"}, '
+            '"models": [\n'
+            '{"group": 36893488147419103232, "features": ["evil", "mov"], '
+            '"log_prior": {"malware": -0.6931471805599453, "benign": -0.6931471805599453}, '
+            '"log_likelihood": {"malware": {"evil": -0.2876820724517809, '
+            '"mov": -1.3862943611198906}, "benign": {"evil": -1.3862943611198906, '
+            '"mov": -0.2876820724517809}}}\n'
+            ']}\n', encoding="utf-8")
+        corpus = tmp_path / "samples.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"s{size}", "size_bytes": size, "opcodes": {"evil": 3, "mov": 1}})
+            + "\n" for size in (7, 2**65, 2**66)))
+        outs = [tmp_path / "seq.jsonl", tmp_path / "par.jsonl"]
+        for mode, out in zip((["--sequential"], ["--parallel", "--lanes", "2"]), outs):
+            assert _run("classify", "--bundle", str(bundle_path), "--in", str(corpus), *mode,
+                        "--out", str(out)) == 0
+        lines = [json.loads(line) for line in paths_lines(outs[0])]
+        assert [line["effective_group"] for line in lines] == [36893488147419103232] * 3
+        assert {line["label"] for line in lines} == {"malware"}
+        assert outs[0].read_text() == outs[1].read_text()
+
+        monkeypatch.setattr(engine, "_BLOCK", 1)  # 3 samples allow 2 lanes
+        bundle = load_bundle(bundle_path)
+        samples = tuple(cli._read_corpus(str(corpus), allow_unlabeled=True))
+        seq = engine.classify_sequential(bundle, engine.Workload(samples, 1), warmup=False)
+        par = engine.classify_parallel(bundle, engine.Workload(samples, 2), warmup=False)
+        assert (seq.lanes, par.lanes) == (1, 2)
+        assert par.predictions == seq.predictions
+        assert [p.effective_group for p in par.predictions] == [2**65] * 3
+
     def test_classify_reads_a_bundle_file_replaced_between_calls(self, pipeline_files, capsys):
         """Each in-process classify call scores with the bundle its file holds at that call."""
         paths = pipeline_files

@@ -54,7 +54,9 @@ from groupnb.errors import (
     MeasurementError,
     SizeRangeError,
 )
-from groupnb.classifier import CLASSES, GroupModel, decide, fit_counts, predict, train_group
+from groupnb.classifier import (
+    CLASSES, NON_FINITE_SCORE, GroupModel, decide, fit_counts, predict, train_group,
+)
 from groupnb.features import FeatureSet, count_group, score_opcodes, select_top_k
 from groupnb.lanes import host_threads
 
@@ -306,6 +308,18 @@ class TestClassifySequential:
         assert index == 1
         assert "512000" in message
 
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_each_sample_is_routed_once_per_call(self, lanes, monkeypatch):
+        """The warm-up pass reruns only the kernel, and the caller routes for every lane."""
+        monkeypatch.setattr(engine, "_BLOCK", 16)  # 80 samples allow 3 lanes
+        bundle = _bundle()
+        workload = _workload(bundle, 80, lanes=lanes)
+        classify = classify_sequential if lanes == 1 else classify_parallel
+        with mock.patch.object(engine, "assign_group", side_effect=assign_group) as spy:
+            run = classify(bundle, workload)
+        assert run.lanes == lanes
+        assert spy.call_count == 80
+
     def test_warmup_flag_does_not_change_predictions(self):
         bundle = _bundle()
         workload = _workload(bundle, 20, lanes=1)
@@ -385,21 +399,27 @@ class TestClassifyParallel:
         real = engine.run_lanes
 
         def record(body, lane_args, warmup):
+            assert body is engine._log_scores
             handed.extend(lane_args)
             return real(body, lane_args, warmup)
 
         monkeypatch.setattr(engine, "run_lanes", record)
         bundle = _bundle()
-        workload = _workload(bundle, 3 * _BLOCK + 7, lanes=3)
-        samples = workload.samples
-        n = len(samples)
-        cuts = [0, n // 3, 2 * n // 3, n]
+        good = list(_workload(bundle, 3 * _BLOCK + 7, lanes=3).samples)
+        good[5] = make_sample("big", Label.UNKNOWN, 600000, {"mov": 1})
+        workload = Workload(samples=tuple(good), lanes=3)
+        admitted = [s for i, s in enumerate(good) if i != 5]
+        m = len(admitted)
+        cuts = [0, m // 3, 2 * m // 3, m]
         par = classify_parallel(bundle, workload, warmup=False)
         assert par.lanes == len(handed) == 3
-        assert [offset for _, _, offset in handed] == cuts[:3]
-        for (_, lane_chunk, offset), end in zip(handed, cuts[1:]):
-            assert lane_chunk == samples[offset:end]
-        assert sum((lane_chunk for _, lane_chunk, _ in handed), ()) == samples
+        for (tables, histograms, rows), lo, hi in zip(handed, cuts, cuts[1:]):
+            assert tables is bundle._tables
+            assert histograms == [s.histogram.entries for s in admitted[lo:hi]]
+            assert [bundle.trained_ids[r] for r in rows] == [
+                route(bundle, assign_group(s.size_bytes, bundle.config)) for s in admitted[lo:hi]]
+        assert sum((histograms for _, histograms, _ in handed), []) == [
+            s.histogram.entries for s in admitted]
 
     def test_a_batch_runs_every_lane_its_blocks_allow(self, monkeypatch):
         """9 samples in blocks of 2 allow 4 lanes; chunks of ceil(9 / 4) would fill only 3."""
@@ -437,7 +457,7 @@ class TestClassifyParallel:
 
     def test_lane_left_by_the_caller_exits_quietly(self, monkeypatch, capfd):
         n = 3 * _BLOCK + 60
-        kill_worker_lanes(monkeypatch, start=-(-n // 3))  # lane 1 dies, lane 2 is left
+        kill_worker_lanes(monkeypatch, lane=1)  # lane 1 dies, lane 2 is left
         bundle = _bundle()
         with deadline(30), pytest.raises(LaneError, match="lane 1 exited with code 9"):
             classify_parallel(bundle, _workload(bundle, n, lanes=3))
@@ -447,14 +467,14 @@ class TestClassifyParallel:
     @pytest.mark.parametrize("warmup", [True, False])
     def test_failing_caller_lane_joins_every_worker(self, warmup, monkeypatch, capfd):
         test_pid = os.getpid()
-        real = engine._classify_chunk
+        real = engine._log_scores
 
-        def fail_in_the_caller(tables, chunk, offset):
+        def fail_in_the_caller(tables, histograms, rows):
             if os.getpid() == test_pid:
                 raise RuntimeError("lane 0 failed")
-            return real(tables, chunk, offset)
+            return real(tables, histograms, rows)
 
-        monkeypatch.setattr(engine, "_classify_chunk", fail_in_the_caller)
+        monkeypatch.setattr(engine, "_log_scores", fail_in_the_caller)
         bundle = _bundle()
         workload = _workload(bundle, 3 * _BLOCK + 5, lanes=3)
         with deadline(30), pytest.raises(RuntimeError, match="lane 0 failed"):
@@ -472,6 +492,20 @@ class TestClassifyParallel:
         assert par.errors == seq.errors == ((4, "size_bytes 600000 outside [0, 512000)"),)
         assert par.predictions == seq.predictions
         assert par.lanes == 3
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_errors_of_both_kinds_are_in_index_order(self, lanes):
+        """A non-finite score found after the lanes sorts among the size errors found before."""
+        bundle = _bundle()
+        samples = list(_workload(bundle, 2 * _BLOCK, lanes=lanes).samples)
+        huge = dict.fromkeys(bundle.models[0].features.opcodes, 10**308)
+        samples[3] = make_sample("inf", Label.UNKNOWN, 100, huge)
+        samples[1] = samples[7] = make_sample("big", Label.UNKNOWN, 600000, {"mov": 1})
+        run = classify_parallel(bundle, Workload(tuple(samples), lanes), warmup=False)
+        size_error = "size_bytes 600000 outside [0, 512000)"
+        assert run.lanes == lanes
+        assert run.errors == ((1, size_error), (3, NON_FINITE_SCORE), (7, size_error))
+        assert [i for i, p in enumerate(run.predictions) if p is None] == [1, 3, 7]
 
     @pytest.mark.parametrize("n", [1, _BLOCK, 2 * _BLOCK - 1])
     def test_below_two_blocks_starts_no_process(self, n, monkeypatch):
